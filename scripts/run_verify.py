@@ -19,7 +19,11 @@ def main() -> None:
     args = parser.parse_args()
 
     started = time.perf_counter()
-    results = verify.run_suite(args.suite, args.max_n)
+    try:
+        results = verify.run_suite(args.suite, args.max_n)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(1)
     failed = [r for r in results if not r.ok]
     for r in results:
         status = "PASS" if r.ok else "FAIL"

@@ -13,6 +13,7 @@ from .exact_algebra import (
     BiSeries,
     ExactPoly,
     InexactDivisionError,
+    NonIntegralError,
     binomial,
     catalan_number,
     catalan_series,
@@ -59,6 +60,7 @@ from .complex_poset import (
 )
 from .chains_zeta import (
     chain_count_formula,
+    chain_counts,
     chain_oracle,
     f_polynomial_from_chains,
     multichain_oracle,

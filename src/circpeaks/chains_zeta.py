@@ -1,10 +1,13 @@
 """Multichain and chain counting in the peak-set complex.
 
 zeta(n, i) counts multichains of i-1 faces and is evaluated exactly from
-the f-polynomial; the multinomial composition formula gives the strict
-chain counts d_{n,i}.  Both have dumb exhaustive oracles over the face
-poset for cross-checking, and the f-polynomial can be rebuilt from the
-chain counts alone.
+the f-polynomial.  chain_counts(n) gives every strict chain count d_{n,i}
+from the integer f-vector in O(D^2) big-integer operations, D =
+floor((n-1)/2), by binomially inverting the multichain counts (Stanley,
+EC1 3.12).  The paper's multinomial composition sum, chain_count_formula,
+grows exponentially in n and is kept as an oracle only.  Both counts have
+dumb exhaustive oracles over the face poset for cross-checking, and the
+f-polynomial can be rebuilt from the chain counts alone.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .complex_poset import POSET_CAP, _check_poset_cap, all_faces, f_polynomial
-from .exact_algebra import ExactPoly, multinomial
+from .complex_poset import POSET_CAP, _check_poset_cap, all_faces, f_polynomial, face_count
+from .exact_algebra import ExactPoly, as_integer, binomial, multinomial
 from .peak_sets import max_peak_count
 
 
@@ -30,8 +33,7 @@ def zeta(n: int, i: int) -> int:
     p = f_polynomial(n)
     top = max_peak_count(n)
     val = sum(p.coeff(j) * (i - 1) ** (top - j) for j in range(top + 1))
-    assert val.denominator == 1
-    return int(val)
+    return as_integer(val, f"zeta({n}, {i})")
 
 
 def zeta_polynomial(n: int) -> ExactPoly:
@@ -68,18 +70,24 @@ def multichain_oracle(n: int, length: int) -> int:
 
 
 def chain_oracle(n: int, i: int) -> int:
-    """Exhaustive count of strictly increasing i-tuples of faces."""
+    """Exhaustive count of strictly increasing i-tuples of faces.
+
+    counts[k] is the number of chains of the current length ending at
+    face k.  Once every count is zero no longer chain exists, so the
+    level loop stops there.
+    """
     if i < 0:
         raise ValueError("i must be >= 0")
     _check_poset_cap(n)
     if i == 0:
         return 1
-    fs, le = _subset_matrix(n)
-    m = len(fs)
-    lt = [[le[a][b] and fs[a] != fs[b] for b in range(m)] for a in range(m)]
-    counts = [1] * m
+    fs = [frozenset(f.elements) for f in all_faces(n)]
+    below = [[j for j, a in enumerate(fs) if a < b] for b in fs]
+    counts = [1] * len(fs)
     for _ in range(i - 1):
-        counts = [sum(counts[j] for j in range(m) if lt[j][k]) for k in range(m)]
+        counts = [sum(counts[j] for j in js) for js in below]
+        if not any(counts):
+            return 0
     return sum(counts)
 
 
@@ -98,7 +106,9 @@ def chain_count_formula(n: int, i: int) -> Fraction:
 
     Sum over (d_1, ..., d_{i+1}) with sum = n, d_1 >= 0, middle parts >= 1
     and d_{i+1} >= n - floor((n-1)/2); the weight (2 d_{i+1} - n)/n is not
-    clamped.  Always integral on the tested range (the caller may assert).
+    clamped.  Always integral on the tested range.  Its cost grows
+    exponentially in n: production code uses chain_counts, and this sum is
+    the oracle it is checked against.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
@@ -109,6 +119,29 @@ def chain_count_formula(n: int, i: int) -> Fraction:
     for parts in _compositions(n, mins):
         total += Fraction(multinomial(parts)) * Fraction(2 * parts[-1] - n, n)
     return total
+
+
+def chain_counts(n: int) -> tuple[int, ...]:
+    """(d_{n,0}, ..., d_{n,D+1}): strict chains of i faces, in O(D^2) operations.
+
+    Z_k = sum_m p_{n,m-1} (k+1)^m counts the multichains of k+1 faces
+    (Horner over the f-vector).  A multichain of k+1 faces with t+1
+    distinct faces arises from C(k, t) of them, so Z_k = sum_t C(k, t)
+    d_{n,t+1}, and binomial inversion gives
+    d_{n,t+1} = sum_k (-1)^(t-k) C(t, k) Z_k.  d_{n,i} = 0 for i > D+1.
+    """
+    top = max_peak_count(n)
+    f = [face_count(n, m - 1) for m in range(top + 1)]
+    z = []
+    for k in range(top + 1):
+        acc = 0
+        for c in reversed(f):
+            acc = acc * (k + 1) + c
+        z.append(acc)
+    return (1,) + tuple(
+        sum((-1) ** (t - k) * binomial(t, k) * z[k] for k in range(t + 1))
+        for t in range(top + 1)
+    )
 
 
 def f_polynomial_from_chains(n: int) -> ExactPoly:

@@ -238,7 +238,8 @@ def _run(args, out) -> int:
     elif args.command == "chains":
         _require(args.n >= 3, "--n must be >= 3")
         _require(args.i >= 1, "--i must be >= 1")
-        value = chains_zeta.chain_count_formula(args.n, args.i)
+        top = peak_sets.max_peak_count(args.n)
+        value = chains_zeta.chain_counts(args.n)[args.i] if args.i <= top + 1 else 0
         oracle = None
         if args.n <= complex_poset.POSET_CAP:
             oracle = chains_zeta.chain_oracle(args.n, args.i)
@@ -270,7 +271,11 @@ def _run(args, out) -> int:
     elif args.command == "hilbert":
         _require(args.n >= 3, "--n must be >= 3")
         _require(args.order >= 0, "--order must be >= 0")
-        dims = hilbert_algebras.graded_dimensions(args.n, args.algebra, args.order)
+        if args.algebra == "B":
+            counts = chains_zeta.chain_counts(args.n)  # dims and series share it
+            dims = hilbert_algebras.graded_dimensions_b(args.n, counts, args.order)
+        else:
+            dims = hilbert_algebras.graded_dimensions(args.n, args.algebra, args.order)
         if fmt == "csv":
             _emit_csv(dims.csv_rows(), ["n", "algebra", "degree", "dim"], out)
         else:
@@ -283,8 +288,7 @@ def _run(args, out) -> int:
                 payload["hilbert_polynomial"] = _poly_coeffs(
                     hilbert_algebras.hilbert_polynomial_a(args.n))
             else:
-                payload["series_polynomial"] = _poly_coeffs(
-                    hilbert_algebras.hilbert_series_b(args.n))
+                payload["series_polynomial"] = list(counts)
             _emit_json(payload, out)
 
     elif args.command == "series":

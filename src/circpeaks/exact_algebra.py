@@ -27,6 +27,17 @@ class InexactDivisionError(ArithmeticError):
     """A division that was required to be exact left a remainder."""
 
 
+class NonIntegralError(ArithmeticError):
+    """A value that must be an integer (a count or a dimension) is not."""
+
+
+def as_integer(value: Rational, what: str) -> int:
+    """``value`` as an int; NonIntegralError names ``what`` if it is not one."""
+    if Fraction(value).denominator != 1:
+        raise NonIntegralError(f"{what} is not an integer: {value}")
+    return int(value)
+
+
 def _normalize(coeffs: Iterable[Rational]) -> tuple[Fraction, ...]:
     out = [Fraction(c) for c in coeffs]
     while out and out[-1] == 0:

@@ -4,7 +4,8 @@ Algebra A is the polynomial ring on one variable per face modulo products
 of incomparable faces; algebra B additionally kills squares.  Graded
 dimensions are multichain respectively strict-chain counts, so everything
 reduces to the chain machinery; the ideals themselves are never
-materialized, only the comparability predicate is used.
+materialized, only the comparability predicate is used.  The B-dimensions
+are the integer vector chain_counts(n), built once per request.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .chains_zeta import chain_count_formula
+from .chains_zeta import chain_counts
 from .complex_poset import all_faces, f_polynomial
-from .exact_algebra import ExactPoly
+from .exact_algebra import ExactPoly, InexactDivisionError, as_integer
 from .peak_sets import max_peak_count
 from .perm_core import ResourceLimitError
 
@@ -53,8 +54,7 @@ def dim_a(n: int, i: int) -> int:
     p = f_polynomial(n)
     top = max_peak_count(n)
     val = sum(p.coeff(j) * i ** (top - j) for j in range(top + 1))
-    assert val.denominator == 1
-    return int(val)
+    return as_integer(val, f"dim_a({n}, {i})")
 
 
 def hilbert_polynomial_a(n: int) -> ExactPoly:
@@ -81,18 +81,20 @@ def numerator_a(n: int) -> RationalSeriesForm:
 
     The denominator exponent is floor((n+1)/2); the tempting floor(n/2)
     contradicts the n = 3 initial condition 1/(1-x)^2.  The numerator
-    is obtained by repeated differencing and checked to terminate with
-    integer coefficients.
+    is obtained by repeated differencing of the integer dimensions and
+    checked to terminate; InexactDivisionError is raised if it does not.
     """
     exponent = (n + 1) // 2
     guard = 4  # extra verified-zero coefficients past the numerator degree
-    series = [Fraction(d) for d in hilbert_series_a(n, exponent + 1 + guard)]
+    series = list(hilbert_series_a(n, exponent + 1 + guard))
     for _ in range(exponent):
         series = [series[0]] + [series[k] - series[k - 1]
                                 for k in range(1, len(series))]
     head, tail = series[: exponent + 2], series[exponent + 2:]
-    assert all(v == 0 for v in tail), (n, series)
-    assert all(v.denominator == 1 for v in head)
+    if any(tail):
+        raise InexactDivisionError(
+            f"A-series of n={n} times (1-x)^{exponent} does not terminate: {series}"
+        )
     return RationalSeriesForm(ExactPoly(head), exponent)
 
 
@@ -102,18 +104,20 @@ def dim_b(n: int, i: int) -> int:
         raise ValueError("n must be >= 3")
     if i < 0:
         raise ValueError("degree must be >= 0")
-    if i == 0:
-        return 1
     if i > max_peak_count(n) + 1:
         return 0
-    val = chain_count_formula(n, i)
-    assert val.denominator == 1
-    return int(val)
+    return chain_counts(n)[i]
 
 
 def hilbert_series_b(n: int) -> ExactPoly:
     """The (polynomial) Hilbert series of the finite-dimensional algebra B."""
-    return ExactPoly([dim_b(n, i) for i in range(max_peak_count(n) + 2)])
+    return ExactPoly(chain_counts(n))
+
+
+def graded_dimensions_b(n: int, counts: tuple[int, ...], max_degree: int) -> GradedDimensions:
+    """Degrees 0..max_degree of B from its chain-count vector, zero past it."""
+    return GradedDimensions(
+        n, "B", counts[: max_degree + 1] + (0,) * (max_degree + 1 - len(counts)))
 
 
 def standard_monomial_oracle(n: int, algebra: str, degree: int) -> int:
@@ -158,7 +162,7 @@ def graded_dimensions(n: int, algebra: str, max_degree: int) -> GradedDimensions
     if algebra == "A":
         dims = tuple(dim_a(n, i) for i in range(max_degree + 1))
     elif algebra == "B":
-        dims = tuple(dim_b(n, i) for i in range(max_degree + 1))
+        return graded_dimensions_b(n, chain_counts(n), max_degree)
     else:
         raise ValueError("algebra must be 'A' or 'B'")
     return GradedDimensions(n, algebra, dims)

@@ -29,6 +29,7 @@ from .peak_sets import PeakSet
 
 PERM_DEFAULT = 8
 POSET_DEFAULT = 14
+MIN_MAX_N = 3  # the complex starts at n = 3; below it some checks cover no n
 
 
 @dataclass
@@ -269,6 +270,18 @@ def check_chain_formula(max_n: int) -> tuple[bool, str]:
             if formula != oracle:
                 return False, f"chain count mismatch at (n={n}, i={i}): formula {formula}, oracle {oracle}"
     return True, f"multinomial chain formula = strict-chain oracle, n <= {top}, i <= 4"
+
+
+def check_chain_counts(max_n: int) -> tuple[bool, str]:
+    top = min(12, max_n + 4)
+    for n in range(3, top + 1):
+        counts = chains_zeta.chain_counts(n)
+        for i in range(1, peak_sets.max_peak_count(n) + 4):
+            fast = counts[i] if i < len(counts) else 0
+            formula = chains_zeta.chain_count_formula(n, i)
+            if fast != formula:
+                return False, f"chain count mismatch at (n={n}, i={i}): inversion {fast}, composition sum {formula}"
+    return True, f"binomial-inversion chain counts = composition sum, n <= {top}, i <= D+3"
 
 
 def check_chain_formula_elements(max_n: int) -> tuple[bool, str]:
@@ -530,6 +543,7 @@ SUITES: dict[str, list[tuple[str, Callable[[int], tuple[bool, str]]]]] = {
         ("zeta-vs-multichain-oracle", check_zeta_oracle),
         ("zeta-recurrence", check_zeta_recurrence),
         ("chain-formula-vs-oracle", check_chain_formula),
+        ("chain-counts-vs-composition-sum", check_chain_counts),
         ("chain-formula-element-count", check_chain_formula_elements),
         ("zeta-from-chain-counts", check_zeta_from_chains),
         ("fpolynomial-from-chains", check_fpoly_from_chains),
@@ -563,6 +577,8 @@ SUITES: dict[str, list[tuple[str, Callable[[int], tuple[bool, str]]]]] = {
 
 def run_suite(suite: str, max_n: int = PERM_DEFAULT) -> list[CheckResult]:
     """Run one named suite (or 'all'); returns one result per check."""
+    if max_n < MIN_MAX_N:
+        raise ValueError(f"max_n must be >= {MIN_MAX_N} (got {max_n})")
     names = list(SUITES) if suite == "all" else [suite]
     unknown = [s for s in names if s not in SUITES]
     if unknown:

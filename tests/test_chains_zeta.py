@@ -1,9 +1,12 @@
+import time
 from fractions import Fraction
 
 import pytest
 
+from circpeaks import chains_zeta
 from circpeaks.chains_zeta import (
     chain_count_formula,
+    chain_counts,
     chain_oracle,
     f_polynomial_from_chains,
     multichain_oracle,
@@ -11,7 +14,7 @@ from circpeaks.chains_zeta import (
     zeta_polynomial,
 )
 from circpeaks.complex_poset import f_polynomial
-from circpeaks.exact_algebra import binomial, epsilon_odd
+from circpeaks.exact_algebra import ExactPoly, NonIntegralError, binomial, epsilon_odd
 from circpeaks.peak_sets import count_valid, max_peak_count
 from circpeaks.perm_core import ResourceLimitError
 
@@ -44,6 +47,13 @@ def test_multichain_oracle_small():
 def test_zeta_matches_oracle(n):
     for i in range(2, 7):
         assert zeta(n, i) == multichain_oracle(n, i - 1)
+
+
+def test_zeta_rejects_nonintegral_f_polynomial(monkeypatch):
+    monkeypatch.setattr(chains_zeta, "f_polynomial",
+                        lambda n: ExactPoly((Fraction(1, 2), 1, 1)))
+    with pytest.raises(NonIntegralError, match="zeta"):
+        zeta(5, 2)
 
 
 def test_zeta_recurrence():
@@ -98,6 +108,31 @@ def test_chain_counts_reconstruct_zeta(n):
 @pytest.mark.parametrize("n", range(3, 13))
 def test_f_polynomial_from_chains(n):
     assert f_polynomial_from_chains(n) == f_polynomial(n)
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_chain_counts_match_composition_sum(n):
+    top = max_peak_count(n)
+    counts = chain_counts(n)
+    assert len(counts) == top + 2
+    assert counts[0] == 1
+    for i in range(1, top + 2):
+        assert counts[i] == chain_count_formula(n, i)
+    for i in range(top + 2, top + 4):
+        assert chain_count_formula(n, i) == 0
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_chain_counts_match_oracle(n):
+    counts = chain_counts(n)
+    for i in range(0, max_peak_count(n) + 4):
+        assert (counts[i] if i < len(counts) else 0) == chain_oracle(n, i)
+
+
+def test_chain_oracle_stops_when_counts_vanish():
+    started = time.perf_counter()
+    assert chain_oracle(14, 60) == 0
+    assert time.perf_counter() - started < 1.0
 
 
 def test_poset_cap():

@@ -1,9 +1,15 @@
 import io
 import json
+import os
 import subprocess
 import sys
+import time
+from math import comb
+from pathlib import Path
 
 from circpeaks.cli import run
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def invoke(*argv):
@@ -78,6 +84,38 @@ def test_zeta_and_chains():
     assert text.splitlines() == ["n,i,value,oracle_value,match", "5,2,9,9,True"]
 
 
+def test_chains_past_the_longest_chain_is_immediate():
+    started = time.perf_counter()
+    payload = invoke_json("chains", "--n", "20", "--i", "1200")
+    assert time.perf_counter() - started < 1.0
+    assert payload["count"] == 0
+    assert payload["oracle"] is None
+
+
+def _ballot_chain_counts(n):
+    """Strict chain counts from the ballot-number f-vector, by a chain DP.
+
+    below[s][m] counts strict chains of s subsets of an m-set ending at the
+    whole set; every face's interval is Boolean, so d_s = sum_m f_m below[s][m].
+    """
+    top = (n - 1) // 2
+    f = [1] + [(n - 2 * m) * comb(n - 1, m - 1) // m for m in range(1, top + 1)]
+    below = [[0] * (top + 1), [1] * (top + 1)]
+    for s in range(2, top + 2):
+        below.append([sum(comb(m, k) * below[s - 1][k] for k in range(m))
+                      for m in range(top + 1)])
+    return [1] + [sum(fm * below[s][m] for m, fm in enumerate(f))
+                  for s in range(1, top + 2)]
+
+
+def test_hilbert_b_large_n_matches_ballot_chain_counts():
+    expected = _ballot_chain_counts(60)
+    payload = invoke_json("hilbert", "--n", "60", "--algebra", "B",
+                          "--order", str(len(expected) + 1))
+    assert payload["series_polynomial"] == expected
+    assert payload["dims"] == expected + [0, 0]
+
+
 def test_moebius_and_euler():
     payload = invoke_json("moebius", "--n", "5", "--set", "", "--set", "4,5")
     assert payload["moebius"] == 1
@@ -114,6 +152,22 @@ def test_verify_exit_codes():
     assert "FAIL" not in text
     code, _ = invoke("verify", "--suite", "nonexistent")
     assert code == 1
+
+
+def test_verify_rejects_max_n_below_three(capsys):
+    code, text = invoke("verify", "--suite", "perm", "--max-n", "0")
+    assert code == 1
+    assert "PASS" not in text
+    assert "max_n must be >= 3" in capsys.readouterr().err
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_verify.py"),
+         "--suite", "perm", "--max-n", "2"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 1
+    assert "max_n must be >= 3" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_usage_errors():

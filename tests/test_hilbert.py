@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
+from circpeaks import hilbert_algebras
 from circpeaks.chains_zeta import multichain_oracle
-from circpeaks.exact_algebra import ExactPoly
+from circpeaks.exact_algebra import ExactPoly, InexactDivisionError, NonIntegralError
 from circpeaks.hilbert_algebras import (
     MONOMIAL_DEGREE_CAP,
     GradedDimensions,
@@ -26,6 +29,22 @@ def test_dim_a_examples():
     assert dim_a(5, 1) == 6
     assert dim_a(5, 2) == 15
     assert hilbert_series_a(5, 4) == (1, 6, 15, 28, 45)
+
+
+def test_dim_a_rejects_nonintegral_f_polynomial(monkeypatch):
+    monkeypatch.setattr(hilbert_algebras, "f_polynomial",
+                        lambda n: ExactPoly((Fraction(1, 2), 1, 1)))
+    with pytest.raises(NonIntegralError, match="dim_a"):
+        dim_a(5, 1)
+    with pytest.raises(NonIntegralError):
+        numerator_a(5)
+
+
+def test_numerator_a_rejects_nonterminating_series(monkeypatch):
+    monkeypatch.setattr(hilbert_algebras, "hilbert_series_a",
+                        lambda n, order: tuple(2 ** k for k in range(order + 1)))
+    with pytest.raises(InexactDivisionError, match="does not terminate"):
+        numerator_a(5)
 
 
 def test_dim_a_counts_multichains():
