@@ -11,6 +11,7 @@ oracles (see circpeaks.verify and the `circpeaks verify` subcommand).
 
 from .exact_algebra import (
     BiSeries,
+    ClosedFormMismatchError,
     ExactPoly,
     InexactDivisionError,
     NonIntegralError,
@@ -48,6 +49,7 @@ from .complex_poset import (
     POSET_CAP,
     FaceTable,
     euler_characteristic,
+    euler_characteristic_closed_form,
     f_generating_series,
     f_polynomial,
     face_count,
@@ -66,6 +68,7 @@ from .chains_zeta import (
     multichain_oracle,
     zeta,
     zeta_polynomial,
+    zeta_values,
 )
 from .hvector import (
     HVector,

@@ -1,8 +1,8 @@
 """Multichain and chain counting in the peak-set complex.
 
-zeta(n, i) counts multichains of i-1 faces and is evaluated exactly from
-the f-polynomial.  chain_counts(n) gives every strict chain count d_{n,i}
-from the integer f-vector in O(D^2) big-integer operations, D =
+zeta(n, i) counts multichains of i-1 faces and is evaluated by integer
+Horner over the f-vector.  chain_counts(n) gives every strict chain count
+d_{n,i} from the integer f-vector in O(D^2) big-integer operations, D =
 floor((n-1)/2), by binomially inverting the multichain counts (Stanley,
 EC1 3.12).  The paper's multinomial composition sum, chain_count_formula,
 grows exponentially in n and is kept as an oracle only.  Both counts have
@@ -13,59 +13,68 @@ f-polynomial can be rebuilt from the chain counts alone.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .complex_poset import POSET_CAP, _check_poset_cap, all_faces, f_polynomial, face_count
-from .exact_algebra import ExactPoly, as_integer, binomial, multinomial
+from .complex_poset import _check_poset_cap, all_faces, face_table
+from .exact_algebra import ExactPoly, as_integer, binomial, multinomial, poly_shift
 from .peak_sets import max_peak_count
 
 
-def zeta(n: int, i: int) -> int:
-    """Number of multichains x_1 <= ... <= x_{i-1}; (i-1)^D P_n(1/(i-1)).
+def zeta_values(n: int, i_values: Iterable[int]) -> tuple[int, ...]:
+    """zeta(n, i) for each i in i_values, from one build of the f-vector.
 
-    Expanded symbolically as sum_j a_j (i-1)^(D-j), so i = 2 needs no
-    special case and the value is an exact integer.
+    Z(P_n, i) = sum_m p_{n,m-1} (i-1)^m, evaluated by integer Horner over
+    the f-vector.  This is the one evaluation of the multichain formula:
+    zeta, the dimensions of algebra A and the strict chain counts all
+    come through here.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
-    if i < 2:
-        raise ValueError("zeta is defined for i >= 2")
-    p = f_polynomial(n)
-    top = max_peak_count(n)
-    val = sum(p.coeff(j) * (i - 1) ** (top - j) for j in range(top + 1))
-    return as_integer(val, f"zeta({n}, {i})")
+    f = face_table(n).f
+    out = []
+    for i in i_values:
+        if i < 2:
+            raise ValueError("zeta is defined for i >= 2")
+        acc = 0
+        for p in reversed(f):
+            acc = acc * (i - 1) + p
+        out.append(as_integer(acc, f"zeta({n}, {i})"))
+    return tuple(out)
+
+
+def zeta(n: int, i: int) -> int:
+    """Number of multichains x_1 <= ... <= x_{i-1}; (i-1)^D P_n(1/(i-1))."""
+    return zeta_values(n, (i,))[0]
 
 
 def zeta_polynomial(n: int) -> ExactPoly:
-    """Z(P_n, i) as a polynomial in i: sum_j a_j (i-1)^(D-j)."""
-    p = f_polynomial(n)
-    top = max_peak_count(n)
-    i_minus_1 = ExactPoly((-1, 1))
-    acc = ExactPoly(())
-    power = ExactPoly.constant(1)
-    for j in range(top, -1, -1):
-        acc = acc + power.scale(p.coeff(j))
-        power = power * i_minus_1
-    return acc
+    """Z(P_n, i) as a polynomial in i: the f-vector polynomial at i - 1."""
+    return poly_shift(ExactPoly(face_table(n).f))
 
 
-def _subset_matrix(n: int) -> tuple[list, list[list[bool]]]:
+def _faces_below(n: int, strict: bool) -> list[list[int]]:
+    """For each face b of all_faces(n), the indices of the faces a < b (a <= b)."""
     fs = [frozenset(f.elements) for f in all_faces(n)]
-    return fs, [[a <= b for b in fs] for a in fs]
+    if strict:
+        return [[j for j, a in enumerate(fs) if a < b] for b in fs]
+    return [[j for j, a in enumerate(fs) if a <= b] for b in fs]
 
 
 def multichain_oracle(n: int, length: int) -> int:
-    """Exhaustive count of weakly increasing length-tuples of faces."""
+    """Exhaustive count of weakly increasing length-tuples of faces.
+
+    counts[k] is the number of multichains of the current length ending
+    at face k, summed over per-face lists of the faces below it.
+    """
     if length < 0:
         raise ValueError("length must be >= 0")
     _check_poset_cap(n)
     if length == 0:
         return 1
-    fs, le = _subset_matrix(n)
-    m = len(fs)
-    counts = [1] * m
+    below = _faces_below(n, strict=False)
+    counts = [1] * len(below)
     for _ in range(length - 1):
-        counts = [sum(counts[j] for j in range(m) if le[j][k]) for k in range(m)]
+        counts = [sum(counts[j] for j in js) for js in below]
     return sum(counts)
 
 
@@ -81,9 +90,8 @@ def chain_oracle(n: int, i: int) -> int:
     _check_poset_cap(n)
     if i == 0:
         return 1
-    fs = [frozenset(f.elements) for f in all_faces(n)]
-    below = [[j for j, a in enumerate(fs) if a < b] for b in fs]
-    counts = [1] * len(fs)
+    below = _faces_below(n, strict=True)
+    counts = [1] * len(below)
     for _ in range(i - 1):
         counts = [sum(counts[j] for j in js) for js in below]
         if not any(counts):
@@ -124,20 +132,14 @@ def chain_count_formula(n: int, i: int) -> Fraction:
 def chain_counts(n: int) -> tuple[int, ...]:
     """(d_{n,0}, ..., d_{n,D+1}): strict chains of i faces, in O(D^2) operations.
 
-    Z_k = sum_m p_{n,m-1} (k+1)^m counts the multichains of k+1 faces
-    (Horner over the f-vector).  A multichain of k+1 faces with t+1
+    Z_k = sum_m p_{n,m-1} (k+1)^m = zeta(n, k+2) counts the multichains
+    of k+1 faces (zeta_values).  A multichain of k+1 faces with t+1
     distinct faces arises from C(k, t) of them, so Z_k = sum_t C(k, t)
     d_{n,t+1}, and binomial inversion gives
     d_{n,t+1} = sum_k (-1)^(t-k) C(t, k) Z_k.  d_{n,i} = 0 for i > D+1.
     """
     top = max_peak_count(n)
-    f = [face_count(n, m - 1) for m in range(top + 1)]
-    z = []
-    for k in range(top + 1):
-        acc = 0
-        for c in reversed(f):
-            acc = acc * (k + 1) + c
-        z.append(acc)
+    z = zeta_values(n, range(2, top + 3))  # Z_k = zeta(n, k + 2)
     return (1,) + tuple(
         sum((-1) ** (t - k) * binomial(t, k) * z[k] for k in range(t + 1))
         for t in range(top + 1)

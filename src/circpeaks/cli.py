@@ -205,7 +205,7 @@ def _run(args, out) -> int:
             _emit_csv(table.csv_rows(), ["n", "dim", "count"], out)
         else:
             payload = table.to_json_dict()
-            payload["f_polynomial"] = _poly_coeffs(complex_poset.f_polynomial(args.n))
+            payload["f_polynomial"] = _poly_coeffs(table.polynomial())
             _emit_json(payload, out)
 
     elif args.command == "hvector":
@@ -215,7 +215,7 @@ def _run(args, out) -> int:
             _emit_csv(table.csv_rows(), ["n", "i", "h"], out)
         else:
             payload = table.to_json_dict()
-            payload["h_polynomial"] = _poly_coeffs(hvector.h_polynomial(args.n))
+            payload["h_polynomial"] = _poly_coeffs(table.polynomial())
             _emit_json(payload, out)
 
     elif args.command == "zeta":

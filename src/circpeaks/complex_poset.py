@@ -4,10 +4,13 @@ Faces of dimension i are the realizable sets of size i+1; the closed form
 
     p_{n,i} = (n-2i-2)/(i+1) * C(n-1, i)      (p_{n,-1} = 1)
 
-is the production path, with the enumeration and the parity recurrence
-kept as independent oracles.  Also here: the f-polynomial and its
-generating function, the Moebius function, the reduced Euler
-characteristic and the product-structure check.
+is the production path, evaluated by exact integer division, with the
+enumeration and the parity recurrence kept as independent oracles.
+face_table(n) is the integer f-vector; the f-polynomial, the zeta and
+chain counts and the Hilbert data of algebra A are all read off it.
+Also here: the generating function of the f-polynomials, the Moebius
+function, the reduced Euler characteristic and the product-structure
+check.
 """
 
 from __future__ import annotations
@@ -18,10 +21,12 @@ from itertools import combinations
 
 from .exact_algebra import (
     BiSeries,
+    ClosedFormMismatchError,
     ExactPoly,
     PolySeries,
     binomial,
     catalan_series,
+    exact_quotient,
 )
 from .peak_sets import PeakSet, count_valid, is_valid, max_peak_count
 from .perm_core import ResourceLimitError
@@ -48,6 +53,10 @@ class FaceTable:
 
     def csv_rows(self) -> list[tuple[int, int, int]]:
         return [(self.n, i - 1, p) for i, p in enumerate(self.f)]
+
+    def polynomial(self) -> ExactPoly:
+        """P_n(x) = sum_i p_{n,i-1} x^{D-i}: the f-vector, reversed."""
+        return ExactPoly(reversed(self.f))
 
 
 def faces(n: int, dim: int) -> list[PeakSet]:
@@ -80,12 +89,12 @@ def face_count(n: int, dim: int) -> int:
         return 1
     if dim < -1 or dim > max_peak_count(n) - 1:
         return 0
-    val = Fraction(n - 2 * dim - 2, dim + 1) * binomial(n - 1, dim)
-    assert val.denominator == 1
-    return int(val)
+    return exact_quotient((n - 2 * dim - 2) * binomial(n - 1, dim), dim + 1,
+                          f"face_count({n}, {dim})")
 
 
 def face_table(n: int) -> FaceTable:
+    """The f-vector, from which every closed form of the package is derived."""
     return FaceTable(n, tuple(face_count(n, i) for i in range(-1, max_peak_count(n))))
 
 
@@ -112,11 +121,7 @@ def face_counts_by_recurrence(n: int) -> FaceTable:
 
 def f_polynomial(n: int) -> ExactPoly:
     """P_n(x) = sum_i p_{n,i-1} x^{D-i} with D = floor((n-1)/2)."""
-    top = max_peak_count(n)
-    coeffs = [Fraction(0)] * (top + 1)
-    for j in range(-1, top):
-        coeffs[top - 1 - j] = Fraction(face_count(n, j))
-    return ExactPoly(coeffs)
+    return face_table(n).polynomial()
 
 
 def f_polynomial_by_recurrence(n: int) -> ExactPoly:
@@ -243,21 +248,25 @@ def moebius_recursive_oracle(n: int, s: PeakSet, t: PeakSet) -> int:
     return mu(frozenset(tset))
 
 
-def euler_characteristic(n: int) -> Fraction:
+def euler_characteristic_closed_form(n: int) -> int:
+    """0 for odd n and 2(-1)^(n/2)/n * C(n-2, (n-2)/2) for even n."""
+    if n % 2:
+        return 0
+    return exact_quotient(2 * (-1) ** (n // 2) * binomial(n - 2, (n - 2) // 2), n,
+                          f"closed-form Euler characteristic of P_{n}")
+
+
+def euler_characteristic(n: int) -> int:
     """Reduced Euler characteristic: alternating sum of the f-vector.
 
-    Asserted equal to the closed form: 0 for odd n and
-    2(-1)^(n/2)/n * C(n-2, (n-2)/2) for even n.
+    ClosedFormMismatchError is raised if it differs from
+    euler_characteristic_closed_form(n).
     """
-    top = max_peak_count(n)
-    chi = sum(Fraction((-1) ** (i - 1)) * face_count(n, i - 1)
-              for i in range(0, top + 1))
-    if n % 2:
-        closed = Fraction(0)
-    else:
-        closed = Fraction(2 * (-1) ** (n // 2), n) * binomial(n - 2, (n - 2) // 2)
-    assert chi == closed, (n, chi, closed)
-    assert chi.denominator == 1
+    chi = sum((-1) ** (m + 1) * p for m, p in enumerate(face_table(n).f))
+    closed = euler_characteristic_closed_form(n)
+    if chi != closed:
+        raise ClosedFormMismatchError(
+            f"Euler characteristic of P_{n}: f-vector sum {chi} != closed form {closed}")
     return chi
 
 

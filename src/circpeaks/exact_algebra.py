@@ -31,11 +31,23 @@ class NonIntegralError(ArithmeticError):
     """A value that must be an integer (a count or a dimension) is not."""
 
 
+class ClosedFormMismatchError(ArithmeticError):
+    """A value computed from the f-vector differs from its closed form."""
+
+
 def as_integer(value: Rational, what: str) -> int:
     """``value`` as an int; NonIntegralError names ``what`` if it is not one."""
     if Fraction(value).denominator != 1:
         raise NonIntegralError(f"{what} is not an integer: {value}")
     return int(value)
+
+
+def exact_quotient(num: int, den: int, what: str) -> int:
+    """num / den by integer divmod; NonIntegralError names ``what`` if inexact."""
+    q, r = divmod(num, den)
+    if r:
+        raise NonIntegralError(f"{what} is not an integer: {Fraction(num, den)}")
+    return q
 
 
 def _normalize(coeffs: Iterable[Rational]) -> tuple[Fraction, ...]:

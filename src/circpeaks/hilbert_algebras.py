@@ -4,8 +4,9 @@ Algebra A is the polynomial ring on one variable per face modulo products
 of incomparable faces; algebra B additionally kills squares.  Graded
 dimensions are multichain respectively strict-chain counts, so everything
 reduces to the chain machinery; the ideals themselves are never
-materialized, only the comparability predicate is used.  The B-dimensions
-are the integer vector chain_counts(n), built once per request.
+materialized, only the comparability predicate is used.  The A-dimensions
+are zeta values and the B-dimensions the vector chain_counts(n); each
+function here builds the integer f-vector once per call.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .chains_zeta import chain_counts
-from .complex_poset import all_faces, f_polynomial
-from .exact_algebra import ExactPoly, InexactDivisionError, as_integer
+from .chains_zeta import chain_counts, zeta, zeta_values
+from .complex_poset import all_faces, face_table
+from .exact_algebra import ExactPoly, InexactDivisionError, NonIntegralError
 from .peak_sets import max_peak_count
 from .perm_core import ResourceLimitError
 
@@ -44,36 +45,34 @@ class RationalSeriesForm:
 
 
 def dim_a(n: int, i: int) -> int:
-    """dim of the degree-i piece of algebra A: multichains of i faces."""
+    """dim of the degree-i piece of algebra A: multichains of i faces, zeta(n, i+1)."""
     if n < 3:
         raise ValueError("n must be >= 3")
     if i < 0:
         raise ValueError("degree must be >= 0")
     if i == 0:
         return 1
-    p = f_polynomial(n)
-    top = max_peak_count(n)
-    val = sum(p.coeff(j) * i ** (top - j) for j in range(top + 1))
-    return as_integer(val, f"dim_a({n}, {i})")
+    try:
+        return zeta(n, i + 1)
+    except NonIntegralError as exc:
+        raise NonIntegralError(f"dim_a({n}, {i}) = {exc}") from exc
 
 
 def hilbert_polynomial_a(n: int) -> ExactPoly:
     """The polynomial agreeing with dim_a(n, i) at every i >= 1.
 
-    This is x^D P_n(1/x) read as the reversed f-polynomial, i.e. the rank
+    This is x^D P_n(1/x), the f-vector read as coefficients: the rank
     generating function sum_j p_{n,j} x^(j+1) (void face included); it
     happens to give the correct dimension 1 at i = 0 as well.
     """
-    p = f_polynomial(n)
-    top = max_peak_count(n)
-    return ExactPoly(tuple(p.coeff(top - j) for j in range(top + 1)))
+    return ExactPoly(face_table(n).f)
 
 
 def hilbert_series_a(n: int, order: int) -> tuple[int, ...]:
-    """Coefficients 0..order of the Hilbert series of algebra A."""
+    """Coefficients 0..order of the Hilbert series of algebra A, from one f-vector."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    return tuple(dim_a(n, i) for i in range(order + 1))
+    return (1,) + zeta_values(n, range(2, order + 2))
 
 
 def numerator_a(n: int) -> RationalSeriesForm:
@@ -160,7 +159,7 @@ def standard_monomial_oracle(n: int, algebra: str, degree: int) -> int:
 
 def graded_dimensions(n: int, algebra: str, max_degree: int) -> GradedDimensions:
     if algebra == "A":
-        dims = tuple(dim_a(n, i) for i in range(max_degree + 1))
+        dims = hilbert_series_a(n, max_degree)
     elif algebra == "B":
         return graded_dimensions_b(n, chain_counts(n), max_degree)
     else:

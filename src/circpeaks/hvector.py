@@ -5,7 +5,8 @@ H_n(x) = P_n(x-1); the entries have the closed form
     h_{n,i} = (floor(n/2) - i)/(floor(n/2) + i) * C(floor(n/2) + i, floor(n/2))
 
 which also counts Dyck-path left factors ending at a shifted endpoint, and
-satisfy a parity recurrence with Catalan boundary terms.
+satisfy a parity recurrence with Catalan boundary terms.  H_n is read off
+these integer entries; the shift P_n(x-1) is an oracle only.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complex_poset import f_polynomial
 from .exact_algebra import (
     BiSeries,
     ExactPoly,
@@ -22,7 +22,7 @@ from .exact_algebra import (
     catalan_number,
     catalan_series,
     epsilon_odd,
-    poly_shift,
+    exact_quotient,
 )
 from .peak_sets import count_left_factors_to, max_peak_count
 
@@ -38,10 +38,17 @@ class HVector:
     def csv_rows(self) -> list[tuple[int, int, int]]:
         return [(self.n, i, v) for i, v in enumerate(self.h)]
 
+    def polynomial(self) -> ExactPoly:
+        """H_n(x) = sum_i h_{n,i} x^{D-i}: the h-vector, reversed."""
+        return ExactPoly(reversed(self.h))
+
 
 def h_polynomial(n: int) -> ExactPoly:
-    """H_n(x) = P_n(x - 1)."""
-    return poly_shift(f_polynomial(n))
+    """H_n(x) = P_n(x - 1), read off the closed-form h-vector (reversed).
+
+    The Taylor shift poly_shift(f_polynomial(n)) is its oracle.
+    """
+    return h_table(n).polynomial()
 
 
 def h_polynomial_by_recurrence(n: int) -> ExactPoly:
@@ -72,9 +79,8 @@ def h_entry(n: int, i: int) -> int:
     half = n // 2
     if i == half:  # the (half - i) factor vanishes before the binomial grows
         return 0
-    val = Fraction(half - i, half + i) * binomial(half + i, half)
-    assert val.denominator == 1
-    return int(val)
+    return exact_quotient((half - i) * binomial(half + i, half), half + i,
+                          f"h_entry({n}, {i})")
 
 
 def h_table(n: int) -> HVector:

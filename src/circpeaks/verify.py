@@ -219,8 +219,14 @@ def check_moebius(max_n: int) -> tuple[bool, str]:
 
 def check_euler(max_n: int) -> tuple[bool, str]:
     for n in range(3, 41):
-        chi = complex_poset.euler_characteristic(n)  # internal closed-form assert
-        if n % 2 and chi != 0:
+        f = complex_poset.face_counts_by_recurrence(n).f
+        by_recurrence = sum((-1) ** (m + 1) * p for m, p in enumerate(f))
+        closed = complex_poset.euler_characteristic_closed_form(n)
+        if by_recurrence != closed:
+            return False, f"recurrence f-vector gives chi={by_recurrence} != closed form {closed} at n={n}"
+        if complex_poset.euler_characteristic(n) != closed:
+            return False, f"euler_characteristic != closed form at n={n}"
+        if n % 2 and by_recurrence != 0:
             return False, f"nonzero chi at odd n={n}"
     if complex_poset.euler_characteristic(4) != 1:
         return False, "chi(P_4) != 1"
@@ -328,15 +334,17 @@ def check_zeta_polynomial(max_n: int) -> tuple[bool, str]:
 
 def check_h_consistency(max_n: int) -> tuple[bool, str]:
     for n in range(3, 41):
-        hp = hvector.h_polynomial(n)
+        shifted = exact_algebra.poly_shift(complex_poset.f_polynomial(n))
         top = peak_sets.max_peak_count(n)
         closed = tuple(hvector.h_entry(n, i) for i in range(top + 1))
-        from_poly = tuple(int(hp.coeff(top - i)) for i in range(top + 1))
+        from_poly = tuple(int(shifted.coeff(top - i)) for i in range(top + 1))
         if closed != from_poly:
             return False, f"closed form != shifted f-polynomial at n={n}"
+        if hvector.h_polynomial(n) != shifted:
+            return False, f"h_polynomial != shifted f-polynomial at n={n}"
         if hvector.h_recurrence_table(n).h != closed:
             return False, f"recurrence != closed form at n={n}"
-        if hvector.h_polynomial_by_recurrence(n) != hp:
+        if hvector.h_polynomial_by_recurrence(n) != shifted:
             return False, f"polynomial recurrence mismatch at n={n}"
     return True, "h closed form = recurrence = P_n(x-1) coefficients, n <= 40"
 

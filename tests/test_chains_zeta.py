@@ -13,8 +13,8 @@ from circpeaks.chains_zeta import (
     zeta,
     zeta_polynomial,
 )
-from circpeaks.complex_poset import f_polynomial
-from circpeaks.exact_algebra import ExactPoly, NonIntegralError, binomial, epsilon_odd
+from circpeaks.complex_poset import FaceTable, f_polynomial
+from circpeaks.exact_algebra import NonIntegralError, binomial, epsilon_odd
 from circpeaks.peak_sets import count_valid, max_peak_count
 from circpeaks.perm_core import ResourceLimitError
 
@@ -50,8 +50,8 @@ def test_zeta_matches_oracle(n):
 
 
 def test_zeta_rejects_nonintegral_f_polynomial(monkeypatch):
-    monkeypatch.setattr(chains_zeta, "f_polynomial",
-                        lambda n: ExactPoly((Fraction(1, 2), 1, 1)))
+    monkeypatch.setattr(chains_zeta, "face_table",
+                        lambda n: FaceTable(n, (1, 1, Fraction(1, 2))))
     with pytest.raises(NonIntegralError, match="zeta"):
         zeta(5, 2)
 

@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import time
-from math import comb
+from math import comb, factorial
 from pathlib import Path
 
 from circpeaks.cli import run
@@ -114,6 +114,54 @@ def test_hilbert_b_large_n_matches_ballot_chain_counts():
                           "--order", str(len(expected) + 1))
     assert payload["series_polynomial"] == expected
     assert payload["dims"] == expected + [0, 0]
+
+
+def _ballot_f_vector(n):
+    """(p_{n,-1}, ..., p_{n,D-1}) as differences of ballot numbers."""
+    return [comb(n - 1, i + 1) - (comb(n - 1, i) if i >= 0 else 0)
+            for i in range(-1, (n - 1) // 2)]
+
+
+def _timed_json(*argv):
+    started = time.perf_counter()
+    payload = invoke_json(*argv)
+    return time.perf_counter() - started, payload
+
+
+def test_hvector_large_n_matches_binomial_transform():
+    n = 2000
+    elapsed, payload = _timed_json("hvector", "--n", str(n))
+    assert elapsed < 2.0
+    # Coefficients of P_n(x - 1), low degree first, by Horner in the
+    # integer polynomial ring over P_n's coefficients, highest degree
+    # first (that is, the f-vector in order): acc <- acc * (x - 1) + c.
+    shifted = []
+    for c in _ballot_f_vector(n):
+        shifted = [c - shifted[0] if shifted else c] + [
+            shifted[j - 1] - (shifted[j] if j < len(shifted) else 0)
+            for j in range(1, len(shifted) + 1)]
+    assert payload["h_polynomial"] == shifted
+    assert payload["h"] == shifted[::-1]
+
+
+def test_hilbert_a_large_n_matches_ballot_multichains():
+    n = 1000
+    f = _ballot_f_vector(n)
+    elapsed, payload = _timed_json("hilbert", "--n", str(n), "--algebra", "A")
+    assert elapsed < 2.0
+    dims = [sum(p * i ** k for k, p in enumerate(f)) for i in range(9)]
+    assert payload["dims"] == dims
+    assert payload["hilbert_polynomial"] == f
+    e = payload["denominator_exponent"]
+    assert e == len(f) == (n + 1) // 2
+    numerator = payload["numerator"]
+    # numerator / (1 - x)^e re-expands to the dimensions ...
+    assert [sum(numerator[j] * comb(k - j + e - 1, e - 1) for j in range(k + 1))
+            for k in range(9)] == dims
+    # ... and its value at 1 is D! times the top face count (Eulerian
+    # polynomials sum to m!), which involves every coefficient.
+    assert len(numerator) <= e
+    assert sum(numerator) == factorial(e - 1) * f[-1]
 
 
 def test_moebius_and_euler():

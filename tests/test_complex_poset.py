@@ -3,9 +3,11 @@ from itertools import combinations
 
 import pytest
 
+from circpeaks import complex_poset
 from circpeaks.complex_poset import (
     FaceTable,
     euler_characteristic,
+    euler_characteristic_closed_form,
     f_generating_series,
     f_polynomial,
     f_polynomial_by_recurrence,
@@ -18,7 +20,7 @@ from circpeaks.complex_poset import (
     printed_f_series_discrepancy,
     verify_product_structure,
 )
-from circpeaks.exact_algebra import ExactPoly
+from circpeaks.exact_algebra import ClosedFormMismatchError, ExactPoly, NonIntegralError
 from circpeaks.peak_sets import PeakSet, count_valid, is_valid, max_peak_count
 from circpeaks.perm_core import ResourceLimitError
 
@@ -124,6 +126,24 @@ def test_euler_characteristic():
         assert chi.denominator == 1
         if n % 2:
             assert chi == 0
+
+
+def test_euler_closed_form_values():
+    assert [euler_characteristic_closed_form(n) for n in range(3, 11)] == \
+        [0, 1, 0, -2, 0, 5, 0, -14]
+
+
+def test_face_count_rejects_inexact_division(monkeypatch):
+    # (7 - 2 - 2) * 1 / 2 is not an integer
+    monkeypatch.setattr(complex_poset, "binomial", lambda n, k: 1)
+    with pytest.raises(NonIntegralError, match=r"face_count\(7, 1\)"):
+        face_count(7, 1)
+
+
+def test_euler_characteristic_rejects_closed_form_mismatch(monkeypatch):
+    monkeypatch.setattr(complex_poset, "face_table", lambda n: FaceTable(n, (1, 5, 3)))
+    with pytest.raises(ClosedFormMismatchError, match="closed form"):
+        euler_characteristic(6)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13])

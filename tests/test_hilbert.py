@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from circpeaks import hilbert_algebras
+from circpeaks import chains_zeta, hilbert_algebras
 from circpeaks.chains_zeta import multichain_oracle
+from circpeaks.complex_poset import FaceTable
 from circpeaks.exact_algebra import ExactPoly, InexactDivisionError, NonIntegralError
 from circpeaks.hilbert_algebras import (
     MONOMIAL_DEGREE_CAP,
@@ -32,8 +33,8 @@ def test_dim_a_examples():
 
 
 def test_dim_a_rejects_nonintegral_f_polynomial(monkeypatch):
-    monkeypatch.setattr(hilbert_algebras, "f_polynomial",
-                        lambda n: ExactPoly((Fraction(1, 2), 1, 1)))
+    monkeypatch.setattr(chains_zeta, "face_table",
+                        lambda n: FaceTable(n, (1, 1, Fraction(1, 2))))
     with pytest.raises(NonIntegralError, match="dim_a"):
         dim_a(5, 1)
     with pytest.raises(NonIntegralError):

@@ -1,6 +1,13 @@
 import pytest
 
-from circpeaks.exact_algebra import ExactPoly, catalan_number, poly_shift_inverse
+from circpeaks import hvector
+from circpeaks.exact_algebra import (
+    ExactPoly,
+    NonIntegralError,
+    catalan_number,
+    poly_shift,
+    poly_shift_inverse,
+)
 from circpeaks.complex_poset import f_polynomial
 from circpeaks.hvector import (
     HVector,
@@ -28,6 +35,11 @@ def test_h_polynomial_is_shifted_f_polynomial():
         assert poly_shift_inverse(h_polynomial(n)) == f_polynomial(n)
 
 
+@pytest.mark.parametrize("n", [*range(3, 61), 101, 200])
+def test_h_polynomial_matches_shifted_f_polynomial(n):
+    assert h_polynomial(n) == poly_shift(f_polynomial(n))
+
+
 def test_h_polynomial_recurrence():
     for n in range(3, 41):
         assert h_polynomial_by_recurrence(n) == h_polynomial(n)
@@ -50,6 +62,13 @@ def test_h_entry_domain():
         h_entry(5, 3)
     with pytest.raises(ValueError):
         h_entry(5, -1)
+
+
+def test_h_entry_rejects_inexact_division(monkeypatch):
+    # (4 - 1) * 1 / (4 + 1) is not an integer
+    monkeypatch.setattr(hvector, "binomial", lambda n, k: 1)
+    with pytest.raises(NonIntegralError, match=r"h_entry\(8, 1\)"):
+        h_entry(8, 1)
 
 
 def test_h_recurrence_table():
