@@ -10,7 +10,6 @@ oracles (see circpeaks.verify and the `circpeaks verify` subcommand).
 """
 
 from .exact_algebra import (
-    BiSeries,
     ClosedFormMismatchError,
     ExactPoly,
     InexactDivisionError,
@@ -20,7 +19,6 @@ from .exact_algebra import (
     catalan_series,
     central_binomial,
     multinomial,
-    poly_eval_at_rational,
     poly_shift,
     poly_shift_inverse,
 )

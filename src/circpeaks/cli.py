@@ -2,7 +2,8 @@
 
 Subcommands: stats, enum-cp, witness, dyck, faces, fvector, hvector,
 zeta, chains, moebius, euler, hilbert, series, verify.  JSON is the
-default output format; --format csv switches tabular outputs.  Exit
+default output format; the tabular commands (enum-cp, fvector, hvector,
+zeta, chains, hilbert) also accept --format csv.  Exit
 codes: 0 success, 1 validation/usage error, 2 verification failure.
 All numbers are emitted exactly (integers, or rationals as "p/q").
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -24,9 +24,11 @@ from .perm_core import (
     ResourceLimitError,
     circular_descent_set,
     circular_peak_set,
-    cp_class_size,
     enumerate_cp_class,
 )
+
+
+TABULAR = ("enum-cp", "fvector", "hvector", "zeta", "chains", "hilbert")
 
 
 class CliError(Exception):
@@ -78,7 +80,8 @@ def build_parser() -> _Parser:
 
     def cmd(name, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if name in TABULAR:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
         return p
 
     p = cmd("stats", help="circular peak and descent sets of a permutation")
@@ -145,8 +148,6 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _run(args, out) -> int:
-    fmt = getattr(args, "format", "json")
-
     if args.command == "stats":
         sigma = Permutation(_parse_int_list(args.perm))
         payload = {
@@ -161,7 +162,7 @@ def _run(args, out) -> int:
         _require(args.n >= 1, "--n must be >= 1")
         s = _parse_int_list(args.set)
         perms = enumerate_cp_class(args.n, s)
-        if fmt == "csv":
+        if args.format == "csv":
             _emit_csv([[",".join(map(str, p.values))] for p in perms],
                       ["permutation"], out)
         else:
@@ -201,7 +202,7 @@ def _run(args, out) -> int:
     elif args.command == "fvector":
         _require(args.n >= 3, "--n must be >= 3")
         table = complex_poset.face_table(args.n)
-        if fmt == "csv":
+        if args.format == "csv":
             _emit_csv(table.csv_rows(), ["n", "dim", "count"], out)
         else:
             payload = table.to_json_dict()
@@ -211,7 +212,7 @@ def _run(args, out) -> int:
     elif args.command == "hvector":
         _require(args.n >= 3, "--n must be >= 3")
         table = hvector.h_table(args.n)
-        if fmt == "csv":
+        if args.format == "csv":
             _emit_csv(table.csv_rows(), ["n", "i", "h"], out)
         else:
             payload = table.to_json_dict()
@@ -225,7 +226,7 @@ def _run(args, out) -> int:
         oracle = None
         if args.n <= complex_poset.POSET_CAP:
             oracle = chains_zeta.multichain_oracle(args.n, args.i - 1)
-        if fmt == "csv":
+        if args.format == "csv":
             _emit_csv([[args.n, args.i, value,
                         "" if oracle is None else oracle,
                         "" if oracle is None else (value == oracle)]],
@@ -243,7 +244,7 @@ def _run(args, out) -> int:
         oracle = None
         if args.n <= complex_poset.POSET_CAP:
             oracle = chains_zeta.chain_oracle(args.n, args.i)
-        if fmt == "csv":
+        if args.format == "csv":
             _emit_csv([[args.n, args.i, _rat(value),
                         "" if oracle is None else oracle,
                         "" if oracle is None else (value == oracle)]],
@@ -276,7 +277,7 @@ def _run(args, out) -> int:
             dims = hilbert_algebras.graded_dimensions_b(args.n, counts, args.order)
         else:
             dims = hilbert_algebras.graded_dimensions(args.n, args.algebra, args.order)
-        if fmt == "csv":
+        if args.format == "csv":
             _emit_csv(dims.csv_rows(), ["n", "algebra", "degree", "dim"], out)
         else:
             payload = {"n": args.n, "algebra": args.algebra,
@@ -295,15 +296,15 @@ def _run(args, out) -> int:
         _require(args.order >= 3, "--order must be >= 3")
         if args.which == "P":
             series = complex_poset.f_generating_series(args.order)
-            report = complex_poset.printed_f_series_discrepancy(min(args.order, 12))
+            report = complex_poset.printed_f_series_discrepancy()
         else:
             series = hvector.h_generating_series(args.order)
-            report = hvector.printed_h_series_discrepancy(min(args.order, 12))
+            report = hvector.printed_h_series_discrepancy()
         payload = {
             "which": args.which,
             "order": args.order,
             "coefficients": [
-                {"n": n, "poly": _poly_coeffs(series.y_coefficient(n))}
+                {"n": n, "poly": _poly_coeffs(series.coeffs[n])}
                 for n in range(3, args.order + 1)
             ],
             "printed_form_discrepancy": report,

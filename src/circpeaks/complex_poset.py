@@ -8,9 +8,10 @@ is the production path, evaluated by exact integer division, with the
 enumeration and the parity recurrence kept as independent oracles.
 face_table(n) is the integer f-vector; the f-polynomial, the zeta and
 chain counts and the Hilbert data of algebra A are all read off it.
-Also here: the generating function of the f-polynomials, the Moebius
-function, the reduced Euler characteristic and the product-structure
-check.
+Also here: the one builder of the corrected generating series, written
+in a with P(x,y) at a = x+1 and H(x,y) = P(x-1,y) at a = x, with the
+one cross-multiplied check of the printed forms; the Moebius function,
+the reduced Euler characteristic and the product-structure check.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Callable
 
 from .exact_algebra import (
-    BiSeries,
     ClosedFormMismatchError,
     ExactPoly,
     PolySeries,
@@ -28,7 +29,7 @@ from .exact_algebra import (
     catalan_series,
     exact_quotient,
 )
-from .peak_sets import PeakSet, count_valid, is_valid, max_peak_count
+from .peak_sets import PeakSet, is_valid, max_peak_count
 from .perm_core import ResourceLimitError
 
 POSET_CAP = 14
@@ -143,11 +144,54 @@ def f_polynomial_by_recurrence(n: int) -> ExactPoly:
     return p
 
 
-def _catalan_y2(order: int) -> PolySeries:
-    return catalan_series(order).substitute_y_squared()
+def _corrected_series(a: ExactPoly, order_n: int) -> PolySeries:
+    """y^2 [a - C(y^2)] (1 + a y) / ((a-1) - a^2 y^2) - y^2 through y^order_n.
+
+    a = x+1 gives P(x,y); a = x gives H(x,y) = P(x-1,y).  Every y^n
+    coefficient must have x-degree at most floor((order_n-1)/2), the
+    largest D of the truncated range, or ValueError is raised.
+    """
+    if order_n < 3:
+        raise ValueError("order_n must be >= 3")
+    zero, one = ExactPoly(()), ExactPoly.constant(1)
+    cy2 = catalan_series(order_n).substitute_y_squared()
+    numer = (PolySeries([a], order_n) - cy2).shift_y(2) * PolySeries([one, a], order_n)
+    denom = PolySeries([a - one, zero, (a * a).scale(-1)], order_n)
+    series = numer.divide(denom) - PolySeries([zero, zero, one], order_n)
+    if any(c.degree > (order_n - 1) // 2 for c in series.coeffs):
+        raise ValueError("x-degree exceeds requested truncation order")
+    return series
 
 
-def f_generating_series(order_n: int) -> BiSeries:
+def _printed_series_discrepancy(a: ExactPoly, truth: Callable[[int], ExactPoly],
+                                order_n: int, formula: str, note: str) -> dict | None:
+    """Cross-multiplied check of a printed closed form, as a function of a.
+
+    Tests (S + y^2)(a(a-1) - a^2 y^2) = [(a^2-1) - (a-1) C(y^2)] y^2 (1 + a y)
+    through y^order_n, with S = sum_{n>=3} truth(n) y^n.  Returns None if
+    the identity holds, else a report naming the first failing y-order
+    with both coefficient polynomials.
+    """
+    zero, one = ExactPoly(()), ExactPoly.constant(1)
+    s = PolySeries([truth(n) if n >= 3 else zero for n in range(order_n + 1)], order_n)
+    y2 = PolySeries([zero, zero, one], order_n)
+    lhs = (s + y2) * PolySeries([a * (a - one), zero, (a * a).scale(-1)], order_n)
+    cy2 = catalan_series(order_n).substitute_y_squared()
+    numer = PolySeries([a * a - one], order_n) - PolySeries([a - one], order_n) * cy2
+    rhs = numer.shift_y(2) * PolySeries([one, a], order_n)
+    for j, (left, right) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
+        if left != right:
+            return {
+                "formula": formula,
+                "first_mismatch_y_order": j,
+                "lhs_coefficient": str(left),
+                "rhs_coefficient": str(right),
+                "note": note,
+            }
+    return None
+
+
+def f_generating_series(order_n: int) -> PolySeries:
     """Truncated expansion of P(x,y) = sum_n P_n(x) y^n.
 
     Uses the corrected closed form
@@ -156,21 +200,9 @@ def f_generating_series(order_n: int) -> BiSeries:
 
     the printed form being off by a factor in its odd-step derivation (see
     printed_f_series_discrepancy, which documents the mismatch exactly).
+    coeffs[n] of the result is P_n(x).
     """
-    if order_n < 3:
-        raise ValueError("order_n must be >= 3")
-    order = order_n
-    x = ExactPoly.x()
-    one = ExactPoly.constant(1)
-    cy2 = _catalan_y2(order)
-
-    x_plus_1_series = PolySeries([x + one], order)
-    numer = (x_plus_1_series - cy2).shift_y(2)
-    numer = numer * PolySeries([one, x + one], order)
-    denom = PolySeries([x, ExactPoly(()), (x + one) * (x + one).scale(-1)], order)
-    series = numer.divide(denom)
-    series = series - PolySeries([ExactPoly(()), ExactPoly(()), one], order)
-    return series.to_biseries(order_x=(order_n - 1) // 2)
+    return _corrected_series(ExactPoly((1, 1)), order_n)
 
 
 def printed_f_series_discrepancy(order_n: int = 12) -> dict | None:
@@ -182,36 +214,14 @@ def printed_f_series_discrepancy(order_n: int = 12) -> dict | None:
     report naming the first failing y-order with both coefficient
     polynomials.
     """
-    order = order_n
-    x = ExactPoly.x()
-    one = ExactPoly.constant(1)
-    truth = PolySeries(
-        [f_polynomial(n) if n >= 3 else ExactPoly(()) for n in range(order + 1)],
-        order,
+    return _printed_series_discrepancy(
+        ExactPoly((1, 1)), f_polynomial, order_n,
+        "P(x,y) printed form (cross-multiplied)",
+        "printed denominator x-(x+1)y^2 should be x-(x+1)^2 y^2 and the "
+        "numerator factor x(x+2)-xC(y^2) should be (x+1)((x+1)-C(y^2)); "
+        "the shipped series uses the corrected form, which matches the "
+        "recurrence-generated polynomials on the whole tested range",
     )
-    y2 = PolySeries([ExactPoly(()), ExactPoly(()), one], order)
-    lhs = (truth + y2) * PolySeries(
-        [x * (x + one), ExactPoly(()),
-         (x + one) * (x + one).scale(-1)], order
-    )
-    cy2 = _catalan_y2(order)
-    numer = PolySeries([x * ExactPoly((2, 1))], order) - PolySeries([x], order) * cy2
-    rhs = numer.shift_y(2) * PolySeries([one, x + one], order)
-    for j in range(order + 1):
-        if lhs.coeffs[j] != rhs.coeffs[j]:
-            return {
-                "formula": "P(x,y) printed form (cross-multiplied)",
-                "first_mismatch_y_order": j,
-                "lhs_coefficient": str(lhs.coeffs[j]),
-                "rhs_coefficient": str(rhs.coeffs[j]),
-                "note": (
-                    "printed denominator x-(x+1)y^2 should be x-(x+1)^2 y^2 and the "
-                    "numerator factor x(x+2)-xC(y^2) should be (x+1)((x+1)-C(y^2)); "
-                    "the shipped series uses the corrected form, which matches the "
-                    "recurrence-generated polynomials on the whole tested range"
-                ),
-            }
-    return None
 
 
 def moebius(n: int, s: PeakSet, t: PeakSet) -> int:

@@ -1,13 +1,12 @@
 """Exact rational polynomial and truncated power-series arithmetic.
 
 Everything is built on fractions.Fraction; no floating point appears
-anywhere in the library.  Three value kinds live here:
+anywhere in the library.  Two value kinds live here:
 
   ExactPoly   -- dense univariate polynomial over Q, coeffs low-to-high
   PolySeries  -- truncated power series in y whose coefficients are
-                 ExactPoly values in x (used to expand the bivariate
-                 generating functions exactly)
-  BiSeries    -- truncated bivariate table, entry (i, j) = coeff of x^i y^j
+                 ExactPoly values in x (the bivariate generating
+                 functions are expanded exactly as PolySeries)
 
 Combinatorial number helpers (binomial, central binomial, Catalan,
 multinomial) are plain functions at the bottom.
@@ -71,10 +70,6 @@ class ExactPoly:
         object.__setattr__(self, "coeffs", _normalize(coeffs))
 
     @staticmethod
-    def zero() -> "ExactPoly":
-        return ExactPoly(())
-
-    @staticmethod
     def constant(c: Rational) -> "ExactPoly":
         return ExactPoly((c,))
 
@@ -124,9 +119,6 @@ class ExactPoly:
     def scale(self, c: Rational) -> "ExactPoly":
         c = Fraction(c)
         return ExactPoly(tuple(c * a for a in self.coeffs))
-
-    def __call__(self, q: Rational) -> Fraction:
-        return self.eval(q)
 
     def eval(self, q: Rational) -> Fraction:
         """Exact Horner evaluation at a rational point."""
@@ -190,11 +182,6 @@ class ExactPoly:
             else:
                 parts.append(f"{c}*x^{k}" if c != 1 else f"x^{k}")
         return " + ".join(parts)
-
-
-def poly_eval_at_rational(p: ExactPoly, q: Rational) -> Fraction:
-    """Exact evaluation p(q)."""
-    return p.eval(q)
 
 
 def poly_shift(p: ExactPoly) -> ExactPoly:
@@ -280,70 +267,6 @@ class PolySeries:
     def shift_y(self, k: int) -> "PolySeries":
         """Multiply by y^k."""
         return PolySeries([ExactPoly(())] * k + self.coeffs, self.order)
-
-    def to_biseries(self, order_x: int) -> "BiSeries":
-        table = [[Fraction(0)] * (self.order + 1) for _ in range(order_x + 1)]
-        for j, p in enumerate(self.coeffs):
-            if p.degree > order_x:
-                raise ValueError("x-degree exceeds requested truncation order")
-            for i, c in enumerate(p.coeffs):
-                table[i][j] = c
-        return BiSeries(order_x, self.order, table)
-
-
-@dataclass(frozen=True)
-class BiSeries:
-    """Truncated bivariate series; coeffs[i][j] is the x^i y^j coefficient."""
-
-    order_x: int
-    order_y: int
-    coeffs: tuple[tuple[Fraction, ...], ...]
-
-    def __init__(self, order_x: int, order_y: int, coeffs: Sequence[Sequence[Rational]]):
-        table = []
-        for i in range(order_x + 1):
-            row = [Fraction(0)] * (order_y + 1)
-            if i < len(coeffs):
-                for j in range(min(order_y + 1, len(coeffs[i]))):
-                    row[j] = Fraction(coeffs[i][j])
-            table.append(tuple(row))
-        object.__setattr__(self, "order_x", order_x)
-        object.__setattr__(self, "order_y", order_y)
-        object.__setattr__(self, "coeffs", tuple(table))
-
-    def coeff(self, i: int, j: int) -> Fraction:
-        if 0 <= i <= self.order_x and 0 <= j <= self.order_y:
-            return self.coeffs[i][j]
-        return Fraction(0)
-
-    def y_coefficient(self, j: int) -> ExactPoly:
-        """The coefficient of y^j as a polynomial in x."""
-        return ExactPoly(tuple(self.coeffs[i][j] for i in range(self.order_x + 1)))
-
-    def __add__(self, other: "BiSeries") -> "BiSeries":
-        ox = min(self.order_x, other.order_x)
-        oy = min(self.order_y, other.order_y)
-        return BiSeries(
-            ox, oy,
-            [[self.coeffs[i][j] + other.coeffs[i][j] for j in range(oy + 1)]
-             for i in range(ox + 1)],
-        )
-
-    def __mul__(self, other: "BiSeries") -> "BiSeries":
-        ox = min(self.order_x, other.order_x)
-        oy = min(self.order_y, other.order_y)
-        table = [[Fraction(0)] * (oy + 1) for _ in range(ox + 1)]
-        for i in range(ox + 1):
-            for j in range(oy + 1):
-                a = self.coeffs[i][j]
-                if a == 0:
-                    continue
-                for k in range(ox + 1 - i):
-                    for l in range(oy + 1 - j):
-                        b = other.coeffs[k][l]
-                        if b != 0:
-                            table[i + k][j + l] += a * b
-        return BiSeries(ox, oy, table)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .complex_poset import _corrected_series, _printed_series_discrepancy
 from .exact_algebra import (
-    BiSeries,
     ExactPoly,
     PolySeries,
     binomial,
     catalan_number,
-    catalan_series,
     epsilon_odd,
     exact_quotient,
 )
@@ -110,27 +109,17 @@ def h_recurrence_table(n: int) -> HVector:
     return HVector(n, tuple(row))
 
 
-def h_generating_series(order_n: int) -> BiSeries:
+def h_generating_series(order_n: int) -> PolySeries:
     """Truncated expansion of H(x,y) = sum_n H_n(x) y^n.
 
     Uses the corrected closed form (substituting x -> x-1 in the corrected
     f-series form):
 
         H(x,y) = y^2 [x - C(y^2)] (1 + x y) / ((x-1) - x^2 y^2) - y^2.
-    """
-    if order_n < 3:
-        raise ValueError("order_n must be >= 3")
-    order = order_n
-    x = ExactPoly.x()
-    one = ExactPoly.constant(1)
-    cy2 = catalan_series(order).substitute_y_squared()
 
-    numer = (PolySeries([x], order) - cy2).shift_y(2)
-    numer = numer * PolySeries([one, x], order)
-    denom = PolySeries([x - one, ExactPoly(()), (x * x).scale(-1)], order)
-    series = numer.divide(denom)
-    series = series - PolySeries([ExactPoly(()), ExactPoly(()), one], order)
-    return series.to_biseries(order_x=(order_n - 1) // 2)
+    coeffs[n] of the result is H_n(x).
+    """
+    return _corrected_series(ExactPoly.x(), order_n)
 
 
 def printed_h_series_discrepancy(order_n: int = 12) -> dict | None:
@@ -140,34 +129,12 @@ def printed_h_series_discrepancy(order_n: int = 12) -> dict | None:
     [(x^2-1) y^2 - (x-1) y^2 C(y^2)] (1 + x y); returns None if it holds,
     else a report with the first mismatching y-order.
     """
-    order = order_n
-    x = ExactPoly.x()
-    one = ExactPoly.constant(1)
-    truth = PolySeries(
-        [h_polynomial(n) if n >= 3 else ExactPoly(()) for n in range(order + 1)],
-        order,
+    return _printed_series_discrepancy(
+        ExactPoly.x(), h_polynomial, order_n,
+        "H(x,y) printed form (cross-multiplied)",
+        "inherits the f-series misprint under x -> x-1; the shipped "
+        "series uses the corrected form (x-1) - x^2 y^2 denominator",
     )
-    y2 = PolySeries([ExactPoly(()), ExactPoly(()), one], order)
-    lhs = (truth + y2) * PolySeries(
-        [x * (x - one), ExactPoly(()), (x * x).scale(-1)], order
-    )
-    cy2 = catalan_series(order).substitute_y_squared()
-    numer = (PolySeries([x * x - one], order)
-             - PolySeries([x - one], order) * cy2).shift_y(2)
-    rhs = numer * PolySeries([one, x], order)
-    for j in range(order + 1):
-        if lhs.coeffs[j] != rhs.coeffs[j]:
-            return {
-                "formula": "H(x,y) printed form (cross-multiplied)",
-                "first_mismatch_y_order": j,
-                "lhs_coefficient": str(lhs.coeffs[j]),
-                "rhs_coefficient": str(rhs.coeffs[j]),
-                "note": (
-                    "inherits the f-series misprint under x -> x-1; the shipped "
-                    "series uses the corrected form (x-1) - x^2 y^2 denominator"
-                ),
-            }
-    return None
 
 
 def h_dyck_oracle(n: int, i: int) -> int:

@@ -47,12 +47,6 @@ class Permutation:
             ",".join(str(v) for v in self.values)
 
 
-@dataclass(frozen=True)
-class PeakStatistics:
-    cp: tuple[int, ...]
-    cdes: tuple[int, ...]
-
-
 def circular_peak_set(sigma: Permutation) -> tuple[int, ...]:
     """Values sigma(i) with sigma(i-1) < sigma(i) > sigma(i+1), ascending."""
     v = sigma.values
@@ -64,10 +58,6 @@ def circular_descent_set(sigma: Permutation) -> tuple[int, ...]:
     """Values sigma(i) with sigma(i) > sigma(i+1), ascending."""
     v = sigma.values
     return tuple(sorted(v[i] for i in range(len(v) - 1) if v[i] > v[i + 1]))
-
-
-def peak_statistics(sigma: Permutation) -> PeakStatistics:
-    return PeakStatistics(circular_peak_set(sigma), circular_descent_set(sigma))
 
 
 def _check_cap(n: int) -> None:

@@ -378,10 +378,10 @@ def check_h_sum(max_n: int) -> tuple[bool, str]:
 
 def check_f_series(max_n: int) -> tuple[bool, str]:
     series = complex_poset.f_generating_series(20)
-    if not series.y_coefficient(2).is_zero():
+    if not series.coeffs[2].is_zero():
         return False, "nonzero y^2 coefficient"
     for n in range(3, 21):
-        if series.y_coefficient(n) != complex_poset.f_polynomial(n):
+        if series.coeffs[n] != complex_poset.f_polynomial(n):
             return False, f"series coefficient != f-polynomial at n={n}"
     return True, "corrected P(x,y) matches f-polynomials, 3 <= n <= 20"
 
@@ -389,7 +389,7 @@ def check_f_series(max_n: int) -> tuple[bool, str]:
 def check_h_series(max_n: int) -> tuple[bool, str]:
     series = hvector.h_generating_series(20)
     for n in range(3, 21):
-        if series.y_coefficient(n) != hvector.h_polynomial(n):
+        if series.coeffs[n] != hvector.h_polynomial(n):
             return False, f"series coefficient != h-polynomial at n={n}"
     return True, "corrected H(x,y) matches h-polynomials, 3 <= n <= 20"
 

@@ -170,8 +170,8 @@ def test_criterion_09_generating_functions():
     f_series = f_generating_series(20)
     h_series = h_generating_series(20)
     for n in range(3, 21):
-        assert f_series.y_coefficient(n) == f_polynomial(n)
-        assert h_series.y_coefficient(n) == h_polynomial(n)
+        assert f_series.coeffs[n] == f_polynomial(n)
+        assert h_series.coeffs[n] == h_polynomial(n)
     # the printed closed form does not match; the discrepancy must be
     # reported in a documented, machine-readable way
     report = printed_f_series_discrepancy(12)

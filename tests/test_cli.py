@@ -8,6 +8,8 @@ from math import comb, factorial
 from pathlib import Path
 
 from circpeaks.cli import run
+from circpeaks.complex_poset import f_polynomial
+from circpeaks.hvector import h_polynomial
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -191,6 +193,37 @@ def test_series():
     payload = invoke_json("series", "--which", "H", "--order", "6")
     by_n = {row["n"]: row["poly"] for row in payload["coefficients"]}
     assert by_n[5] == [0, 1, 1]
+
+
+def test_series_reports_printed_form_discrepancy_at_any_order():
+    # The first mismatch is at y^4, past a truncation at y^3; the check
+    # runs on its own 12 terms whatever --order is.
+    for which in ("P", "H"):
+        payload = invoke_json("series", "--which", which, "--order", "3")
+        assert [row["n"] for row in payload["coefficients"]] == [3]
+        assert payload["printed_form_discrepancy"]["first_mismatch_y_order"] == 4
+
+
+def test_series_coefficients_match_polynomials_to_order_60():
+    for which, poly in (("P", f_polynomial), ("H", h_polynomial)):
+        payload = invoke_json("series", "--which", which, "--order", "60")
+        rows = payload["coefficients"]
+        assert [row["n"] for row in rows] == list(range(3, 61))
+        for row in rows:
+            assert row["poly"] == [int(c) for c in poly(row["n"]).coeffs], (which, row["n"])
+
+
+def test_format_only_on_tabular_commands(capsys):
+    code, text = invoke("hvector", "--n", "6", "--format", "csv")
+    assert code == 0
+    assert text.splitlines() == ["n,i,h", "6,0,1", "6,1,2", "6,2,2"]
+    for argv in (["stats", "--perm", "1,2,3"], ["witness", "--n", "5"],
+                 ["dyck", "--n", "5"], ["faces", "--n", "5"],
+                 ["moebius", "--n", "5", "--set", "", "--set", "4,5"],
+                 ["euler", "--n", "3"], ["series", "--which", "P"], ["verify"]):
+        code, text = invoke(*argv, "--format", "csv")
+        assert (code, text) == (1, ""), argv
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
 
 def test_verify_exit_codes():

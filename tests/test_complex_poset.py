@@ -75,11 +75,18 @@ def test_f_polynomial_examples():
 
 def test_f_generating_series():
     series = f_generating_series(20)
-    assert series.y_coefficient(2).is_zero()
-    assert series.y_coefficient(3) == ExactPoly((1, 1))
-    assert series.y_coefficient(4) == ExactPoly((2, 1))
+    assert series.coeffs[2].is_zero()
+    assert series.coeffs[3] == ExactPoly((1, 1))
+    assert series.coeffs[4] == ExactPoly((2, 1))
     for n in range(3, 21):
-        assert series.y_coefficient(n) == f_polynomial(n)
+        assert series.coeffs[n] == f_polynomial(n)
+
+
+def test_corrected_series_rejects_coefficients_past_the_truncation_degree():
+    # a = x^2 is no specialisation of P(x,y): its y^3 coefficient is x^2,
+    # past the x-degree floor((3-1)/2) = 1 that a truncation at y^3 allows.
+    with pytest.raises(ValueError, match="x-degree exceeds"):
+        complex_poset._corrected_series(ExactPoly((0, 0, 1)), 3)
 
 
 def test_printed_form_discrepancy_is_documented():

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circpeaks.exact_algebra import (
-    BiSeries,
     ExactPoly,
     InexactDivisionError,
     PolySeries,
@@ -14,7 +13,6 @@ from circpeaks.exact_algebra import (
     catalan_series,
     central_binomial,
     multinomial,
-    poly_eval_at_rational,
     poly_shift,
     poly_shift_inverse,
 )
@@ -26,10 +24,10 @@ polys = st.lists(rationals, min_size=0, max_size=31).map(ExactPoly)
 
 
 def test_eval_examples():
-    assert poly_eval_at_rational(ExactPoly((1, 1)), -1) == 0
-    assert poly_eval_at_rational(ExactPoly((1, 1)), Fraction(1, 2)) == Fraction(3, 2)
+    assert ExactPoly((1, 1)).eval(-1) == 0
+    assert ExactPoly((1, 1)).eval(Fraction(1, 2)) == Fraction(3, 2)
     # P_5(x) = x^2 + 3x + 2 has root -1
-    assert poly_eval_at_rational(ExactPoly((2, 3, 1)), -1) == 0
+    assert ExactPoly((2, 3, 1)).eval(-1) == 0
 
 
 def test_shift_examples():
@@ -104,15 +102,6 @@ def test_series_division_by_nonunit_rejected():
     b = PolySeries([ExactPoly(()), ExactPoly((1,))], order)
     with pytest.raises(InexactDivisionError):
         a.divide(b)
-
-
-def test_biseries_round_trip():
-    s = PolySeries([ExactPoly((1, 1)), ExactPoly((0, 0, 2))], 3)
-    b = s.to_biseries(order_x=3)
-    assert b.y_coefficient(0) == ExactPoly((1, 1))
-    assert b.y_coefficient(1) == ExactPoly((0, 0, 2))
-    assert b.coeff(2, 1) == 2
-    assert b.coeff(5, 0) == 0
 
 
 def test_binomial_outside_range_is_zero():

@@ -101,8 +101,8 @@ def test_h_entry_matches_dyck_oracle(n):
 def test_h_generating_series():
     series = h_generating_series(20)
     for n in range(3, 21):
-        assert series.y_coefficient(n) == h_polynomial(n)
-    assert series.y_coefficient(2).is_zero()
+        assert series.coeffs[n] == h_polynomial(n)
+    assert series.coeffs[2].is_zero()
 
 
 def test_printed_form_discrepancy_is_documented():
