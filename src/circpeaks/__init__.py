@@ -4,8 +4,8 @@ The central object is the collection of subsets of [n] realizable as the
 circular peak set of some permutation; ordered by inclusion it is a
 simplicial complex on the vertex set [3, n].  The package computes the
 statistics, the face/h data, chain and zeta counts, and the Hilbert data
-of the two associated monomial-quotient algebras, everything in exact
-rational arithmetic and everything cross-checked against brute-force
+of the two associated monomial-quotient algebras, in exact integer arithmetic
+on every production path and cross-checked against brute-force
 oracles (see circpeaks.verify and the `circpeaks verify` subcommand).
 """
 
@@ -17,7 +17,6 @@ from .exact_algebra import (
     binomial,
     catalan_number,
     catalan_series,
-    central_binomial,
     multinomial,
     poly_shift,
     poly_shift_inverse,

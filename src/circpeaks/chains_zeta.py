@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .complex_poset import _check_poset_cap, all_faces, face_table
-from .exact_algebra import ExactPoly, as_integer, binomial, multinomial, poly_shift
+from .exact_algebra import ExactPoly, as_integer, binomial, multinomial
 from .peak_sets import max_peak_count
 
 
@@ -48,8 +48,15 @@ def zeta(n: int, i: int) -> int:
 
 
 def zeta_polynomial(n: int) -> ExactPoly:
-    """Z(P_n, i) as a polynomial in i: the f-vector polynomial at i - 1."""
-    return poly_shift(ExactPoly(face_table(n).f))
+    """Z(P_n, i) as a polynomial in i: the f-vector polynomial at i - 1.
+
+    Integer Taylor shift by repeated synthetic subtraction, O(D^2); the
+    oracle is poly_shift(ExactPoly(face_table(n).f))."""
+    c = list(face_table(n).f)
+    for k in range(len(c) - 1):
+        for j in range(len(c) - 2, k - 1, -1):
+            c[j] -= c[j + 1]
+    return ExactPoly(c)
 
 
 def _faces_below(n: int, strict: bool) -> list[list[int]]:

@@ -5,19 +5,20 @@ zeta, chains, moebius, euler, hilbert, series, verify.  JSON is the
 default output format; the tabular commands (enum-cp, fvector, hvector,
 zeta, chains, hilbert) also accept --format csv.  Exit
 codes: 0 success, 1 validation/usage error, 2 verification failure.
-All numbers are emitted exactly (integers, or rationals as "p/q").
+All numbers are emitted exactly, as integers; each payload is rendered
+in full before anything is written, so output is all or nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
-from fractions import Fraction
 
 from . import chains_zeta, complex_poset, hilbert_algebras, hvector, peak_sets, verify
-from .exact_algebra import ExactPoly
+from .exact_algebra import as_integer
 from .peak_sets import DyckFormatError, InvalidPeakSetError, PeakSet
 from .perm_core import (
     Permutation,
@@ -29,6 +30,8 @@ from .perm_core import (
 
 
 TABULAR = ("enum-cp", "fvector", "hvector", "zeta", "chains", "hilbert")
+# series --order 500 takes ~0.5 s and prints ~5 MB; the output grows as order^3.
+SERIES_ORDER_CAP = 500
 
 
 class CliError(Exception):
@@ -50,28 +53,14 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise CliError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _rat(value) -> object:
-    """JSON-safe exact number: int, or 'p/q' string for a proper fraction."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
-        return f"{value.numerator}/{value.denominator}"
-    return int(value)
-
-
-def _poly_coeffs(p: ExactPoly) -> list:
-    return [_rat(c) for c in p.coeffs]
-
-
 def _emit_json(payload, out) -> None:
-    json.dump(payload, out, indent=2, sort_keys=True)
-    out.write("\n")
+    out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _emit_csv(rows, header, out) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    out.write(buf.getvalue())
 
 
 def build_parser() -> _Parser:
@@ -206,7 +195,7 @@ def _run(args, out) -> int:
             _emit_csv(table.csv_rows(), ["n", "dim", "count"], out)
         else:
             payload = table.to_json_dict()
-            payload["f_polynomial"] = _poly_coeffs(table.polynomial())
+            payload["f_polynomial"] = table.f[::-1]
             _emit_json(payload, out)
 
     elif args.command == "hvector":
@@ -216,7 +205,7 @@ def _run(args, out) -> int:
             _emit_csv(table.csv_rows(), ["n", "i", "h"], out)
         else:
             payload = table.to_json_dict()
-            payload["h_polynomial"] = _poly_coeffs(table.polynomial())
+            payload["h_polynomial"] = table.h[::-1]
             _emit_json(payload, out)
 
     elif args.command == "zeta":
@@ -245,12 +234,12 @@ def _run(args, out) -> int:
         if args.n <= complex_poset.POSET_CAP:
             oracle = chains_zeta.chain_oracle(args.n, args.i)
         if args.format == "csv":
-            _emit_csv([[args.n, args.i, _rat(value),
+            _emit_csv([[args.n, args.i, value,
                         "" if oracle is None else oracle,
                         "" if oracle is None else (value == oracle)]],
                       ["n", "i", "value", "oracle_value", "match"], out)
         else:
-            _emit_json({"n": args.n, "i": args.i, "count": _rat(value),
+            _emit_json({"n": args.n, "i": args.i, "count": value,
                         "oracle": oracle,
                         "match": None if oracle is None else value == oracle}, out)
 
@@ -267,7 +256,7 @@ def _run(args, out) -> int:
     elif args.command == "euler":
         _require(args.n >= 3, "--n must be >= 3")
         _emit_json({"n": args.n,
-                    "euler": _rat(complex_poset.euler_characteristic(args.n))}, out)
+                    "euler": complex_poset.euler_characteristic(args.n)}, out)
 
     elif args.command == "hilbert":
         _require(args.n >= 3, "--n must be >= 3")
@@ -284,29 +273,32 @@ def _run(args, out) -> int:
                        "dims": list(dims.dims)}
             if args.algebra == "A":
                 form = hilbert_algebras.numerator_a(args.n)
-                payload["numerator"] = _poly_coeffs(form.numerator)
+                poly = hilbert_algebras.hilbert_polynomial_a(args.n)
+                payload["numerator"] = [as_integer(c, "numerator") for c in form.numerator.coeffs]
                 payload["denominator_exponent"] = form.denominator_exponent
-                payload["hilbert_polynomial"] = _poly_coeffs(
-                    hilbert_algebras.hilbert_polynomial_a(args.n))
+                payload["hilbert_polynomial"] = [as_integer(c, "Hilbert polynomial")
+                                                 for c in poly.coeffs]
             else:
                 payload["series_polynomial"] = list(counts)
             _emit_json(payload, out)
 
     elif args.command == "series":
         _require(args.order >= 3, "--order must be >= 3")
+        if args.order > SERIES_ORDER_CAP:
+            raise ResourceLimitError(
+                f"series --order capped at {SERIES_ORDER_CAP} (got {args.order})")
+        # The y^n coefficient is P_n(x) (H_n(x)): the f- (h-)vector, reversed.
+        orders = range(3, args.order + 1)
         if args.which == "P":
-            series = complex_poset.f_generating_series(args.order)
+            vectors = [complex_poset.face_table(n).f for n in orders]
             report = complex_poset.printed_f_series_discrepancy()
         else:
-            series = hvector.h_generating_series(args.order)
+            vectors = [hvector.h_table(n).h for n in orders]
             report = hvector.printed_h_series_discrepancy()
         payload = {
             "which": args.which,
             "order": args.order,
-            "coefficients": [
-                {"n": n, "poly": _poly_coeffs(series.coeffs[n])}
-                for n in range(3, args.order + 1)
-            ],
+            "coefficients": [{"n": n, "poly": v[::-1]} for n, v in zip(orders, vectors)],
             "printed_form_discrepancy": report,
         }
         _emit_json(payload, out)
@@ -331,6 +323,8 @@ def run(argv, out=None) -> int:
     """Parse and execute; returns the process exit code."""
     out = out if out is not None else sys.stdout
     parser = build_parser()
+    if hasattr(sys, "set_int_max_str_digits"):  # counts outgrow the 4300-digit default
+        sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
         return _run(args, out)

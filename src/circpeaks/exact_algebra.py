@@ -1,15 +1,15 @@
 """Exact rational polynomial and truncated power-series arithmetic.
 
-Everything is built on fractions.Fraction; no floating point appears
-anywhere in the library.  Two value kinds live here:
+Built on fractions.Fraction, for the oracles, the printed-form checks and
+ExactPoly return values only; production paths compute in integers and no
+floating point appears anywhere in the library.  Two value kinds live here:
 
   ExactPoly   -- dense univariate polynomial over Q, coeffs low-to-high
   PolySeries  -- truncated power series in y whose coefficients are
                  ExactPoly values in x (the bivariate generating
                  functions are expanded exactly as PolySeries)
 
-Combinatorial number helpers (binomial, central binomial, Catalan,
-multinomial) are plain functions at the bottom.
+Combinatorial number helpers (binomial, Catalan, multinomial) are at the bottom.
 """
 
 from __future__ import annotations
@@ -278,11 +278,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n or n < 0:
         return 0
     return comb(n, k)
-
-
-def central_binomial(n: int) -> int:
-    """b_n = C(n, floor(n/2)), the count of length-n Dyck-path left factors."""
-    return comb(n, n // 2)
 
 
 def catalan_number(m: int) -> int:

@@ -13,8 +13,14 @@ from circpeaks.chains_zeta import (
     zeta,
     zeta_polynomial,
 )
-from circpeaks.complex_poset import FaceTable, f_polynomial
-from circpeaks.exact_algebra import NonIntegralError, binomial, epsilon_odd
+from circpeaks.complex_poset import FaceTable, f_polynomial, face_table
+from circpeaks.exact_algebra import (
+    ExactPoly,
+    NonIntegralError,
+    binomial,
+    epsilon_odd,
+    poly_shift,
+)
 from circpeaks.peak_sets import count_valid, max_peak_count
 from circpeaks.perm_core import ResourceLimitError
 
@@ -70,6 +76,11 @@ def test_zeta_polynomial_evaluates():
         zp = zeta_polynomial(n)
         for i in range(2, 7):
             assert zp.eval(i) == zeta(n, i)
+
+
+@pytest.mark.parametrize("n", [*range(3, 61), 400])
+def test_zeta_polynomial_matches_fraction_shift(n):
+    assert zeta_polynomial(n) == poly_shift(ExactPoly(face_table(n).f))
 
 
 def test_chain_formula_examples():

@@ -4,11 +4,16 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
 
-from circpeaks.cli import run
+import pytest
+
+from circpeaks import complex_poset, hvector
+from circpeaks.cli import SERIES_ORDER_CAP, run
 from circpeaks.complex_poset import f_polynomial
+from circpeaks.exact_algebra import PolySeries
 from circpeaks.hvector import h_polynomial
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -166,6 +171,42 @@ def test_hilbert_a_large_n_matches_ballot_multichains():
     assert sum(numerator) == factorial(e - 1) * f[-1]
 
 
+def test_zeta_past_the_int_digit_limit():
+    # CPython >= 3.10.7 refuses to convert ints of more than 4300 digits to
+    # text by default; run lifts that limit, which the parsing below needs too.
+    n, i = 1000, 10_000_000_000
+    code, text = invoke("zeta", "--n", str(n), "--i", str(i))
+    assert code == 0
+    code, csv_text = invoke("zeta", "--n", str(n), "--i", str(i), "--format", "csv")
+    assert code == 0
+    expected = sum(p * (i - 1) ** k for k, p in enumerate(_ballot_f_vector(n)))
+    assert len(str(expected)) > 4300
+    assert json.loads(text)["zeta"] == expected
+    assert csv_text.splitlines() == ["n,i,value,oracle_value,match", f"{n},{i},{expected},,"]
+
+
+class _Unprintable:
+    def __str__(self):
+        raise ValueError("cannot render")
+
+
+def test_json_output_is_all_or_nothing(monkeypatch):
+    # The Fraction is the last f entry: a streaming encoder would already
+    # have written the opening of the payload when it fails.
+    table = complex_poset.FaceTable(5, (1, 3, Fraction(1, 2)))
+    monkeypatch.setattr(complex_poset, "face_table", lambda n: table)
+    out = io.StringIO()
+    with pytest.raises(TypeError, match="Fraction"):
+        run(["fvector", "--n", "5"], out)
+    assert out.getvalue() == ""
+
+
+def test_csv_output_is_all_or_nothing(monkeypatch):
+    table = hvector.HVector(6, (1, 2, _Unprintable()))
+    monkeypatch.setattr(hvector, "h_table", lambda n: table)
+    assert invoke("hvector", "--n", "6", "--format", "csv") == (1, "")
+
+
 def test_moebius_and_euler():
     payload = invoke_json("moebius", "--n", "5", "--set", "", "--set", "4,5")
     assert payload["moebius"] == 1
@@ -211,6 +252,28 @@ def test_series_coefficients_match_polynomials_to_order_60():
         assert [row["n"] for row in rows] == list(range(3, 61))
         for row in rows:
             assert row["poly"] == [int(c) for c in poly(row["n"]).coeffs], (which, row["n"])
+
+
+def test_series_does_not_divide_series(monkeypatch):
+    def refuse(self, divisor):
+        raise AssertionError("series divided a PolySeries")
+
+    monkeypatch.setattr(PolySeries, "divide", refuse)
+    for which, poly in (("P", f_polynomial), ("H", h_polynomial)):
+        payload = invoke_json("series", "--which", which, "--order", "80")
+        rows = payload["coefficients"]
+        assert [row["n"] for row in rows] == list(range(3, 81))
+        assert rows[-1]["poly"] == [int(c) for c in poly(80).coeffs]
+        assert payload["printed_form_discrepancy"]["first_mismatch_y_order"] == 4
+
+
+def test_series_order_cap(capsys):
+    started = time.perf_counter()
+    assert invoke("series", "--which", "P", "--order", str(SERIES_ORDER_CAP + 1)) == (1, "")
+    assert time.perf_counter() - started < 0.5
+    assert f"capped at {SERIES_ORDER_CAP}" in capsys.readouterr().err
+    payload = invoke_json("series", "--which", "H", "--order", str(SERIES_ORDER_CAP))
+    assert payload["coefficients"][-1]["n"] == SERIES_ORDER_CAP
 
 
 def test_format_only_on_tabular_commands(capsys):

@@ -11,7 +11,6 @@ from circpeaks.exact_algebra import (
     binomial,
     catalan_number,
     catalan_series,
-    central_binomial,
     multinomial,
     poly_shift,
     poly_shift_inverse,
@@ -108,8 +107,6 @@ def test_binomial_outside_range_is_zero():
     assert binomial(5, -1) == 0
     assert binomial(5, 6) == 0
     assert binomial(5, 2) == 10
-    assert central_binomial(4) == 6
-    assert central_binomial(7) == 35
 
 
 def test_multinomial():
