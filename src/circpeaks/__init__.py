@@ -66,6 +66,7 @@ from .chains_zeta import (
     zeta,
     zeta_polynomial,
     zeta_values,
+    zeta_values_of,
 )
 from .hvector import (
     HVector,
@@ -81,6 +82,7 @@ from .hilbert_algebras import (
     RationalSeriesForm,
     dim_a,
     dim_b,
+    hilbert_data_a,
     hilbert_polynomial_a,
     hilbert_series_a,
     hilbert_series_b,

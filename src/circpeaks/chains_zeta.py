@@ -2,35 +2,39 @@
 
 zeta(n, i) counts multichains of i-1 faces and is evaluated by integer
 Horner over the f-vector.  chain_counts(n) gives every strict chain count
-d_{n,i} from the integer f-vector in O(D^2) big-integer operations, D =
-floor((n-1)/2), by binomially inverting the multichain counts (Stanley,
-EC1 3.12).  The paper's multinomial composition sum, chain_count_formula,
-grows exponentially in n and is kept as an oracle only.  Both counts have
-dumb exhaustive oracles over the face poset for cross-checking, and the
-f-polynomial can be rebuilt from the chain counts alone.
+d_{n,i} from the integer f-vector in O(D^2) big-integer subtractions, D =
+floor((n-1)/2), as the forward differences of the multichain counts,
+which is their binomial inversion (Stanley, EC1 3.12).  The paper's
+multinomial composition sum, chain_count_formula, grows exponentially in
+n and is kept as an oracle only.  Both counts have dumb exhaustive
+oracles over the face poset for cross-checking, and the f-polynomial can
+be rebuilt from the chain counts alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator
 
-from .complex_poset import _check_poset_cap, all_faces, face_table
-from .exact_algebra import ExactPoly, as_integer, binomial, multinomial
+from .complex_poset import FaceTable, _check_poset_cap, all_faces, face_table
+from .exact_algebra import ExactPoly, as_integer, multinomial
 from .peak_sets import max_peak_count
 
 
 def zeta_values(n: int, i_values: Iterable[int]) -> tuple[int, ...]:
-    """zeta(n, i) for each i in i_values, from one build of the f-vector.
+    """zeta(n, i) for each i in i_values, from one build of the f-vector."""
+    return zeta_values_of(face_table(n), i_values)
+
+
+def zeta_values_of(table: FaceTable, i_values: Iterable[int]) -> tuple[int, ...]:
+    """zeta(table.n, i) for each i in i_values, from the given f-vector.
 
     Z(P_n, i) = sum_m p_{n,m-1} (i-1)^m, evaluated by integer Horner over
     the f-vector.  This is the one evaluation of the multichain formula:
     zeta, the dimensions of algebra A and the strict chain counts all
     come through here.
     """
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    f = face_table(n).f
+    n, f = table.n, table.f
     out = []
     for i in i_values:
         if i < 2:
@@ -137,20 +141,22 @@ def chain_count_formula(n: int, i: int) -> Fraction:
 
 
 def chain_counts(n: int) -> tuple[int, ...]:
-    """(d_{n,0}, ..., d_{n,D+1}): strict chains of i faces, in O(D^2) operations.
+    """(d_{n,0}, ..., d_{n,D+1}): strict chains of i faces, in O(D^2) subtractions.
 
     Z_k = sum_m p_{n,m-1} (k+1)^m = zeta(n, k+2) counts the multichains
     of k+1 faces (zeta_values).  A multichain of k+1 faces with t+1
     distinct faces arises from C(k, t) of them, so Z_k = sum_t C(k, t)
     d_{n,t+1}, and binomial inversion gives
-    d_{n,t+1} = sum_k (-1)^(t-k) C(t, k) Z_k.  d_{n,i} = 0 for i > D+1.
+    d_{n,t+1} = sum_k (-1)^(t-k) C(t, k) Z_k = (Delta^t Z)_0, the t-th
+    forward difference at 0, taken here by repeated differencing of the
+    row Z_0..Z_D.  d_{n,i} = 0 for i > D+1.
     """
-    top = max_peak_count(n)
-    z = zeta_values(n, range(2, top + 3))  # Z_k = zeta(n, k + 2)
-    return (1,) + tuple(
-        sum((-1) ** (t - k) * binomial(t, k) * z[k] for k in range(t + 1))
-        for t in range(top + 1)
-    )
+    z = list(zeta_values(n, range(2, max_peak_count(n) + 3)))  # Z_k = zeta(n, k + 2)
+    out = [1]
+    while z:
+        out.append(z[0])
+        z = [b - a for a, b in zip(z, z[1:])]
+    return tuple(out)
 
 
 def f_polynomial_from_chains(n: int) -> ExactPoly:

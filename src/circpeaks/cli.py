@@ -17,7 +17,7 @@ import io
 import json
 import sys
 
-from . import chains_zeta, complex_poset, hilbert_algebras, hvector, peak_sets, verify
+from . import chains_zeta, complex_poset, hilbert_algebras, hvector, peak_sets
 from .exact_algebra import as_integer
 from .peak_sets import DyckFormatError, InvalidPeakSetError, PeakSet
 from .perm_core import (
@@ -125,7 +125,8 @@ def build_parser() -> _Parser:
 
     p = cmd("verify", help="run oracle cross-check suites")
     p.add_argument("--suite", default="all",
-                   help=f"one of {', '.join(verify.SUITES)} or 'all'")
+                   help="one of perm, peaksets, complex, chains, hvector, series, "
+                        "hilbert or 'all'")
     p.add_argument("--max-n", type=int, default=8, dest="max_n")
 
     return parser
@@ -264,16 +265,16 @@ def _run(args, out) -> int:
         if args.algebra == "B":
             counts = chains_zeta.chain_counts(args.n)  # dims and series share it
             dims = hilbert_algebras.graded_dimensions_b(args.n, counts, args.order)
-        else:
-            dims = hilbert_algebras.graded_dimensions(args.n, args.algebra, args.order)
+        elif args.format == "csv":
+            dims = hilbert_algebras.graded_dimensions(args.n, "A", args.order)
+        else:  # dims, numerator and polynomial share one f-vector
+            dims, form, poly = hilbert_algebras.hilbert_data_a(args.n, args.order)
         if args.format == "csv":
             _emit_csv(dims.csv_rows(), ["n", "algebra", "degree", "dim"], out)
         else:
             payload = {"n": args.n, "algebra": args.algebra,
                        "dims": list(dims.dims)}
             if args.algebra == "A":
-                form = hilbert_algebras.numerator_a(args.n)
-                poly = hilbert_algebras.hilbert_polynomial_a(args.n)
                 payload["numerator"] = [as_integer(c, "numerator") for c in form.numerator.coeffs]
                 payload["denominator_exponent"] = form.denominator_exponent
                 payload["hilbert_polynomial"] = [as_integer(c, "Hilbert polynomial")
@@ -304,6 +305,8 @@ def _run(args, out) -> int:
         _emit_json(payload, out)
 
     elif args.command == "verify":
+        from . import verify  # only this subcommand pays for the oracle suites
+
         results = verify.run_suite(args.suite, args.max_n)
         failed = 0
         for r in results:

@@ -16,10 +16,9 @@ the reduced Euler characteristic and the product-structure check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable
 
 from .exact_algebra import (
     ClosedFormMismatchError,
@@ -31,6 +30,7 @@ from .exact_algebra import (
 )
 from .peak_sets import PeakSet, is_valid, max_peak_count
 from .perm_core import ResourceLimitError
+from .record import Record
 
 POSET_CAP = 14
 
@@ -42,10 +42,10 @@ def _check_poset_cap(n: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class FaceTable:
+class FaceTable(Record):
     """f-vector of the complex: (p_{n,-1}, p_{n,0}, ..., p_{n,D-1})."""
 
+    __slots__ = ("n", "f")
     n: int
     f: tuple[int, ...]
 
@@ -95,8 +95,20 @@ def face_count(n: int, dim: int) -> int:
 
 
 def face_table(n: int) -> FaceTable:
-    """The f-vector, from which every closed form of the package is derived."""
-    return FaceTable(n, tuple(face_count(n, i) for i in range(-1, max_peak_count(n))))
+    """The f-vector, from which every closed form of the package is derived.
+
+    Row i is p_{n,i} = (n-2i-2)/(i+1) * C(n-1, i), with the binomial
+    carried by the ratio recurrence C(n-1, i) = C(n-1, i-1) * (n-i) / i:
+    two small-by-big products and two exact divisions per entry instead
+    of a fresh binomial.  face_count(n, i) is its per-entry oracle.
+    """
+    row = [1]  # p_{n,-1}
+    c = 1  # C(n-1, i)
+    for i in range(max_peak_count(n)):
+        if i:
+            c = c * (n - i) // i
+        row.append(exact_quotient((n - 2 * i - 2) * c, i + 1, f"face_table({n}) entry {i}"))
+    return FaceTable(n, tuple(row))
 
 
 def face_counts_by_recurrence(n: int) -> FaceTable:

@@ -14,12 +14,13 @@ Combinatorial number helpers (binomial, Catalan, multinomial) are at the bottom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, Sequence, Union
 
-Rational = Union[int, Fraction]
+from .record import Record, set_field
+
+Rational = int | Fraction
 
 
 class InexactDivisionError(ArithmeticError):
@@ -56,18 +57,18 @@ def _normalize(coeffs: Iterable[Rational]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ExactPoly:
+class ExactPoly(Record):
     """Dense univariate polynomial over Q; coeffs[k] is the x^k coefficient.
 
     The zero polynomial has an empty coefficient tuple.  Instances are
     immutable and all arithmetic is exact.
     """
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs: Iterable[Rational] = ()):
-        object.__setattr__(self, "coeffs", _normalize(coeffs))
+        set_field(self, "coeffs", _normalize(coeffs))
 
     @staticmethod
     def constant(c: Rational) -> "ExactPoly":

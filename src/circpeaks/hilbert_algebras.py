@@ -6,28 +6,32 @@ dimensions are multichain respectively strict-chain counts, so everything
 reduces to the chain machinery; the ideals themselves are never
 materialized, only the comparability predicate is used.  The A-dimensions
 are zeta values and the B-dimensions the vector chain_counts(n); each
-function here builds the integer f-vector once per call.
+function here builds the integer f-vector once per call, and
+hilbert_data_a gives the dimensions, rational form and Hilbert
+polynomial of A from one build.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .chains_zeta import chain_counts, zeta, zeta_values
+from .chains_zeta import chain_counts, zeta, zeta_values, zeta_values_of
 from .complex_poset import all_faces, face_table
 from .exact_algebra import ExactPoly, InexactDivisionError, NonIntegralError
 from .peak_sets import max_peak_count
 from .perm_core import ResourceLimitError
+from .record import Record
 
 MONOMIAL_DEGREE_CAP = 6
+# Coefficients past the numerator degree that numerator_a checks to be zero.
+_NUMERATOR_GUARD = 4
 _MONOMIAL_WORK_CAP = 2_000_000
 
 
-@dataclass(frozen=True)
-class GradedDimensions:
+class GradedDimensions(Record):
+    __slots__ = ("n", "algebra", "dims")
     n: int
     algebra: str  # "A" or "B"
     dims: tuple[int, ...]
@@ -36,10 +40,10 @@ class GradedDimensions:
         return [(self.n, self.algebra, i, d) for i, d in enumerate(self.dims)]
 
 
-@dataclass(frozen=True)
-class RationalSeriesForm:
+class RationalSeriesForm(Record):
     """numerator / (1-x)^denominator_exponent."""
 
+    __slots__ = ("numerator", "denominator_exponent")
     numerator: ExactPoly
     denominator_exponent: int
 
@@ -84,8 +88,30 @@ def numerator_a(n: int) -> RationalSeriesForm:
     checked to terminate; InexactDivisionError is raised if it does not.
     """
     exponent = (n + 1) // 2
-    guard = 4  # extra verified-zero coefficients past the numerator degree
-    series = list(hilbert_series_a(n, exponent + 1 + guard))
+    return _rational_form(n, hilbert_series_a(n, exponent + 1 + _NUMERATOR_GUARD))
+
+
+def hilbert_data_a(n: int, order: int) -> tuple[GradedDimensions, RationalSeriesForm, ExactPoly]:
+    """Degrees 0..order of A, its rational form and its Hilbert polynomial.
+
+    One f-vector serves all three: the dimensions of both the requested
+    degrees and the numerator's longer run are read off one Horner pass.
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    table = face_table(n)
+    exponent = (n + 1) // 2
+    length = exponent + 1 + _NUMERATOR_GUARD
+    series = (1,) + zeta_values_of(table, range(2, max(order, length) + 2))
+    return (GradedDimensions(n, "A", series[: order + 1]),
+            _rational_form(n, series[: length + 1]),
+            ExactPoly(table.f))
+
+
+def _rational_form(n: int, series: tuple[int, ...]) -> RationalSeriesForm:
+    """numerator / (1-x)^floor((n+1)/2) from the A-series through its guard terms."""
+    exponent = (n + 1) // 2
+    series = list(series)
     for _ in range(exponent):
         series = [series[0]] + [series[k] - series[k - 1]
                                 for k in range(1, len(series))]

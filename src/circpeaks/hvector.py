@@ -11,7 +11,6 @@ these integer entries; the shift P_n(x-1) is an oracle only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .complex_poset import _corrected_series, _printed_series_discrepancy
@@ -24,10 +23,11 @@ from .exact_algebra import (
     exact_quotient,
 )
 from .peak_sets import count_left_factors_to, max_peak_count
+from .record import Record
 
 
-@dataclass(frozen=True)
-class HVector:
+class HVector(Record):
+    __slots__ = ("n", "h")
     n: int
     h: tuple[int, ...]
 
@@ -83,7 +83,19 @@ def h_entry(n: int, i: int) -> int:
 
 
 def h_table(n: int) -> HVector:
-    return HVector(n, tuple(h_entry(n, i) for i in range(max_peak_count(n) + 1)))
+    """(h_{n,0}, ..., h_{n,D}), read off one pass of the ratio recurrence.
+
+    C(half+i, half) = C(half+i-1, half) * (half+i) / i carries the
+    binomial from entry to entry; h_entry(n, i) is the per-entry oracle.
+    """
+    half = n // 2
+    row = []
+    c = 1  # C(half + i, half)
+    for i in range(max_peak_count(n) + 1):
+        if i:
+            c = c * (half + i) // i
+        row.append(exact_quotient((half - i) * c, half + i, f"h_table({n}) entry {i}"))
+    return HVector(n, tuple(row))
 
 
 def h_recurrence_table(n: int) -> HVector:

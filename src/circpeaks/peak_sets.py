@@ -8,10 +8,10 @@ length n-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .perm_core import Permutation, ResourceLimitError
+from .record import Record, set_field
 
 
 class InvalidPeakSetError(ValueError):
@@ -37,13 +37,13 @@ class DyckFormatError(ValueError):
     """Raised for a malformed Dyck-prefix word."""
 
 
-@dataclass(frozen=True)
-class PeakSet:
+class PeakSet(Record):
     """A candidate face: ascending elements inside an ambient [n].
 
     May be constructed invalid; is_valid decides realizability.
     """
 
+    __slots__ = ("n", "elements")
     n: int
     elements: tuple[int, ...]
 
@@ -53,8 +53,8 @@ class PeakSet:
             raise ValueError("ambient size must be >= 1")
         if elems and (elems[0] < 1 or elems[-1] > n):
             raise ValueError(f"elements {elems} not inside [{n}]")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "elements", elems)
+        set_field(self, "n", n)
+        set_field(self, "elements", elems)
 
     @property
     def dimension(self) -> int:
@@ -64,10 +64,10 @@ class PeakSet:
         return ",".join(str(v) for v in self.elements)
 
 
-@dataclass(frozen=True)
-class DyckPrefix:
+class DyckPrefix(Record):
     """A word over {U, D} whose every prefix has #U >= #D."""
 
+    __slots__ = ("letters",)
     letters: str
 
     def __init__(self, letters: str):
@@ -81,7 +81,7 @@ class DyckPrefix:
                 raise DyckFormatError(f"letter {ch!r} is not U or D")
             if height < 0:
                 raise DyckFormatError(f"{letters!r} is not a left factor (dips below 0)")
-        object.__setattr__(self, "letters", letters)
+        set_field(self, "letters", letters)
 
     @property
     def length(self) -> int:

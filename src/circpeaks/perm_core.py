@@ -11,8 +11,9 @@ the closed-form results; it is capped at n <= 10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
+
+from .record import Record, set_field
 
 PERMUTATION_CAP = 10
 
@@ -21,10 +22,10 @@ class ResourceLimitError(RuntimeError):
     """An exhaustive enumeration was requested past its configured cap."""
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """One-indexed permutation; values is (sigma(1), ..., sigma(n))."""
 
+    __slots__ = ("values",)
     values: tuple[int, ...]
 
     def __init__(self, values):
@@ -32,7 +33,7 @@ class Permutation:
         n = len(vals)
         if sorted(vals) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of [{n}]: {vals}")
-        object.__setattr__(self, "values", vals)
+        set_field(self, "values", vals)
 
     @property
     def n(self) -> int:

@@ -9,11 +9,10 @@ result line per check; all comparisons are bit-exact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
-from typing import Callable
 
 from . import (
     chains_zeta,
@@ -26,14 +25,15 @@ from . import (
 )
 from .exact_algebra import ExactPoly
 from .peak_sets import PeakSet
+from .record import Record
 
 PERM_DEFAULT = 8
 POSET_DEFAULT = 14
 MIN_MAX_N = 3  # the complex starts at n = 3; below it some checks cover no n
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record):
+    __slots__ = ("suite", "name", "ok", "detail")
     suite: str
     name: str
     ok: bool
@@ -172,9 +172,13 @@ def check_vertices_and_dimension(max_n: int) -> tuple[bool, str]:
 def check_face_counts(max_n: int) -> tuple[bool, str]:
     top = min(POSET_DEFAULT, max_n + 6)
     for n in range(3, top + 1):
-        for i in range(-1, peak_sets.max_peak_count(n)):
-            if complex_poset.face_count(n, i) != len(complex_poset.faces(n, i)):
+        row = tuple(complex_poset.face_count(n, i)
+                    for i in range(-1, peak_sets.max_peak_count(n)))
+        for i, count in enumerate(row, start=-1):
+            if count != len(complex_poset.faces(n, i)):
                 return False, f"closed form != enumeration at n={n}, dim={i}"
+        if complex_poset.face_table(n).f != row:
+            return False, f"face_table != face_count row at n={n}"
     return True, f"face_count = |faces| for all dims, n <= {top}"
 
 
@@ -340,6 +344,8 @@ def check_h_consistency(max_n: int) -> tuple[bool, str]:
         from_poly = tuple(int(shifted.coeff(top - i)) for i in range(top + 1))
         if closed != from_poly:
             return False, f"closed form != shifted f-polynomial at n={n}"
+        if hvector.h_table(n).h != closed:
+            return False, f"h_table != h_entry row at n={n}"
         if hvector.h_polynomial(n) != shifted:
             return False, f"h_polynomial != shifted f-polynomial at n={n}"
         if hvector.h_recurrence_table(n).h != closed:

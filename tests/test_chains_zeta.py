@@ -12,6 +12,7 @@ from circpeaks.chains_zeta import (
     multichain_oracle,
     zeta,
     zeta_polynomial,
+    zeta_values,
 )
 from circpeaks.complex_poset import FaceTable, f_polynomial, face_table
 from circpeaks.exact_algebra import (
@@ -138,6 +139,20 @@ def test_chain_counts_match_oracle(n):
     counts = chain_counts(n)
     for i in range(0, max_peak_count(n) + 4):
         assert (counts[i] if i < len(counts) else 0) == chain_oracle(n, i)
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+def test_chain_counts_match_binomial_inversion(n):
+    # Reference: d_{n,t+1} = sum_k (-1)^(t-k) C(t, k) Z_k with Z_k = zeta(n, k+2),
+    # a binomial times Z_k for every (t, k); chain_counts takes the same
+    # values as forward differences of the Z row.
+    top = max_peak_count(n)
+    z = zeta_values(n, range(2, top + 3))
+    inverted = (1,) + tuple(
+        sum((-1) ** (t - k) * binomial(t, k) * z[k] for k in range(t + 1))
+        for t in range(top + 1)
+    )
+    assert chain_counts(n) == inverted
 
 
 def test_chain_oracle_stops_when_counts_vanish():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from circpeaks import complex_poset, hvector
+from circpeaks import chains_zeta, complex_poset, hilbert_algebras, hvector, verify
 from circpeaks.cli import SERIES_ORDER_CAP, run
 from circpeaks.complex_poset import f_polynomial
 from circpeaks.exact_algebra import PolySeries
@@ -151,6 +151,22 @@ def test_hvector_large_n_matches_binomial_transform():
     assert payload["h"] == shifted[::-1]
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_hilbert_a_builds_one_f_vector(monkeypatch, fmt):
+    builds = []
+
+    def counted(n):
+        builds.append(n)
+        return complex_poset.face_table(n)
+
+    monkeypatch.setattr(hilbert_algebras, "face_table", counted)
+    monkeypatch.setattr(chains_zeta, "face_table", counted)
+    code, _ = invoke("hilbert", "--n", "120", "--algebra", "A", "--order", "9",
+                     "--format", fmt)
+    assert code == 0
+    assert builds == [120]
+
+
 def test_hilbert_a_large_n_matches_ballot_multichains():
     n = 1000
     f = _ballot_f_vector(n)
@@ -289,13 +305,41 @@ def test_format_only_on_tabular_commands(capsys):
         assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
 
-def test_verify_exit_codes():
+def test_verify_exit_codes(capsys):
     code, text = invoke("verify", "--suite", "peaksets", "--max-n", "6")
     assert code == 0
     assert "checks passed" in text
     assert "FAIL" not in text
     code, _ = invoke("verify", "--suite", "nonexistent")
     assert code == 1
+    err = capsys.readouterr().err
+    assert "nonexistent" in err
+    for suite in verify.SUITES:
+        assert repr(suite) in err, suite
+
+
+def test_verify_help_names_every_suite(capsys):
+    # The help text is fixed so that building the parser does not import verify.
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--help"], io.StringIO())
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for suite in verify.SUITES:
+        assert suite in text, suite
+    assert "'all'" in text
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_verify():
+    # -S: no site-packages .pth file may import these on the package's behalf.
+    probe = ("import sys, circpeaks.cli; "
+             "print(' '.join(m for m in ('dataclasses', 'inspect', 'circpeaks.verify') "
+             "if m in sys.modules))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_verify_rejects_max_n_below_three(capsys):

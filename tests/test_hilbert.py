@@ -12,6 +12,7 @@ from circpeaks.hilbert_algebras import (
     dim_a,
     dim_b,
     graded_dimensions,
+    hilbert_data_a,
     hilbert_polynomial_a,
     hilbert_series_a,
     hilbert_series_b,
@@ -145,3 +146,12 @@ def test_monomial_oracle_caps():
         standard_monomial_oracle(5, "A", MONOMIAL_DEGREE_CAP + 1)
     with pytest.raises(ValueError):
         standard_monomial_oracle(5, "Q", 2)
+
+
+@pytest.mark.parametrize("n", list(range(3, 41)) + [200, 489])
+def test_hilbert_data_a_matches_its_parts(n):
+    for order in (0, 4, (n + 1) // 2 + 9):
+        dims, form, poly = hilbert_data_a(n, order)
+        assert dims == graded_dimensions(n, "A", order)
+        assert form == numerator_a(n)
+        assert poly == hilbert_polynomial_a(n)

@@ -118,3 +118,11 @@ def test_hvector_serialization():
     table = h_table(6)
     assert table.to_json_dict() == {"n": 6, "h": [1, 2, 2]}
     assert table.csv_rows() == [(6, 0, 1), (6, 1, 2), (6, 2, 2)]
+
+
+@pytest.mark.parametrize("n", [500, 2001])
+def test_h_table_matches_h_entry_at_large_n(n):
+    # h_table carries the binomial by its ratio recurrence; h_entry
+    # computes each entry afresh and is its oracle.
+    row = tuple(h_entry(n, i) for i in range(max_peak_count(n) + 1))
+    assert h_table(n) == HVector(n, row)
