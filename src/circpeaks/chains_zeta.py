@@ -16,7 +16,14 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
-from .complex_poset import FaceTable, _check_poset_cap, all_faces, face_table
+from .complex_poset import (
+    FaceTable,
+    _check_poset_cap,
+    _mask,
+    _submasks,
+    all_faces,
+    face_table,
+)
 from .exact_algebra import ExactPoly, as_integer, multinomial
 from .peak_sets import max_peak_count
 
@@ -64,11 +71,17 @@ def zeta_polynomial(n: int) -> ExactPoly:
 
 
 def _faces_below(n: int, strict: bool) -> list[list[int]]:
-    """For each face b of all_faces(n), the indices of the faces a < b (a <= b)."""
-    fs = [frozenset(f.elements) for f in all_faces(n)]
-    if strict:
-        return [[j for j, a in enumerate(fs) if a < b] for b in fs]
-    return [[j for j, a in enumerate(fs) if a <= b] for b in fs]
+    """For each face b of all_faces(n), the indices of the faces a < b (a <= b), ascending.
+
+    The faces below b are the submasks of b's bitmask that are faces, at
+    most 2^D of them with D = floor((n-1)/2); each is looked up in the
+    face index.  That is O(m 2^D) lookups for the m faces, instead of
+    comparing all m^2 pairs.
+    """
+    masks = [_mask(f.elements) for f in all_faces(n)]
+    index = {m: j for j, m in enumerate(masks)}
+    return [sorted(index[s] for s in _submasks(b) if s in index and not (strict and s == b))
+            for b in masks]
 
 
 def multichain_oracle(n: int, length: int) -> int:

@@ -3,7 +3,9 @@
 Every closed form in the library is checked here against an independent
 brute-force path (exhaustive permutation scan, subset scan, poset chain
 enumeration, monomial enumeration, series cross-multiplication).  One
-result line per check; all comparisons are bit-exact.
+result line per check; all comparisons are bit-exact.  Within one
+run_suite call, the face lists and the S_n sweeps that several checks
+share are built once.
 """
 
 from __future__ import annotations
@@ -40,11 +42,31 @@ class CheckResult(Record):
     detail: str
 
 
-def _valid_subsets(n: int):
-    for k in range(0, peak_sets.max_peak_count(n) + 1):
-        for c in combinations(range(3, n + 1), k):
-            if peak_sets.is_valid(n, c):
-                yield c
+# Objects that several checks enumerate, kept for the length of one
+# run_suite call only; None outside it, so a check called on its own
+# computes afresh.
+_memo: dict | None = None
+
+
+def _memoized(key, build):
+    if _memo is None:
+        return build()
+    if key not in _memo:
+        _memo[key] = build()
+    return _memo[key]
+
+
+def _valid_subsets(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every face of P_n as an ascending tuple, by is_valid over all candidates."""
+    def build():
+        return tuple(c for k in range(0, peak_sets.max_peak_count(n) + 1)
+                     for c in combinations(range(3, n + 1), k)
+                     if peak_sets.is_valid(n, c))
+    return _memoized(("valid_subsets", n), build)
+
+
+def _cp_class_table(n: int) -> dict[tuple[int, ...], int]:
+    return _memoized(("cp_class_table", n), lambda: perm_core.cp_class_table(n))
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +76,7 @@ def _valid_subsets(n: int):
 def check_partition(max_n: int) -> tuple[bool, str]:
     top = min(PERM_DEFAULT, max_n)
     for n in range(1, top + 1):
-        table = perm_core.cp_class_table(n)
+        table = _cp_class_table(n)
         if sum(table.values()) != factorial(n):
             return False, f"class sizes do not sum to n! at n={n}"
     return True, f"CP classes partition S_n for n <= {top}"
@@ -63,7 +85,7 @@ def check_partition(max_n: int) -> tuple[bool, str]:
 def check_validity_equivalence(max_n: int) -> tuple[bool, str]:
     top = min(PERM_DEFAULT, max_n)
     for n in range(3, top + 1):
-        table = perm_core.cp_class_table(n)
+        table = _cp_class_table(n)
         for k in range(0, n + 1):
             for s in combinations(range(1, n + 1), k):
                 nonempty = s in table
@@ -149,10 +171,12 @@ def check_extension_law(max_n: int) -> tuple[bool, str]:
 def check_downward_closure(max_n: int) -> tuple[bool, str]:
     top = min(POSET_DEFAULT, max_n + 6)
     for n in range(3, top + 1):
-        for s in _valid_subsets(n):
+        faces = _valid_subsets(n)
+        face_set = set(faces)
+        for s in faces:
             for k in range(len(s)):
                 for t in combinations(s, k):
-                    if not peak_sets.is_valid(n, t):
+                    if t not in face_set:
                         return False, f"subset {t} of face {s} invalid at n={n}"
     return True, f"every subset of a face is a face, n <= {top}"
 
@@ -597,12 +621,17 @@ def run_suite(suite: str, max_n: int = PERM_DEFAULT) -> list[CheckResult]:
     unknown = [s for s in names if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite(s): {unknown}; choose from {list(SUITES)} or 'all'")
+    global _memo
+    _memo = {}
     results = []
-    for s in names:
-        for name, fn in SUITES[s]:
-            try:
-                ok, detail = fn(max_n)
-            except Exception as exc:  # a crash is a failure, not an abort
-                ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-            results.append(CheckResult(s, name, ok, detail))
+    try:
+        for s in names:
+            for name, fn in SUITES[s]:
+                try:
+                    ok, detail = fn(max_n)
+                except Exception as exc:  # a crash is a failure, not an abort
+                    ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+                results.append(CheckResult(s, name, ok, detail))
+    finally:
+        _memo = None
     return results

@@ -14,7 +14,7 @@ from circpeaks.chains_zeta import (
     zeta_polynomial,
     zeta_values,
 )
-from circpeaks.complex_poset import FaceTable, f_polynomial, face_table
+from circpeaks.complex_poset import FaceTable, all_faces, f_polynomial, face_table
 from circpeaks.exact_algebra import (
     ExactPoly,
     NonIntegralError,
@@ -159,6 +159,17 @@ def test_chain_oracle_stops_when_counts_vanish():
     started = time.perf_counter()
     assert chain_oracle(14, 60) == 0
     assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("n", range(3, 13))
+def test_faces_below_matches_all_pairs_reference(n, strict):
+    fs = [frozenset(f.elements) for f in all_faces(n)]
+    if strict:
+        reference = [[j for j, a in enumerate(fs) if a < b] for b in fs]
+    else:
+        reference = [[j for j, a in enumerate(fs) if a <= b] for b in fs]
+    assert chains_zeta._faces_below(n, strict) == reference
 
 
 def test_poset_cap():

@@ -160,6 +160,54 @@ def test_product_structure(n):
     assert verify_product_structure(n)
 
 
+def _product_structure_all_pairs(n):
+    """The product-structure check with the order tested on every pair of faces."""
+    base = [frozenset(f.elements) for f in complex_poset.all_faces(n)]
+    big = [frozenset(f.elements) for f in complex_poset.all_faces(n + 1)]
+    image = {S: (2 if n + 1 in S else 1, S - {n + 1}) for S in big}
+    target = {(a, T) for a in (1, 2) for T in base}
+    if n % 2:
+        target -= {(2, T) for T in base if len(T) == max_peak_count(n)}
+    if set(image.values()) != target or len(set(image.values())) != len(big):
+        return False
+    return all((S <= S2) == (image[S][0] <= image[S2][0] and image[S][1] <= image[S2][1])
+               for S in big for S2 in big)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_product_structure_matches_all_pairs_reference(n):
+    assert verify_product_structure(n) == _product_structure_all_pairs(n)
+
+
+def _patch_faces_of(monkeypatch, m, edit):
+    real = complex_poset.all_faces
+    monkeypatch.setattr(complex_poset, "all_faces",
+                        lambda k: edit(real(k)) if k == m else real(k))
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 8])
+def test_product_structure_rejects_a_missing_face(monkeypatch, n):
+    _patch_faces_of(monkeypatch, n + 1, lambda fs: fs[:-1])
+    assert not verify_product_structure(n)
+    assert not _product_structure_all_pairs(n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 8])
+def test_product_structure_rejects_an_added_non_face(monkeypatch, n):
+    non_face = PeakSet(n + 1, (3, 4))
+    assert not is_valid(n + 1, non_face)
+    _patch_faces_of(monkeypatch, n + 1, lambda fs: fs + [non_face])
+    assert not verify_product_structure(n)
+    assert not _product_structure_all_pairs(n)
+
+
+def test_product_structure_order_test_is_live(monkeypatch):
+    # With only the face itself in each down-set, the image of the down-set
+    # of a face carrying n+1 misses the face below it in the product.
+    monkeypatch.setattr(complex_poset, "_submasks", lambda mask: iter((mask,)))
+    assert not verify_product_structure(4)
+
+
 def test_caps():
     with pytest.raises(ResourceLimitError):
         faces(15, 1)
