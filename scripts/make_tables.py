@@ -31,14 +31,13 @@ def main() -> None:
     for n in range(args.min_n, args.max_n + 1):
         dims = hilbert_series_a(n, args.order)
         form = numerator_a(n)
-        nums = [int(c) for c in form.numerator.coeffs]
+        nums = list(form.numerator.coeffs)
         print(f"{n:>3}  {str(list(dims)):<40} {nums} / (1-x)^{form.denominator_exponent}")
 
     print()
     print(f"{'n':>3}  B series coefficients")
     for n in range(args.min_n, args.max_n + 1):
-        coeffs = [int(c) for c in hilbert_series_b(n).coeffs]
-        print(f"{n:>3}  {coeffs}")
+        print(f"{n:>3}  {list(hilbert_series_b(n).coeffs)}")
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from .complex_poset import (
     all_faces,
     face_table,
 )
-from .exact_algebra import ExactPoly, as_integer, multinomial
+from .exact_algebra import ExactPoly, as_integer, exact_quotient, multinomial
 from .peak_sets import max_peak_count
 
 
@@ -84,43 +84,38 @@ def _faces_below(n: int, strict: bool) -> list[list[int]]:
             for b in masks]
 
 
-def multichain_oracle(n: int, length: int) -> int:
-    """Exhaustive count of weakly increasing length-tuples of faces.
+def _count_chains(n: int, length: int, strict: bool) -> int:
+    """Tuples of ``length`` faces, each below the next (strictly if strict).
 
-    counts[k] is the number of multichains of the current length ending
-    at face k, summed over per-face lists of the faces below it.
+    counts[k] is the number of tuples of the current length ending at
+    face k, summed over per-face lists of the faces below it.  Once every
+    count is zero no longer tuple exists, so the level loop stops there;
+    that never happens for multichains, as every face is below itself.
     """
-    if length < 0:
-        raise ValueError("length must be >= 0")
     _check_poset_cap(n)
     if length == 0:
         return 1
-    below = _faces_below(n, strict=False)
+    below = _faces_below(n, strict)
     counts = [1] * len(below)
     for _ in range(length - 1):
-        counts = [sum(counts[j] for j in js) for js in below]
-    return sum(counts)
-
-
-def chain_oracle(n: int, i: int) -> int:
-    """Exhaustive count of strictly increasing i-tuples of faces.
-
-    counts[k] is the number of chains of the current length ending at
-    face k.  Once every count is zero no longer chain exists, so the
-    level loop stops there.
-    """
-    if i < 0:
-        raise ValueError("i must be >= 0")
-    _check_poset_cap(n)
-    if i == 0:
-        return 1
-    below = _faces_below(n, strict=True)
-    counts = [1] * len(below)
-    for _ in range(i - 1):
         counts = [sum(counts[j] for j in js) for js in below]
         if not any(counts):
             return 0
     return sum(counts)
+
+
+def multichain_oracle(n: int, length: int) -> int:
+    """Exhaustive count of weakly increasing length-tuples of faces."""
+    if length < 0:
+        raise ValueError("length must be >= 0")
+    return _count_chains(n, length, strict=False)
+
+
+def chain_oracle(n: int, i: int) -> int:
+    """Exhaustive count of strictly increasing i-tuples of faces."""
+    if i < 0:
+        raise ValueError("i must be >= 0")
+    return _count_chains(n, i, strict=True)
 
 
 def _compositions(total: int, mins: list[int]) -> Iterator[tuple[int, ...]]:
@@ -133,12 +128,13 @@ def _compositions(total: int, mins: list[int]) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def chain_count_formula(n: int, i: int) -> Fraction:
+def chain_count_formula(n: int, i: int) -> int:
     """d_{n,i} by the multinomial composition sum, evaluated literally.
 
     Sum over (d_1, ..., d_{i+1}) with sum = n, d_1 >= 0, middle parts >= 1
     and d_{i+1} >= n - floor((n-1)/2); the weight (2 d_{i+1} - n)/n is not
-    clamped.  Always integral on the tested range.  Its cost grows
+    clamped.  The integer sum of multinomial * (2 d_{i+1} - n) is divided
+    by n once, exactly, or NonIntegralError is raised.  Its cost grows
     exponentially in n: production code uses chain_counts, and this sum is
     the oracle it is checked against.
     """
@@ -147,10 +143,8 @@ def chain_count_formula(n: int, i: int) -> Fraction:
     if i < 1:
         raise ValueError("i must be >= 1")
     mins = [0] + [1] * (i - 1) + [n - max_peak_count(n)]
-    total = Fraction(0)
-    for parts in _compositions(n, mins):
-        total += Fraction(multinomial(parts)) * Fraction(2 * parts[-1] - n, n)
-    return total
+    total = sum(multinomial(parts) * (2 * parts[-1] - n) for parts in _compositions(n, mins))
+    return exact_quotient(total, n, f"chain_count_formula({n}, {i})")
 
 
 def chain_counts(n: int) -> tuple[int, ...]:
@@ -190,6 +184,6 @@ def f_polynomial_from_chains(n: int) -> ExactPoly:
         for j in range(2, i - 1):
             fact *= j
         term = term.scale(Fraction(1, fact))
-        shift = [Fraction(0)] * (top + 2 - i) + [Fraction(1)]
+        shift = [0] * (top + 2 - i) + [1]
         acc = acc + term * ExactPoly(shift)
     return acc

@@ -63,6 +63,19 @@ def _emit_csv(rows, header, out) -> None:
     out.write(buf.getvalue())
 
 
+def _emit_count(args, key: str, value: int, oracle, out) -> None:
+    """A count of zeta or chains, with its poset oracle's value up to POSET_CAP."""
+    found = oracle() if args.n <= complex_poset.POSET_CAP else None
+    match = None if found is None else value == found
+    if args.format == "csv":
+        _emit_csv([[args.n, args.i, value, "" if found is None else found,
+                    "" if match is None else match]],
+                  ["n", "i", "value", "oracle_value", "match"], out)
+    else:
+        _emit_json({"n": args.n, "i": args.i, key: value,
+                    "oracle": found, "match": match}, out)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="circpeaks", description=__doc__)
     sub = parser.add_subparsers(dest="command")
@@ -212,37 +225,16 @@ def _run(args, out) -> int:
     elif args.command == "zeta":
         _require(args.n >= 3, "--n must be >= 3")
         _require(args.i >= 2, "--i must be >= 2 (zeta counts i-1 element multichains)")
-        value = chains_zeta.zeta(args.n, args.i)
-        oracle = None
-        if args.n <= complex_poset.POSET_CAP:
-            oracle = chains_zeta.multichain_oracle(args.n, args.i - 1)
-        if args.format == "csv":
-            _emit_csv([[args.n, args.i, value,
-                        "" if oracle is None else oracle,
-                        "" if oracle is None else (value == oracle)]],
-                      ["n", "i", "value", "oracle_value", "match"], out)
-        else:
-            _emit_json({"n": args.n, "i": args.i, "zeta": value,
-                        "oracle": oracle,
-                        "match": None if oracle is None else value == oracle}, out)
+        _emit_count(args, "zeta", chains_zeta.zeta(args.n, args.i),
+                    lambda: chains_zeta.multichain_oracle(args.n, args.i - 1), out)
 
     elif args.command == "chains":
         _require(args.n >= 3, "--n must be >= 3")
         _require(args.i >= 1, "--i must be >= 1")
         top = peak_sets.max_peak_count(args.n)
         value = chains_zeta.chain_counts(args.n)[args.i] if args.i <= top + 1 else 0
-        oracle = None
-        if args.n <= complex_poset.POSET_CAP:
-            oracle = chains_zeta.chain_oracle(args.n, args.i)
-        if args.format == "csv":
-            _emit_csv([[args.n, args.i, value,
-                        "" if oracle is None else oracle,
-                        "" if oracle is None else (value == oracle)]],
-                      ["n", "i", "value", "oracle_value", "match"], out)
-        else:
-            _emit_json({"n": args.n, "i": args.i, "count": value,
-                        "oracle": oracle,
-                        "match": None if oracle is None else value == oracle}, out)
+        _emit_count(args, "count", value,
+                    lambda: chains_zeta.chain_oracle(args.n, args.i), out)
 
     elif args.command == "moebius":
         _require(args.n >= 3, "--n must be >= 3")

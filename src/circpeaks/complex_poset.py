@@ -17,7 +17,6 @@ the reduced Euler characteristic and the product-structure check.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from fractions import Fraction
 from itertools import combinations
 
 from .exact_algebra import (
@@ -151,7 +150,8 @@ def f_polynomial_by_recurrence(n: int) -> ExactPoly:
         if m % 2 == 0:
             p = one_plus_x * p
         else:
-            c = Fraction(2, m + 1) * binomial(m - 1, (m - 1) // 2)
+            c = exact_quotient(2 * binomial(m - 1, (m - 1) // 2), m + 1,
+                               f"the Catalan term 2/(m+1) C(m-1,(m-1)/2) at m={m}")
             p = (one_plus_x * p - ExactPoly.constant(c)).exact_div(ExactPoly.x())
     return p
 

@@ -1,8 +1,10 @@
 """Exact rational polynomial and truncated power-series arithmetic.
 
-Built on fractions.Fraction, for the oracles, the printed-form checks and
-ExactPoly return values only; production paths compute in integers and no
-floating point appears anywhere in the library.  Two value kinds live here:
+A coefficient is an int whenever it is integral and a fractions.Fraction
+only when it is not, so integer data stays in integer arithmetic.  These
+types serve the oracles, the printed-form checks and ExactPoly return
+values; production paths compute in integers and no floating point
+appears anywhere in the library.  Two value kinds live here:
 
   ExactPoly   -- dense univariate polynomial over Q, coeffs low-to-high
   PolySeries  -- truncated power series in y whose coefficients are
@@ -50,8 +52,16 @@ def exact_quotient(num: int, den: int, what: str) -> int:
     return q
 
 
-def _normalize(coeffs: Iterable[Rational]) -> tuple[Fraction, ...]:
-    out = [Fraction(c) for c in coeffs]
+def _exact(c) -> Rational:
+    """c as an int if it is integral, else as a Fraction (a float exactly)."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _normalize(coeffs: Iterable) -> tuple[Rational, ...]:
+    out = [_exact(c) for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -60,12 +70,15 @@ def _normalize(coeffs: Iterable[Rational]) -> tuple[Fraction, ...]:
 class ExactPoly(Record):
     """Dense univariate polynomial over Q; coeffs[k] is the x^k coefficient.
 
-    The zero polynomial has an empty coefficient tuple.  Instances are
+    Each coefficient is an int when it is integral and a Fraction only
+    when it is not; since 1 == Fraction(1) with equal hashes, equality,
+    hashing and str do not depend on how a polynomial was built.  The
+    zero polynomial has an empty coefficient tuple.  Instances are
     immutable and all arithmetic is exact.
     """
 
     __slots__ = ("coeffs",)
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     def __init__(self, coeffs: Iterable[Rational] = ()):
         set_field(self, "coeffs", _normalize(coeffs))
@@ -86,10 +99,10 @@ class ExactPoly(Record):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, k: int) -> Fraction:
+    def coeff(self, k: int) -> Rational:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return Fraction(0)
+        return 0
 
     def __add__(self, other: "ExactPoly") -> "ExactPoly":
         a, b = self.coeffs, other.coeffs
@@ -109,7 +122,7 @@ class ExactPoly(Record):
     def __mul__(self, other: "ExactPoly") -> "ExactPoly":
         if self.is_zero() or other.is_zero():
             return ExactPoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -118,13 +131,11 @@ class ExactPoly(Record):
         return ExactPoly(out)
 
     def scale(self, c: Rational) -> "ExactPoly":
-        c = Fraction(c)
         return ExactPoly(tuple(c * a for a in self.coeffs))
 
-    def eval(self, q: Rational) -> Fraction:
-        """Exact Horner evaluation at a rational point."""
-        q = Fraction(q)
-        acc = Fraction(0)
+    def eval(self, q: Rational) -> Rational:
+        """Exact Horner evaluation at a rational point; an int at an int point."""
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * q + c
         return acc
@@ -147,9 +158,9 @@ class ExactPoly(Record):
         lead = dv[-1]
         if len(rem) - 1 < dd:
             return ExactPoly(()), ExactPoly(rem)
-        quot = [Fraction(0)] * (len(rem) - dd)
+        quot = [0] * (len(rem) - dd)
         for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k] / lead
+            c = Fraction(rem[k]) / lead  # never int / int, which is a float
             if c != 0:
                 quot[k - dd] = c
                 for j in range(dd + 1):

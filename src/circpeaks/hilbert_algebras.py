@@ -198,11 +198,11 @@ def graded_dimensions(n: int, algebra: str, max_degree: int) -> GradedDimensions
 # truncated-series identities; production paths never use them)
 
 
-def _series(n: int, order: int) -> list[Fraction]:
-    return [Fraction(d) for d in hilbert_series_a(n, order)]
+def _series(n: int, order: int) -> list[int]:
+    return list(hilbert_series_a(n, order))
 
 
-def _xd(s: list[Fraction]) -> list[Fraction]:
+def _xd(s: list) -> list:
     """x * d/dx acting on a coefficient list: multiplies coeff k by k."""
     return [k * c for k, c in enumerate(s)]
 
@@ -242,7 +242,7 @@ def verify_numerator_recurrence_a(n: int) -> bool:
         a = numerator_a(n).numerator
         lhs = numerator_a(n + 1).numerator
         rhs = x * one_minus_x * a.derivative() + \
-            ExactPoly((1, Fraction(n, 2) - 1)) * a
+            ExactPoly((1, n // 2 - 1)) * a
         return lhs == rhs
     a0 = numerator_a(n).numerator
     a1 = numerator_a(n + 1).numerator
@@ -251,7 +251,7 @@ def verify_numerator_recurrence_a(n: int) -> bool:
     lhs = one_minus_x * a3
     rhs = (
         x * one_minus_x * a2.derivative()
-        + ExactPoly((1, Fraction(n + 1, 2))) * a2
+        + ExactPoly((1, (n + 1) // 2)) * a2
         + (x * one_minus_x * one_minus_x * a1.derivative()).scale(Fraction(4 * n, n + 3))
         + (x * one_minus_x * a1).scale(Fraction(2 * n * (n + 1), n + 3))
         - (x * one_minus_x * ExactPoly((2, n - 1)) * a0.derivative()).scale(Fraction(4 * n, n + 3))

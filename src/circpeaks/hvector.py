@@ -11,8 +11,6 @@ these integer entries; the shift P_n(x-1) is an oracle only.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .complex_poset import _corrected_series, _printed_series_discrepancy
 from .exact_algebra import (
     ExactPoly,
@@ -64,7 +62,8 @@ def h_polynomial_by_recurrence(n: int) -> ExactPoly:
         if m % 2 == 0:
             h = x * h
         else:
-            c = Fraction(2, m + 1) * binomial(m - 1, (m - 1) // 2)
+            c = exact_quotient(2 * binomial(m - 1, (m - 1) // 2), m + 1,
+                               f"the Catalan term 2/(m+1) C(m-1,(m-1)/2) at m={m}")
             h = (x * h - ExactPoly.constant(c)).exact_div(ExactPoly((-1, 1)))
     return h
 

@@ -101,7 +101,17 @@ def test_chain_oracle_examples():
 @pytest.mark.parametrize("n", range(3, 13))
 def test_chain_formula_matches_oracle(n):
     for i in range(1, 5):
-        assert chain_count_formula(n, i) == chain_oracle(n, i)
+        formula = chain_count_formula(n, i)
+        assert type(formula) is int
+        assert formula == chain_oracle(n, i)
+
+
+def test_chain_formula_rejects_a_sum_not_divisible_by_n(monkeypatch):
+    # n=5, i=1 sums over (0,5), (1,4), (2,3) with weights 5, 3, 1: with every
+    # multinomial 1 the sum is 9, which 5 does not divide.
+    monkeypatch.setattr(chains_zeta, "multinomial", lambda parts: 1)
+    with pytest.raises(NonIntegralError, match=r"chain_count_formula\(5, 1\)"):
+        chain_count_formula(5, 1)
 
 
 def test_chain_formula_counts_elements():

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circpeaks.chains_zeta import zeta_polynomial
+from circpeaks.complex_poset import f_polynomial, f_polynomial_by_recurrence
 from circpeaks.exact_algebra import (
     ExactPoly,
     InexactDivisionError,
@@ -15,6 +17,8 @@ from circpeaks.exact_algebra import (
     poly_shift,
     poly_shift_inverse,
 )
+from circpeaks.hilbert_algebras import hilbert_polynomial_a, hilbert_series_b, numerator_a
+from circpeaks.hvector import h_polynomial, h_polynomial_by_recurrence
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=7
@@ -27,6 +31,52 @@ def test_eval_examples():
     assert ExactPoly((1, 1)).eval(Fraction(1, 2)) == Fraction(3, 2)
     # P_5(x) = x^2 + 3x + 2 has root -1
     assert ExactPoly((2, 3, 1)).eval(-1) == 0
+
+
+def test_integral_coefficients_are_ints_and_others_fractions():
+    p = ExactPoly((1, Fraction(4, 2), Fraction(1, 3), True, Fraction(0), 0))
+    assert p.coeffs == (1, 2, Fraction(1, 3), 1)
+    assert [type(c) for c in p.coeffs] == [int, int, Fraction, int]
+    assert type(p.coeff(7)) is int
+
+
+def test_int_built_and_fraction_built_polys_are_one_value():
+    a = ExactPoly((1, 2, 3))
+    b = ExactPoly((Fraction(1), Fraction(4, 2), Fraction(3)))
+    assert a == b and hash(a) == hash(b) and str(a) == str(b)
+    assert b.coeffs == (1, 2, 3) and all(type(c) is int for c in b.coeffs)
+    assert hash(a) == hash(((1, 2, 3),))
+
+
+def test_integer_arithmetic_stays_integer():
+    p, q = ExactPoly((1, -2, 3)), ExactPoly((0, 5))
+    for r in (p + q, p - q, p * q, -p, p.scale(3), p.derivative(),
+              poly_shift(p), p.exact_div(ExactPoly((1, -2, 3)))):
+        assert all(type(c) is int for c in r.coeffs)
+    assert type(p.eval(4)) is int and p.eval(4) == 41
+
+
+def test_divmod_by_a_non_monic_integer_divisor_is_exact():
+    q, r = ExactPoly((1, 0, 1)).divmod(ExactPoly((1, 2)))
+    assert q.coeffs == (Fraction(-1, 4), Fraction(1, 2))
+    assert r.coeffs == (Fraction(5, 4),)
+    assert all(type(c) is Fraction for c in q.coeffs + r.coeffs)
+    assert q * ExactPoly((1, 2)) + r == ExactPoly((1, 0, 1))
+
+
+def test_non_integral_inputs_are_unchanged():
+    assert ExactPoly((0.5,)).coeffs == (Fraction(1, 2),)
+    assert type(ExactPoly((0.5,)).coeffs[0]) is Fraction
+    value = ExactPoly((1, 1)).eval(Fraction(1, 2))
+    assert value == Fraction(3, 2) and type(value) is Fraction
+
+
+@pytest.mark.parametrize("n", range(3, 61))
+def test_library_polynomials_have_int_coefficients(n):
+    for p in (f_polynomial(n), f_polynomial_by_recurrence(n), h_polynomial(n),
+              h_polynomial_by_recurrence(n), zeta_polynomial(n), hilbert_polynomial_a(n),
+              numerator_a(n).numerator, hilbert_series_b(n)):
+        assert all(type(c) is int for c in p.coeffs), p
 
 
 def test_shift_examples():

@@ -25,8 +25,8 @@ from circpeaks.verify import CheckResult
 CASES = {
     "ExactPoly": (
         lambda: ExactPoly((1, 2, 0)),
-        ((Fraction(1), Fraction(2)),),
-        "ExactPoly(coeffs=(Fraction(1, 1), Fraction(2, 1)))",
+        ((1, 2),),
+        "ExactPoly(coeffs=(1, 2))",
     ),
     "Permutation": (
         lambda: Permutation((2, 3, 1)),
@@ -61,8 +61,7 @@ CASES = {
     "RationalSeriesForm": (
         lambda: RationalSeriesForm(ExactPoly((1, 1)), 3),
         (ExactPoly((1, 1)), 3),
-        "RationalSeriesForm(numerator=ExactPoly(coeffs=(Fraction(1, 1), "
-        "Fraction(1, 1))), denominator_exponent=3)",
+        "RationalSeriesForm(numerator=ExactPoly(coeffs=(1, 1)), denominator_exponent=3)",
     ),
     "CheckResult": (
         lambda: CheckResult("perm", "cp-classes-partition", True, "ok"),
@@ -93,6 +92,12 @@ def test_equality_hash_and_repr(name):
     assert hash(a) == hash(b) == hash(values)
     assert repr(a) == text
     assert tuple(getattr(a, f) for f in type(a).__slots__) == values
+
+
+def test_exact_poly_repr_keeps_a_non_integral_coefficient_a_fraction():
+    p = ExactPoly((Fraction(1, 2), 3, Fraction(4, 2)))
+    assert repr(p) == "ExactPoly(coeffs=(Fraction(1, 2), 3, 2))"
+    assert p == ExactPoly((Fraction(1, 2), Fraction(3), 2)) and hash(p) == hash(((Fraction(1, 2), 3, 2),))
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -1,7 +1,7 @@
 """The verify registry as a whole: the memo of one run_suite call, and
 the pinned result line of every check at --max-n 8."""
 
-from circpeaks import peak_sets, perm_core, verify
+from circpeaks import complex_poset, perm_core, verify
 
 # (suite, name, detail) of every check of run_suite("all", 8).  A detail
 # states the range a check covered, so a range that shrinks fails here.
@@ -134,12 +134,25 @@ def test_check_outside_run_suite_computes_afresh(monkeypatch):
 
 
 def test_downward_closure_catches_a_rejected_subface(monkeypatch):
-    real = peak_sets.is_valid
-    monkeypatch.setattr(peak_sets, "is_valid",
+    real = complex_poset.is_valid
+    monkeypatch.setattr(complex_poset, "is_valid",
                         lambda n, s: tuple(s) != (3,) and real(n, s))
     ok, detail = verify.check_downward_closure(8)
     assert not ok
     assert detail == "subset (3,) of face (3, 5) invalid at n=5"
+
+
+def test_face_count_checks_read_the_run_face_list(monkeypatch):
+    monkeypatch.setattr(verify, "_memo", {})
+    for n in range(3, 15):
+        verify._valid_subsets(n)
+    calls = []
+    real = complex_poset.is_valid
+    monkeypatch.setattr(complex_poset, "is_valid",
+                        lambda n, s: calls.append(n) or real(n, s))
+    assert verify.check_face_counts(8)[0]
+    assert verify.check_face_dyck_counts(8)[0]
+    assert calls == []
 
 
 def test_run_suite_all_pins_every_result_line():
