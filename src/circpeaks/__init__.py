@@ -7,87 +7,70 @@ statistics, the face/h data, chain and zeta counts, and the Hilbert data
 of the two associated monomial-quotient algebras, in exact integer arithmetic
 on every production path and cross-checked against brute-force
 oracles (see circpeaks.verify and the `circpeaks verify` subcommand).
+
+The public names below are resolved on first use (PEP 562), each from the
+module that defines it, so importing the package, or one module of it,
+loads nothing else.
 """
 
-from .exact_algebra import (
-    ClosedFormMismatchError,
-    ExactPoly,
-    InexactDivisionError,
-    NonIntegralError,
-    binomial,
-    catalan_number,
-    catalan_series,
-    multinomial,
-    poly_shift,
-    poly_shift_inverse,
-)
-from .perm_core import (
-    PERMUTATION_CAP,
-    Permutation,
-    ResourceLimitError,
-    circular_descent_set,
-    circular_peak_set,
-    cp_class_size,
-    enumerate_cp_class,
-)
-from .peak_sets import (
-    DyckFormatError,
-    DyckPrefix,
-    InvalidPeakSetError,
-    PeakSet,
-    count_valid,
-    from_dyck,
-    is_valid,
-    max_peak_count,
-    to_dyck,
-    witness,
-)
-from .complex_poset import (
-    POSET_CAP,
-    FaceTable,
-    euler_characteristic,
-    euler_characteristic_closed_form,
-    f_generating_series,
-    f_polynomial,
-    face_count,
-    face_counts_by_recurrence,
-    face_table,
-    faces,
-    moebius,
-    moebius_recursive_oracle,
-    verify_product_structure,
-)
-from .chains_zeta import (
-    chain_count_formula,
-    chain_counts,
-    chain_oracle,
-    f_polynomial_from_chains,
-    multichain_oracle,
-    zeta,
-    zeta_polynomial,
-    zeta_values,
-    zeta_values_of,
-)
-from .hvector import (
-    HVector,
-    h_dyck_oracle,
-    h_entry,
-    h_generating_series,
-    h_polynomial,
-    h_recurrence_table,
-    h_table,
-)
-from .hilbert_algebras import (
-    GradedDimensions,
-    RationalSeriesForm,
-    dim_a,
-    dim_b,
-    hilbert_data_a,
-    hilbert_polynomial_a,
-    hilbert_series_a,
-    hilbert_series_b,
-    numerator_a,
-    standard_monomial_oracle,
-)
-
 __version__ = "0.1.0"
+
+# Each public name, under the module that defines it.
+_DEFINED_IN = {
+    "exact_algebra": (
+        "ExactPoly", "binomial", "catalan_number", "catalan_series",
+        "multinomial", "poly_shift", "poly_shift_inverse",
+    ),
+    "perm_core": (
+        "PERMUTATION_CAP", "Permutation", "circular_descent_set",
+        "circular_peak_set", "cp_class_size", "enumerate_cp_class",
+    ),
+    "peak_sets": (
+        "DyckFormatError", "DyckPrefix", "InvalidPeakSetError", "PeakSet",
+        "count_valid", "from_dyck", "is_valid", "to_dyck", "witness",
+    ),
+    "complex_poset": (
+        "f_generating_series", "f_polynomial", "face_count",
+        "face_counts_by_recurrence", "faces", "moebius",
+        "moebius_recursive_oracle", "verify_product_structure",
+    ),
+    "chains_zeta": (
+        "chain_count_formula", "chain_oracle", "f_polynomial_from_chains",
+        "multichain_oracle", "zeta_polynomial",
+    ),
+    "hvector": (
+        "h_dyck_oracle", "h_entry", "h_generating_series", "h_polynomial",
+        "h_recurrence_table",
+    ),
+    "hilbert_algebras": (
+        "RationalSeriesForm", "dim_a", "dim_b", "hilbert_data_a",
+        "hilbert_polynomial_a", "hilbert_series_b", "numerator_a",
+        "standard_monomial_oracle",
+    ),
+    "tables": (
+        "POSET_CAP", "ClosedFormMismatchError", "FaceTable", "GradedDimensions",
+        "HVector", "InexactDivisionError", "NonIntegralError",
+        "ResourceLimitError", "chain_counts", "euler_characteristic",
+        "euler_characteristic_closed_form", "face_table", "h_table",
+        "hilbert_series_a", "max_peak_count", "zeta", "zeta_values",
+        "zeta_values_of",
+    ),
+}
+_HOME = {name: module for module, names in _DEFINED_IN.items() for name in names}
+_SUBMODULES = frozenset(_DEFINED_IN) | {"cli", "record", "verify"}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name in _HOME:
+        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME) | _SUBMODULES)

@@ -4,7 +4,8 @@ zeta(n, i) counts multichains of i-1 faces and is evaluated by integer
 Horner over the f-vector.  chain_counts(n) gives every strict chain count
 d_{n,i} from the integer f-vector in O(D^2) big-integer subtractions, D =
 floor((n-1)/2), as the forward differences of the multichain counts,
-which is their binomial inversion (Stanley, EC1 3.12).  The paper's
+which is their binomial inversion (Stanley, EC1 3.12).  Both are defined
+in circpeaks.tables, the integer core, and re-exported here.  The paper's
 multinomial composition sum, chain_count_formula, grows exponentially in
 n and is kept as an oracle only.  Both counts have dumb exhaustive
 oracles over the face poset for cross-checking, and the f-polynomial can
@@ -13,49 +14,23 @@ be rebuilt from the chain counts alone.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from fractions import Fraction
 
-from .complex_poset import (
+from .complex_poset import _check_poset_cap, _mask, _submasks, all_faces
+from .exact_algebra import ExactPoly, multinomial
+# Re-exported from the integer core, which defines them.
+from .tables import (
     FaceTable,
-    _check_poset_cap,
-    _mask,
-    _submasks,
-    all_faces,
+    as_integer,
+    chain_counts,
+    exact_quotient,
     face_table,
+    max_peak_count,
+    zeta,
+    zeta_values,
+    zeta_values_of,
 )
-from .exact_algebra import ExactPoly, as_integer, exact_quotient, multinomial
-from .peak_sets import max_peak_count
-
-
-def zeta_values(n: int, i_values: Iterable[int]) -> tuple[int, ...]:
-    """zeta(n, i) for each i in i_values, from one build of the f-vector."""
-    return zeta_values_of(face_table(n), i_values)
-
-
-def zeta_values_of(table: FaceTable, i_values: Iterable[int]) -> tuple[int, ...]:
-    """zeta(table.n, i) for each i in i_values, from the given f-vector.
-
-    Z(P_n, i) = sum_m p_{n,m-1} (i-1)^m, evaluated by integer Horner over
-    the f-vector.  This is the one evaluation of the multichain formula:
-    zeta, the dimensions of algebra A and the strict chain counts all
-    come through here.
-    """
-    n, f = table.n, table.f
-    out = []
-    for i in i_values:
-        if i < 2:
-            raise ValueError("zeta is defined for i >= 2")
-        acc = 0
-        for p in reversed(f):
-            acc = acc * (i - 1) + p
-        out.append(as_integer(acc, f"zeta({n}, {i})"))
-    return tuple(out)
-
-
-def zeta(n: int, i: int) -> int:
-    """Number of multichains x_1 <= ... <= x_{i-1}; (i-1)^D P_n(1/(i-1))."""
-    return zeta_values(n, (i,))[0]
 
 
 def zeta_polynomial(n: int) -> ExactPoly:
@@ -84,18 +59,21 @@ def _faces_below(n: int, strict: bool) -> list[list[int]]:
             for b in masks]
 
 
-def _count_chains(n: int, length: int, strict: bool) -> int:
+def _count_chains(n: int, length: int, strict: bool,
+                  below: list[list[int]] | None) -> int:
     """Tuples of ``length`` faces, each below the next (strictly if strict).
 
     counts[k] is the number of tuples of the current length ending at
-    face k, summed over per-face lists of the faces below it.  Once every
-    count is zero no longer tuple exists, so the level loop stops there;
-    that never happens for multichains, as every face is below itself.
+    face k, summed over per-face lists of the faces below it (below, or
+    _faces_below(n, strict) if it is None).  Once every count is zero no
+    longer tuple exists, so the level loop stops there; that never
+    happens for multichains, as every face is below itself.
     """
     _check_poset_cap(n)
     if length == 0:
         return 1
-    below = _faces_below(n, strict)
+    if below is None:
+        below = _faces_below(n, strict)
     counts = [1] * len(below)
     for _ in range(length - 1):
         counts = [sum(counts[j] for j in js) for js in below]
@@ -104,18 +82,26 @@ def _count_chains(n: int, length: int, strict: bool) -> int:
     return sum(counts)
 
 
-def multichain_oracle(n: int, length: int) -> int:
-    """Exhaustive count of weakly increasing length-tuples of faces."""
+def multichain_oracle(n: int, length: int, *, below: list[list[int]] | None = None) -> int:
+    """Exhaustive count of weakly increasing length-tuples of faces.
+
+    A caller that counts at several lengths may pass below =
+    _faces_below(n, False), built once; by default it is built here.
+    """
     if length < 0:
         raise ValueError("length must be >= 0")
-    return _count_chains(n, length, strict=False)
+    return _count_chains(n, length, False, below)
 
 
-def chain_oracle(n: int, i: int) -> int:
-    """Exhaustive count of strictly increasing i-tuples of faces."""
+def chain_oracle(n: int, i: int, *, below: list[list[int]] | None = None) -> int:
+    """Exhaustive count of strictly increasing i-tuples of faces.
+
+    A caller that counts at several i may pass below =
+    _faces_below(n, True), built once; by default it is built here.
+    """
     if i < 0:
         raise ValueError("i must be >= 0")
-    return _count_chains(n, i, strict=True)
+    return _count_chains(n, i, True, below)
 
 
 def _compositions(total: int, mins: list[int]) -> Iterator[tuple[int, ...]]:
@@ -145,25 +131,6 @@ def chain_count_formula(n: int, i: int) -> int:
     mins = [0] + [1] * (i - 1) + [n - max_peak_count(n)]
     total = sum(multinomial(parts) * (2 * parts[-1] - n) for parts in _compositions(n, mins))
     return exact_quotient(total, n, f"chain_count_formula({n}, {i})")
-
-
-def chain_counts(n: int) -> tuple[int, ...]:
-    """(d_{n,0}, ..., d_{n,D+1}): strict chains of i faces, in O(D^2) subtractions.
-
-    Z_k = sum_m p_{n,m-1} (k+1)^m = zeta(n, k+2) counts the multichains
-    of k+1 faces (zeta_values).  A multichain of k+1 faces with t+1
-    distinct faces arises from C(k, t) of them, so Z_k = sum_t C(k, t)
-    d_{n,t+1}, and binomial inversion gives
-    d_{n,t+1} = sum_k (-1)^(t-k) C(t, k) Z_k = (Delta^t Z)_0, the t-th
-    forward difference at 0, taken here by repeated differencing of the
-    row Z_0..Z_D.  d_{n,i} = 0 for i > D+1.
-    """
-    z = list(zeta_values(n, range(2, max_peak_count(n) + 3)))  # Z_k = zeta(n, k + 2)
-    out = [1]
-    while z:
-        out.append(z[0])
-        z = [b - a for a, b in zip(z, z[1:])]
-    return tuple(out)
 
 
 def f_polynomial_from_chains(n: int) -> ExactPoly:

@@ -17,16 +17,12 @@ import io
 import json
 import sys
 
-from . import chains_zeta, complex_poset, hilbert_algebras, hvector, peak_sets
-from .exact_algebra import as_integer
-from .peak_sets import DyckFormatError, InvalidPeakSetError, PeakSet
-from .perm_core import (
-    Permutation,
-    ResourceLimitError,
-    circular_descent_set,
-    circular_peak_set,
-    enumerate_cp_class,
-)
+# fvector, hvector, euler, zeta, chains and hilbert read their numbers off
+# the integer core, whose functions are looked up on the module at call
+# time.  Every other module is imported only by the branch that runs it,
+# so those commands load no oracle.
+from .tables import POSET_CAP, ResourceLimitError, as_integer
+from . import tables
 
 
 TABULAR = ("enum-cp", "fvector", "hvector", "zeta", "chains", "hilbert")
@@ -63,9 +59,17 @@ def _emit_csv(rows, header, out) -> None:
     out.write(buf.getvalue())
 
 
-def _emit_count(args, key: str, value: int, oracle, out) -> None:
-    """A count of zeta or chains, with its poset oracle's value up to POSET_CAP."""
-    found = oracle() if args.n <= complex_poset.POSET_CAP else None
+def _emit_count(args, key: str, value: int, length: int, out) -> None:
+    """A count of zeta or chains, with its poset oracle's value up to POSET_CAP.
+
+    The oracle counts the multichains (zeta) or strict chains of ``length``
+    faces; its module is loaded only when it runs.
+    """
+    found = None
+    if args.n <= POSET_CAP:
+        from .chains_zeta import chain_oracle, multichain_oracle
+
+        found = (multichain_oracle if key == "zeta" else chain_oracle)(args.n, length)
     match = None if found is None else value == found
     if args.format == "csv":
         _emit_csv([[args.n, args.i, value, "" if found is None else found,
@@ -152,6 +156,8 @@ def _require(cond: bool, message: str) -> None:
 
 def _run(args, out) -> int:
     if args.command == "stats":
+        from .perm_core import Permutation, circular_descent_set, circular_peak_set
+
         sigma = Permutation(_parse_int_list(args.perm))
         payload = {
             "n": sigma.n,
@@ -162,6 +168,8 @@ def _run(args, out) -> int:
         _emit_json(payload, out)
 
     elif args.command == "enum-cp":
+        from .perm_core import enumerate_cp_class
+
         _require(args.n >= 1, "--n must be >= 1")
         s = _parse_int_list(args.set)
         perms = enumerate_cp_class(args.n, s)
@@ -174,37 +182,43 @@ def _run(args, out) -> int:
                         "perms": [list(p.values) for p in perms]}, out)
 
     elif args.command == "witness":
+        from .peak_sets import PeakSet, witness
+
         _require(args.n >= 3, "--n must be >= 3")
         s = PeakSet(args.n, _parse_int_list(args.set))
-        w = peak_sets.witness(args.n, s)
+        w = witness(args.n, s)
         _emit_json({"n": args.n, "set": list(s.elements),
                     "witness": list(w.values)}, out)
 
     elif args.command == "dyck":
+        from .peak_sets import PeakSet, from_dyck, to_dyck
+
         _require(args.n >= 3, "--n must be >= 3")
         s = PeakSet(args.n, _parse_int_list(args.set))
-        word = peak_sets.to_dyck(s)
-        back = peak_sets.from_dyck(args.n, word)
+        word = to_dyck(s)
+        back = from_dyck(args.n, word)
         _emit_json({"n": args.n, "set": list(s.elements),
                     "word": word.letters,
                     "round_trip": list(back.elements)}, out)
 
     elif args.command == "faces":
+        from .complex_poset import faces
+
         _require(args.n >= 3, "--n must be >= 3")
         if args.dim is not None:
-            fs = complex_poset.faces(args.n, args.dim)
+            fs = faces(args.n, args.dim)
             _emit_json({"n": args.n, "dim": args.dim,
                         "faces": [list(f.elements) for f in fs]}, out)
         else:
             by_dim = {
-                str(d): [list(f.elements) for f in complex_poset.faces(args.n, d)]
-                for d in range(-1, peak_sets.max_peak_count(args.n))
+                str(d): [list(f.elements) for f in faces(args.n, d)]
+                for d in range(-1, tables.max_peak_count(args.n))
             }
             _emit_json({"n": args.n, "faces_by_dim": by_dim}, out)
 
     elif args.command == "fvector":
         _require(args.n >= 3, "--n must be >= 3")
-        table = complex_poset.face_table(args.n)
+        table = tables.face_table(args.n)
         if args.format == "csv":
             _emit_csv(table.csv_rows(), ["n", "dim", "count"], out)
         else:
@@ -214,7 +228,7 @@ def _run(args, out) -> int:
 
     elif args.command == "hvector":
         _require(args.n >= 3, "--n must be >= 3")
-        table = hvector.h_table(args.n)
+        table = tables.h_table(args.n)
         if args.format == "csv":
             _emit_csv(table.csv_rows(), ["n", "i", "h"], out)
         else:
@@ -225,52 +239,53 @@ def _run(args, out) -> int:
     elif args.command == "zeta":
         _require(args.n >= 3, "--n must be >= 3")
         _require(args.i >= 2, "--i must be >= 2 (zeta counts i-1 element multichains)")
-        _emit_count(args, "zeta", chains_zeta.zeta(args.n, args.i),
-                    lambda: chains_zeta.multichain_oracle(args.n, args.i - 1), out)
+        _emit_count(args, "zeta", tables.zeta(args.n, args.i), args.i - 1, out)
 
     elif args.command == "chains":
         _require(args.n >= 3, "--n must be >= 3")
         _require(args.i >= 1, "--i must be >= 1")
-        top = peak_sets.max_peak_count(args.n)
-        value = chains_zeta.chain_counts(args.n)[args.i] if args.i <= top + 1 else 0
-        _emit_count(args, "count", value,
-                    lambda: chains_zeta.chain_oracle(args.n, args.i), out)
+        top = tables.max_peak_count(args.n)
+        value = tables.chain_counts(args.n)[args.i] if args.i <= top + 1 else 0
+        _emit_count(args, "count", value, args.i, out)
 
     elif args.command == "moebius":
+        from .complex_poset import moebius
+        from .peak_sets import PeakSet
+
         _require(args.n >= 3, "--n must be >= 3")
         _require(len(args.set) == 2,
                  "give --set twice: lower face then upper face")
         s = PeakSet(args.n, _parse_int_list(args.set[0]))
         t = PeakSet(args.n, _parse_int_list(args.set[1]))
-        value = complex_poset.moebius(args.n, s, t)
+        value = moebius(args.n, s, t)
         _emit_json({"n": args.n, "s": list(s.elements), "t": list(t.elements),
                     "moebius": value}, out)
 
     elif args.command == "euler":
         _require(args.n >= 3, "--n must be >= 3")
         _emit_json({"n": args.n,
-                    "euler": complex_poset.euler_characteristic(args.n)}, out)
+                    "euler": tables.euler_characteristic(args.n)}, out)
 
     elif args.command == "hilbert":
         _require(args.n >= 3, "--n must be >= 3")
         _require(args.order >= 0, "--order must be >= 0")
         if args.algebra == "B":
-            counts = chains_zeta.chain_counts(args.n)  # dims and series share it
-            dims = hilbert_algebras.graded_dimensions_b(args.n, counts, args.order)
+            counts = tables.chain_counts(args.n)  # dims and series share it
+            dims = tables.graded_dimensions_b(args.n, counts, args.order)
         elif args.format == "csv":
-            dims = hilbert_algebras.graded_dimensions(args.n, "A", args.order)
+            dims = tables.graded_dimensions(args.n, "A", args.order)
         else:  # dims, numerator and polynomial share one f-vector
-            dims, form, poly = hilbert_algebras.hilbert_data_a(args.n, args.order)
+            dims, numerator, exponent, f = tables.hilbert_a_integers(args.n, args.order)
         if args.format == "csv":
             _emit_csv(dims.csv_rows(), ["n", "algebra", "degree", "dim"], out)
         else:
             payload = {"n": args.n, "algebra": args.algebra,
                        "dims": list(dims.dims)}
             if args.algebra == "A":
-                payload["numerator"] = [as_integer(c, "numerator") for c in form.numerator.coeffs]
-                payload["denominator_exponent"] = form.denominator_exponent
+                payload["numerator"] = [as_integer(c, "numerator") for c in numerator]
+                payload["denominator_exponent"] = exponent
                 payload["hilbert_polynomial"] = [as_integer(c, "Hilbert polynomial")
-                                                 for c in poly.coeffs]
+                                                 for c in f]
             else:
                 payload["series_polynomial"] = list(counts)
             _emit_json(payload, out)
@@ -283,11 +298,15 @@ def _run(args, out) -> int:
         # The y^n coefficient is P_n(x) (H_n(x)): the f- (h-)vector, reversed.
         orders = range(3, args.order + 1)
         if args.which == "P":
-            vectors = [complex_poset.face_table(n).f for n in orders]
-            report = complex_poset.printed_f_series_discrepancy()
+            from .complex_poset import printed_f_series_discrepancy
+
+            vectors = [tables.face_table(n).f for n in orders]
+            report = printed_f_series_discrepancy()
         else:
-            vectors = [hvector.h_table(n).h for n in orders]
-            report = hvector.printed_h_series_discrepancy()
+            from .hvector import printed_h_series_discrepancy
+
+            vectors = [tables.h_table(n).h for n in orders]
+            report = printed_h_series_discrepancy()
         payload = {
             "which": args.which,
             "order": args.order,
@@ -323,10 +342,8 @@ def run(argv, out=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _run(args, out)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (InvalidPeakSetError, DyckFormatError, ResourceLimitError, ValueError) as exc:
+    # InvalidPeakSetError and DyckFormatError are ValueErrors.
+    except (CliError, ResourceLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

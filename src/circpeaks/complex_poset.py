@@ -4,14 +4,16 @@ Faces of dimension i are the realizable sets of size i+1; the closed form
 
     p_{n,i} = (n-2i-2)/(i+1) * C(n-1, i)      (p_{n,-1} = 1)
 
-is the production path, evaluated by exact integer division, with the
-enumeration and the parity recurrence kept as independent oracles.
-face_table(n) is the integer f-vector; the f-polynomial, the zeta and
-chain counts and the Hilbert data of algebra A are all read off it.
+is the production path, evaluated by exact integer division in
+circpeaks.tables, with the per-entry closed form face_count, the
+enumeration and the parity recurrence kept here as independent oracles.
+face_table(n), the integer f-vector, and the Euler characteristic are
+defined in circpeaks.tables and re-exported here; f_polynomial is its
+ExactPoly view.
 Also here: the one builder of the corrected generating series, written
 in a with P(x,y) at a = x+1 and H(x,y) = P(x-1,y) at a = x, with the
-one cross-multiplied check of the printed forms; the Moebius function,
-the reduced Euler characteristic and the product-structure check.
+one cross-multiplied check of the printed forms; the Moebius function
+and the product-structure check.
 """
 
 from __future__ import annotations
@@ -19,19 +21,20 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from itertools import combinations
 
-from .exact_algebra import (
+from .exact_algebra import ExactPoly, PolySeries, binomial, catalan_series
+from .peak_sets import PeakSet, is_valid
+# Re-exported from the integer core, which defines them.
+from .tables import (
+    POSET_CAP,
     ClosedFormMismatchError,
-    ExactPoly,
-    PolySeries,
-    binomial,
-    catalan_series,
+    FaceTable,
+    ResourceLimitError,
+    euler_characteristic,
+    euler_characteristic_closed_form,
     exact_quotient,
+    face_table,
+    max_peak_count,
 )
-from .peak_sets import PeakSet, is_valid, max_peak_count
-from .perm_core import ResourceLimitError
-from .record import Record
-
-POSET_CAP = 14
 
 
 def _check_poset_cap(n: int) -> None:
@@ -39,24 +42,6 @@ def _check_poset_cap(n: int) -> None:
         raise ResourceLimitError(
             f"exhaustive face/poset enumeration capped at n <= {POSET_CAP} (got n={n})"
         )
-
-
-class FaceTable(Record):
-    """f-vector of the complex: (p_{n,-1}, p_{n,0}, ..., p_{n,D-1})."""
-
-    __slots__ = ("n", "f")
-    n: int
-    f: tuple[int, ...]
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "f": list(self.f)}
-
-    def csv_rows(self) -> list[tuple[int, int, int]]:
-        return [(self.n, i - 1, p) for i, p in enumerate(self.f)]
-
-    def polynomial(self) -> ExactPoly:
-        """P_n(x) = sum_i p_{n,i-1} x^{D-i}: the f-vector, reversed."""
-        return ExactPoly(reversed(self.f))
 
 
 def faces(n: int, dim: int) -> list[PeakSet]:
@@ -91,23 +76,6 @@ def face_count(n: int, dim: int) -> int:
         return 0
     return exact_quotient((n - 2 * dim - 2) * binomial(n - 1, dim), dim + 1,
                           f"face_count({n}, {dim})")
-
-
-def face_table(n: int) -> FaceTable:
-    """The f-vector, from which every closed form of the package is derived.
-
-    Row i is p_{n,i} = (n-2i-2)/(i+1) * C(n-1, i), with the binomial
-    carried by the ratio recurrence C(n-1, i) = C(n-1, i-1) * (n-i) / i:
-    two small-by-big products and two exact divisions per entry instead
-    of a fresh binomial.  face_count(n, i) is its per-entry oracle.
-    """
-    row = [1]  # p_{n,-1}
-    c = 1  # C(n-1, i)
-    for i in range(max_peak_count(n)):
-        if i:
-            c = c * (n - i) // i
-        row.append(exact_quotient((n - 2 * i - 2) * c, i + 1, f"face_table({n}) entry {i}"))
-    return FaceTable(n, tuple(row))
 
 
 def face_counts_by_recurrence(n: int) -> FaceTable:
@@ -251,45 +219,32 @@ def _require_interval(n: int, s: PeakSet, t: PeakSet) -> None:
 
 
 def moebius_recursive_oracle(n: int, s: PeakSet, t: PeakSet) -> int:
-    """Standard recursive Moebius computation over the face interval."""
+    """Standard recursive Moebius computation over the face interval.
+
+    mu(s, u) = -sum of mu(s, v) over the faces s <= v < u.  Within one
+    call each set of the interval is validated once and each face's
+    value computed once; both are memoized by set.
+    """
     _require_interval(n, s, t)
-    sset, tset = set(s.elements), set(t.elements)
+    sset = frozenset(s.elements)
+    values = {sset: 1}  # mu(s, u) of each face u evaluated so far
+    is_face: dict[frozenset, bool] = {}
 
     def mu(upper: frozenset) -> int:
-        if upper == sset:
-            return 1
-        total = 0
-        between = sorted(upper - sset)
-        for k in range(len(between)):
-            for extra in combinations(between, k):
-                u = frozenset(sset | set(extra))
-                if is_valid(n, u):
-                    total += mu(u)
-        return -total
+        if upper not in values:
+            total = 0
+            between = sorted(upper - sset)
+            for k in range(len(between)):
+                for extra in combinations(between, k):
+                    u = sset.union(extra)
+                    if u not in is_face:
+                        is_face[u] = is_valid(n, u)
+                    if is_face[u]:
+                        total += mu(u)
+            values[upper] = -total
+        return values[upper]
 
-    return mu(frozenset(tset))
-
-
-def euler_characteristic_closed_form(n: int) -> int:
-    """0 for odd n and 2(-1)^(n/2)/n * C(n-2, (n-2)/2) for even n."""
-    if n % 2:
-        return 0
-    return exact_quotient(2 * (-1) ** (n // 2) * binomial(n - 2, (n - 2) // 2), n,
-                          f"closed-form Euler characteristic of P_{n}")
-
-
-def euler_characteristic(n: int) -> int:
-    """Reduced Euler characteristic: alternating sum of the f-vector.
-
-    ClosedFormMismatchError is raised if it differs from
-    euler_characteristic_closed_form(n).
-    """
-    chi = sum((-1) ** (m + 1) * p for m, p in enumerate(face_table(n).f))
-    closed = euler_characteristic_closed_form(n)
-    if chi != closed:
-        raise ClosedFormMismatchError(
-            f"Euler characteristic of P_{n}: f-vector sum {chi} != closed form {closed}")
-    return chi
+    return mu(frozenset(t.elements))
 
 
 def _mask(elements) -> int:

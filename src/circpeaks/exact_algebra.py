@@ -21,35 +21,16 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .record import Record, set_field
+# Re-exported from the integer core, which defines them.
+from .tables import (
+    ClosedFormMismatchError,
+    InexactDivisionError,
+    NonIntegralError,
+    as_integer,
+    exact_quotient,
+)
 
 Rational = int | Fraction
-
-
-class InexactDivisionError(ArithmeticError):
-    """A division that was required to be exact left a remainder."""
-
-
-class NonIntegralError(ArithmeticError):
-    """A value that must be an integer (a count or a dimension) is not."""
-
-
-class ClosedFormMismatchError(ArithmeticError):
-    """A value computed from the f-vector differs from its closed form."""
-
-
-def as_integer(value: Rational, what: str) -> int:
-    """``value`` as an int; NonIntegralError names ``what`` if it is not one."""
-    if Fraction(value).denominator != 1:
-        raise NonIntegralError(f"{what} is not an integer: {value}")
-    return int(value)
-
-
-def exact_quotient(num: int, den: int, what: str) -> int:
-    """num / den by integer divmod; NonIntegralError names ``what`` if inexact."""
-    q, r = divmod(num, den)
-    if r:
-        raise NonIntegralError(f"{what} is not an integer: {Fraction(num, den)}")
-    return q
 
 
 def _exact(c) -> Rational:
@@ -160,7 +141,11 @@ class ExactPoly(Record):
             return ExactPoly(()), ExactPoly(rem)
         quot = [0] * (len(rem) - dd)
         for k in range(len(rem) - 1, dd - 1, -1):
-            c = Fraction(rem[k]) / lead  # never int / int, which is a float
+            r = rem[k]
+            if type(r) is int and type(lead) is int and r % lead == 0:
+                c = r // lead
+            else:
+                c = Fraction(r) / lead  # never int / int, which is a float
             if c != 0:
                 quot[k - dd] = c
                 for j in range(dd + 1):

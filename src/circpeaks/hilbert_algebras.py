@@ -8,7 +8,9 @@ materialized, only the comparability predicate is used.  The A-dimensions
 are zeta values and the B-dimensions the vector chain_counts(n); each
 function here builds the integer f-vector once per call, and
 hilbert_data_a gives the dimensions, rational form and Hilbert
-polynomial of A from one build.
+polynomial of A from one build.  The integer data of both algebras is
+computed in circpeaks.tables, the integer core, and re-exported here;
+the ExactPoly views and the oracles are defined here.
 """
 
 from __future__ import annotations
@@ -17,27 +19,31 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .chains_zeta import chain_counts, zeta, zeta_values, zeta_values_of
-from .complex_poset import all_faces, face_table
-from .exact_algebra import ExactPoly, InexactDivisionError, NonIntegralError
-from .peak_sets import max_peak_count
-from .perm_core import ResourceLimitError
+from .complex_poset import all_faces
+from .exact_algebra import ExactPoly
 from .record import Record
+# Re-exported from the integer core, which defines them.
+from .tables import (
+    GradedDimensions,
+    InexactDivisionError,
+    NonIntegralError,
+    ResourceLimitError,
+    _numerator_order,
+    chain_counts,
+    face_table,
+    graded_dimensions,
+    graded_dimensions_b,
+    hilbert_a_integers,
+    hilbert_series_a,
+    max_peak_count,
+    rational_form_a,
+    zeta,
+    zeta_values,
+    zeta_values_of,
+)
 
 MONOMIAL_DEGREE_CAP = 6
-# Coefficients past the numerator degree that numerator_a checks to be zero.
-_NUMERATOR_GUARD = 4
 _MONOMIAL_WORK_CAP = 2_000_000
-
-
-class GradedDimensions(Record):
-    __slots__ = ("n", "algebra", "dims")
-    n: int
-    algebra: str  # "A" or "B"
-    dims: tuple[int, ...]
-
-    def csv_rows(self) -> list[tuple[int, str, int, int]]:
-        return [(self.n, self.algebra, i, d) for i, d in enumerate(self.dims)]
 
 
 class RationalSeriesForm(Record):
@@ -72,55 +78,24 @@ def hilbert_polynomial_a(n: int) -> ExactPoly:
     return ExactPoly(face_table(n).f)
 
 
-def hilbert_series_a(n: int, order: int) -> tuple[int, ...]:
-    """Coefficients 0..order of the Hilbert series of algebra A, from one f-vector."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    return (1,) + zeta_values(n, range(2, order + 2))
-
-
 def numerator_a(n: int) -> RationalSeriesForm:
-    """Closed rational form of the A-series.
+    """Closed rational form of the A-series: rational_form_a of its first terms.
 
-    The denominator exponent is floor((n+1)/2); the tempting floor(n/2)
-    contradicts the n = 3 initial condition 1/(1-x)^2.  The numerator
-    is obtained by repeated differencing of the integer dimensions and
+    The denominator exponent is floor((n+1)/2).  The numerator is
+    obtained by repeated differencing of the integer dimensions and
     checked to terminate; InexactDivisionError is raised if it does not.
     """
-    exponent = (n + 1) // 2
-    return _rational_form(n, hilbert_series_a(n, exponent + 1 + _NUMERATOR_GUARD))
+    numerator, exponent = rational_form_a(n, hilbert_series_a(n, _numerator_order(n)))
+    return RationalSeriesForm(ExactPoly(numerator), exponent)
 
 
 def hilbert_data_a(n: int, order: int) -> tuple[GradedDimensions, RationalSeriesForm, ExactPoly]:
     """Degrees 0..order of A, its rational form and its Hilbert polynomial.
 
-    One f-vector serves all three: the dimensions of both the requested
-    degrees and the numerator's longer run are read off one Horner pass.
+    One f-vector serves all three (hilbert_a_integers).
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    table = face_table(n)
-    exponent = (n + 1) // 2
-    length = exponent + 1 + _NUMERATOR_GUARD
-    series = (1,) + zeta_values_of(table, range(2, max(order, length) + 2))
-    return (GradedDimensions(n, "A", series[: order + 1]),
-            _rational_form(n, series[: length + 1]),
-            ExactPoly(table.f))
-
-
-def _rational_form(n: int, series: tuple[int, ...]) -> RationalSeriesForm:
-    """numerator / (1-x)^floor((n+1)/2) from the A-series through its guard terms."""
-    exponent = (n + 1) // 2
-    series = list(series)
-    for _ in range(exponent):
-        series = [series[0]] + [series[k] - series[k - 1]
-                                for k in range(1, len(series))]
-    head, tail = series[: exponent + 2], series[exponent + 2:]
-    if any(tail):
-        raise InexactDivisionError(
-            f"A-series of n={n} times (1-x)^{exponent} does not terminate: {series}"
-        )
-    return RationalSeriesForm(ExactPoly(head), exponent)
+    dims, numerator, exponent, f = hilbert_a_integers(n, order)
+    return dims, RationalSeriesForm(ExactPoly(numerator), exponent), ExactPoly(f)
 
 
 def dim_b(n: int, i: int) -> int:
@@ -137,12 +112,6 @@ def dim_b(n: int, i: int) -> int:
 def hilbert_series_b(n: int) -> ExactPoly:
     """The (polynomial) Hilbert series of the finite-dimensional algebra B."""
     return ExactPoly(chain_counts(n))
-
-
-def graded_dimensions_b(n: int, counts: tuple[int, ...], max_degree: int) -> GradedDimensions:
-    """Degrees 0..max_degree of B from its chain-count vector, zero past it."""
-    return GradedDimensions(
-        n, "B", counts[: max_degree + 1] + (0,) * (max_degree + 1 - len(counts)))
 
 
 def standard_monomial_oracle(n: int, algebra: str, degree: int) -> int:
@@ -181,16 +150,6 @@ def standard_monomial_oracle(n: int, algebra: str, degree: int) -> int:
         if ok:
             count += 1
     return count
-
-
-def graded_dimensions(n: int, algebra: str, max_degree: int) -> GradedDimensions:
-    if algebra == "A":
-        dims = hilbert_series_a(n, max_degree)
-    elif algebra == "B":
-        return graded_dimensions_b(n, chain_counts(n), max_degree)
-    else:
-        raise ValueError("algebra must be 'A' or 'B'")
-    return GradedDimensions(n, algebra, dims)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ H_n(x) = P_n(x-1); the entries have the closed form
 
 which also counts Dyck-path left factors ending at a shifted endpoint, and
 satisfy a parity recurrence with Catalan boundary terms.  H_n is read off
-these integer entries; the shift P_n(x-1) is an oracle only.
+these integer entries, h_table(n), which is defined in circpeaks.tables,
+the integer core, and re-exported here; the per-entry closed form
+h_entry and the shift P_n(x-1) are its oracles.
 """
 
 from __future__ import annotations
@@ -20,24 +22,9 @@ from .exact_algebra import (
     epsilon_odd,
     exact_quotient,
 )
-from .peak_sets import count_left_factors_to, max_peak_count
-from .record import Record
-
-
-class HVector(Record):
-    __slots__ = ("n", "h")
-    n: int
-    h: tuple[int, ...]
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "h": list(self.h)}
-
-    def csv_rows(self) -> list[tuple[int, int, int]]:
-        return [(self.n, i, v) for i, v in enumerate(self.h)]
-
-    def polynomial(self) -> ExactPoly:
-        """H_n(x) = sum_i h_{n,i} x^{D-i}: the h-vector, reversed."""
-        return ExactPoly(reversed(self.h))
+from .peak_sets import count_left_factors_to
+# Re-exported from the integer core, which defines them.
+from .tables import HVector, h_table, max_peak_count
 
 
 def h_polynomial(n: int) -> ExactPoly:
@@ -79,22 +66,6 @@ def h_entry(n: int, i: int) -> int:
         return 0
     return exact_quotient((half - i) * binomial(half + i, half), half + i,
                           f"h_entry({n}, {i})")
-
-
-def h_table(n: int) -> HVector:
-    """(h_{n,0}, ..., h_{n,D}), read off one pass of the ratio recurrence.
-
-    C(half+i, half) = C(half+i-1, half) * (half+i) / i carries the
-    binomial from entry to entry; h_entry(n, i) is the per-entry oracle.
-    """
-    half = n // 2
-    row = []
-    c = 1  # C(half + i, half)
-    for i in range(max_peak_count(n) + 1):
-        if i:
-            c = c * (half + i) // i
-        row.append(exact_quotient((half - i) * c, half + i, f"h_table({n}) entry {i}"))
-    return HVector(n, tuple(row))
 
 
 def h_recurrence_table(n: int) -> HVector:

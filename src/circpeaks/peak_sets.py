@@ -12,6 +12,7 @@ from math import comb
 
 from .perm_core import Permutation, ResourceLimitError
 from .record import Record, set_field
+from .tables import max_peak_count  # re-exported from the integer core
 
 
 class InvalidPeakSetError(ValueError):
@@ -116,13 +117,6 @@ def _require_valid(s: PeakSet) -> None:
     v = first_violation(s.elements)
     if v is not None:
         raise InvalidPeakSetError(s.n, s.elements, *v)
-
-
-def max_peak_count(n: int) -> int:
-    """floor((n-1)/2), the largest possible circular-peak set size."""
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    return (n - 1) // 2
 
 
 def witness(n: int, s: PeakSet) -> Permutation:

@@ -14,12 +14,9 @@ from __future__ import annotations
 from itertools import permutations
 
 from .record import Record, set_field
+from .tables import ResourceLimitError  # re-exported from the integer core
 
 PERMUTATION_CAP = 10
-
-
-class ResourceLimitError(RuntimeError):
-    """An exhaustive enumeration was requested past its configured cap."""
 
 
 class Permutation(Record):

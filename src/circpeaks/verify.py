@@ -66,6 +66,11 @@ def _cp_class_table(n: int) -> dict[tuple[int, ...], int]:
     return _memoized(("cp_class_table", n), lambda: perm_core.cp_class_table(n))
 
 
+def _faces_below(n: int, strict: bool) -> list[list[int]]:
+    """The per-face lists of the poset oracles, for every length they count."""
+    return _memoized(("faces_below", n, strict), lambda: chains_zeta._faces_below(n, strict))
+
+
 # ---------------------------------------------------------------------------
 # perm suite
 
@@ -278,7 +283,8 @@ def check_zeta_oracle(max_n: int) -> tuple[bool, str]:
     top = min(PERM_DEFAULT, max_n)
     for n in range(3, top + 1):
         for i in range(2, 7):
-            if chains_zeta.zeta(n, i) != chains_zeta.multichain_oracle(n, i - 1):
+            if chains_zeta.zeta(n, i) != chains_zeta.multichain_oracle(
+                    n, i - 1, below=_faces_below(n, False)):
                 return False, f"zeta mismatch at n={n}, i={i}"
     return True, f"zeta = multichain oracle, n <= {top}, i <= 6"
 
@@ -300,7 +306,7 @@ def check_chain_formula(max_n: int) -> tuple[bool, str]:
     for n in range(3, top + 1):
         for i in range(1, 5):
             formula = chains_zeta.chain_count_formula(n, i)
-            oracle = chains_zeta.chain_oracle(n, i)
+            oracle = chains_zeta.chain_oracle(n, i, below=_faces_below(n, True))
             if formula != oracle:
                 return False, f"chain count mismatch at (n={n}, i={i}): formula {formula}, oracle {oracle}"
     return True, f"multinomial chain formula = strict-chain oracle, n <= {top}, i <= 4"

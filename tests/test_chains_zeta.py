@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from circpeaks import chains_zeta
+from circpeaks import chains_zeta, tables
 from circpeaks.chains_zeta import (
     chain_count_formula,
     chain_counts,
@@ -57,7 +57,7 @@ def test_zeta_matches_oracle(n):
 
 
 def test_zeta_rejects_nonintegral_f_polynomial(monkeypatch):
-    monkeypatch.setattr(chains_zeta, "face_table",
+    monkeypatch.setattr(tables, "face_table",
                         lambda n: FaceTable(n, (1, 1, Fraction(1, 2))))
     with pytest.raises(NonIntegralError, match="zeta"):
         zeta(5, 2)

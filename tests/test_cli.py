@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from circpeaks import chains_zeta, complex_poset, hilbert_algebras, hvector, verify
+from circpeaks import complex_poset, hvector, tables, verify
 from circpeaks.cli import SERIES_ORDER_CAP, run
 from circpeaks.complex_poset import f_polynomial
 from circpeaks.exact_algebra import PolySeries
@@ -159,8 +159,7 @@ def test_hilbert_a_builds_one_f_vector(monkeypatch, fmt):
         builds.append(n)
         return complex_poset.face_table(n)
 
-    monkeypatch.setattr(hilbert_algebras, "face_table", counted)
-    monkeypatch.setattr(chains_zeta, "face_table", counted)
+    monkeypatch.setattr(tables, "face_table", counted)
     code, _ = invoke("hilbert", "--n", "120", "--algebra", "A", "--order", "9",
                      "--format", fmt)
     assert code == 0
@@ -210,7 +209,7 @@ def test_json_output_is_all_or_nothing(monkeypatch):
     # The Fraction is the last f entry: a streaming encoder would already
     # have written the opening of the payload when it fails.
     table = complex_poset.FaceTable(5, (1, 3, Fraction(1, 2)))
-    monkeypatch.setattr(complex_poset, "face_table", lambda n: table)
+    monkeypatch.setattr(tables, "face_table", lambda n: table)
     out = io.StringIO()
     with pytest.raises(TypeError, match="Fraction"):
         run(["fvector", "--n", "5"], out)
@@ -219,7 +218,7 @@ def test_json_output_is_all_or_nothing(monkeypatch):
 
 def test_csv_output_is_all_or_nothing(monkeypatch):
     table = hvector.HVector(6, (1, 2, _Unprintable()))
-    monkeypatch.setattr(hvector, "h_table", lambda n: table)
+    monkeypatch.setattr(tables, "h_table", lambda n: table)
     assert invoke("hvector", "--n", "6", "--format", "csv") == (1, "")
 
 
@@ -340,6 +339,38 @@ def test_cli_import_loads_no_dataclasses_inspect_or_verify():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+# Modules that the integer core must not pull into a production command.
+ORACLE_MODULES = ("fractions", "circpeaks.exact_algebra", "circpeaks.peak_sets",
+                  "circpeaks.perm_core", "circpeaks.complex_poset", "circpeaks.chains_zeta",
+                  "circpeaks.hvector", "circpeaks.hilbert_algebras", "circpeaks.verify")
+
+
+@pytest.mark.parametrize("argv", [
+    "fvector --n 40", "euler --n 40", "hvector --n 40", "zeta --n 30 --i 3",
+    "chains --n 30 --i 3", "hilbert --n 40 --algebra A", "hilbert --n 40 --algebra B",
+    "fvector --n 40 --format csv", "hilbert --n 40 --algebra A --format csv",
+])
+def test_production_commands_load_only_the_integer_core(argv):
+    # -S: no site-packages .pth file may import these on the package's behalf.
+    probe = ("import io, sys; from circpeaks import cli; "
+             f"code = cli.run({argv.split()!r}, io.StringIO()); "
+             f"print(code, *(m for m in {ORACLE_MODULES!r} if m in sys.modules))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
+
+
+def test_poset_oracle_runs_up_to_its_cap_only():
+    for command, key in (("zeta", "zeta"), ("chains", "count")):
+        payload = invoke_json(command, "--n", "14", "--i", "2")
+        assert payload["oracle"] == payload[key] and payload["match"] is True
+        payload = invoke_json(command, "--n", "15", "--i", "2")
+        assert payload["oracle"] is None and payload["match"] is None
 
 
 def test_verify_rejects_max_n_below_three(capsys):

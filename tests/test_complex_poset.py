@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from circpeaks import complex_poset
+from circpeaks import complex_poset, tables
 from circpeaks.complex_poset import (
     FaceTable,
     euler_characteristic,
@@ -126,6 +126,22 @@ def test_moebius_matches_recursive_oracle(n):
                 assert moebius(n, s, t) == moebius_recursive_oracle(n, s, t)
 
 
+@pytest.mark.parametrize("n", [8, 10, 14])
+def test_moebius_oracle_validates_each_set_of_the_interval_once(monkeypatch, n):
+    bottom, top = PeakSet(n, ()), faces(n, max_peak_count(n) - 1)[-1]
+    real = complex_poset.is_valid
+    seen = []
+    monkeypatch.setattr(complex_poset, "is_valid",
+                        lambda m, u: seen.append(tuple(sorted(getattr(u, "elements", u))))
+                        or real(m, u))
+    value = moebius_recursive_oracle(n, bottom, top)
+    # After the entry check of both ends, every set of the interval but the
+    # top (all of them faces) is validated exactly once.
+    body = seen[2:]
+    assert len(body) == len(set(body)) == 2 ** len(top.elements) - 1
+    assert value == moebius(n, bottom, top)
+
+
 def test_euler_characteristic():
     assert euler_characteristic(5) == 0
     assert euler_characteristic(4) == 1
@@ -150,7 +166,7 @@ def test_face_count_rejects_inexact_division(monkeypatch):
 
 
 def test_euler_characteristic_rejects_closed_form_mismatch(monkeypatch):
-    monkeypatch.setattr(complex_poset, "face_table", lambda n: FaceTable(n, (1, 5, 3)))
+    monkeypatch.setattr(tables, "face_table", lambda n: FaceTable(n, (1, 5, 3)))
     with pytest.raises(ClosedFormMismatchError, match="closed form"):
         euler_characteristic(6)
 

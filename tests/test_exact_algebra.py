@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circpeaks import exact_algebra
 from circpeaks.chains_zeta import zeta_polynomial
 from circpeaks.complex_poset import f_polynomial, f_polynomial_by_recurrence
 from circpeaks.exact_algebra import (
@@ -62,6 +63,23 @@ def test_divmod_by_a_non_monic_integer_divisor_is_exact():
     assert r.coeffs == (Fraction(5, 4),)
     assert all(type(c) is Fraction for c in q.coeffs + r.coeffs)
     assert q * ExactPoly((1, 2)) + r == ExactPoly((1, 0, 1))
+
+
+def test_divmod_by_x_minus_one_stays_in_integers(monkeypatch):
+    # x^4 + 2x^3 - 3x - 6 = (x - 1)(x^3 + 3x^2 + 3x) - 6
+    p, d = ExactPoly((-6, -3, 0, 2, 1)), ExactPoly((-1, 1))
+    expected = (ExactPoly((0, 3, 3, 1)), ExactPoly((-6,)))
+
+    def no_fraction(*args):
+        raise AssertionError("divmod built a Fraction for an exact integer step")
+
+    monkeypatch.setattr(exact_algebra, "Fraction", no_fraction)
+    q, r = p.divmod(d)
+    assert (q, r) == expected
+    assert all(type(c) is int for c in q.coeffs + r.coeffs)
+    for n in (3, 4, 9, 20):
+        h = h_polynomial_by_recurrence(n)  # exact_div by x - 1 at every odd step
+        assert all(type(c) is int for c in h.coeffs)
 
 
 def test_non_integral_inputs_are_unchanged():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from circpeaks import chains_zeta, hilbert_algebras
+from circpeaks import hilbert_algebras, tables
 from circpeaks.chains_zeta import multichain_oracle
 from circpeaks.complex_poset import FaceTable
 from circpeaks.exact_algebra import ExactPoly, InexactDivisionError, NonIntegralError
@@ -34,7 +34,7 @@ def test_dim_a_examples():
 
 
 def test_dim_a_rejects_nonintegral_f_polynomial(monkeypatch):
-    monkeypatch.setattr(chains_zeta, "face_table",
+    monkeypatch.setattr(tables, "face_table",
                         lambda n: FaceTable(n, (1, 1, Fraction(1, 2))))
     with pytest.raises(NonIntegralError, match="dim_a"):
         dim_a(5, 1)

@@ -1,0 +1,135 @@
+"""The package namespace and the integer core.
+
+circpeaks resolves its public names lazily, each from the module that
+defines it; the names the integer core took over from other modules are
+the same objects under their old homes, and each has one definition.
+"""
+
+import ast
+import importlib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import circpeaks
+from circpeaks import tables
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Every name the package exported when its __init__ imported each module
+# eagerly, under the module it was imported from.
+EXPORTED = {
+    "exact_algebra": (
+        "ClosedFormMismatchError", "ExactPoly", "InexactDivisionError", "NonIntegralError",
+        "binomial", "catalan_number", "catalan_series", "multinomial", "poly_shift",
+        "poly_shift_inverse"),
+    "perm_core": (
+        "PERMUTATION_CAP", "Permutation", "ResourceLimitError", "circular_descent_set",
+        "circular_peak_set", "cp_class_size", "enumerate_cp_class"),
+    "peak_sets": (
+        "DyckFormatError", "DyckPrefix", "InvalidPeakSetError", "PeakSet", "count_valid",
+        "from_dyck", "is_valid", "max_peak_count", "to_dyck", "witness"),
+    "complex_poset": (
+        "POSET_CAP", "FaceTable", "euler_characteristic", "euler_characteristic_closed_form",
+        "f_generating_series", "f_polynomial", "face_count", "face_counts_by_recurrence",
+        "face_table", "faces", "moebius", "moebius_recursive_oracle",
+        "verify_product_structure"),
+    "chains_zeta": (
+        "chain_count_formula", "chain_counts", "chain_oracle", "f_polynomial_from_chains",
+        "multichain_oracle", "zeta", "zeta_polynomial", "zeta_values", "zeta_values_of"),
+    "hvector": (
+        "HVector", "h_dyck_oracle", "h_entry", "h_generating_series", "h_polynomial",
+        "h_recurrence_table", "h_table"),
+    "hilbert_algebras": (
+        "GradedDimensions", "RationalSeriesForm", "dim_a", "dim_b", "hilbert_data_a",
+        "hilbert_polynomial_a", "hilbert_series_a", "hilbert_series_b", "numerator_a",
+        "standard_monomial_oracle"),
+}
+ALL_EXPORTED = sorted((m, name) for m, names in EXPORTED.items() for name in names)
+
+# The names that moved into the integer core, under each module that defined them.
+MOVED = {
+    "exact_algebra": ("ClosedFormMismatchError", "InexactDivisionError", "NonIntegralError",
+                      "as_integer", "exact_quotient"),
+    "perm_core": ("ResourceLimitError",),
+    "peak_sets": ("max_peak_count",),
+    "complex_poset": ("POSET_CAP", "FaceTable", "face_table", "euler_characteristic",
+                      "euler_characteristic_closed_form"),
+    "chains_zeta": ("zeta", "zeta_values", "zeta_values_of", "chain_counts"),
+    "hvector": ("HVector", "h_table"),
+    "hilbert_algebras": ("GradedDimensions", "hilbert_series_a", "graded_dimensions",
+                         "graded_dimensions_b"),
+}
+ALL_MOVED = sorted((m, name) for m, names in MOVED.items() for name in names)
+
+
+@pytest.mark.parametrize("module,name", ALL_EXPORTED)
+def test_every_old_export_resolves_to_its_defining_object(module, name):
+    value = getattr(circpeaks, name)
+    assert value is getattr(importlib.import_module(f"circpeaks.{module}"), name)
+    home = getattr(value, "__module__", None)
+    if home is not None:
+        assert value is getattr(sys.modules[home], name)
+    assert name in dir(circpeaks)
+    assert name in circpeaks.__all__
+
+
+def test_star_import_and_dir_cover_every_old_export():
+    namespace = {}
+    exec("from circpeaks import *", namespace)
+    for _, name in ALL_EXPORTED:
+        assert namespace[name] is getattr(circpeaks, name)
+    assert {name for _, name in ALL_EXPORTED} <= set(dir(circpeaks))
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        circpeaks.no_such_name
+    assert not hasattr(circpeaks, "zeta_values_off")
+    with pytest.raises(ImportError):
+        exec("from circpeaks import no_such_name", {})
+
+
+def test_submodules_are_attributes_of_the_package():
+    for module in EXPORTED:
+        assert getattr(circpeaks, module) is importlib.import_module(f"circpeaks.{module}")
+
+
+def test_importing_the_package_loads_no_module_of_it():
+    probe = ("import sys, circpeaks; "
+             "print(*sorted(m for m in sys.modules if m.startswith('circpeaks.')))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+@pytest.mark.parametrize("module,name", ALL_MOVED)
+def test_moved_names_are_the_integer_core_objects(module, name):
+    assert getattr(importlib.import_module(f"circpeaks.{module}"), name) is getattr(tables, name)
+
+
+@pytest.mark.parametrize("name", sorted({name for _, name in ALL_MOVED}))
+def test_each_moved_name_is_defined_once(name):
+    pattern = re.compile(rf"^\s*(def|class) {name}\b|^{name} = ", re.M)
+    homes = [p.name for p in sorted((ROOT / "src" / "circpeaks").glob("*.py"))
+             if pattern.search(p.read_text())]
+    assert homes == ["tables.py"]
+
+
+def test_the_integer_core_imports_no_rational_arithmetic_or_oracle():
+    source = (ROOT / "src" / "circpeaks" / "tables.py").read_text()
+    assert "fractions" not in source and "Fraction" not in source
+    loaded = {node.module for node in ast.parse(source).body
+              if isinstance(node, ast.ImportFrom)}
+    assert loaded == {"__future__", "collections.abc", "math", "record"}
+    # The ExactPoly views of the f- and h-vector import exact_algebra when called.
+    deferred = {node.module for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom)} - loaded
+    assert deferred == {"exact_algebra"}

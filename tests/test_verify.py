@@ -1,7 +1,9 @@
 """The verify registry as a whole: the memo of one run_suite call, and
 the pinned result line of every check at --max-n 8."""
 
-from circpeaks import complex_poset, perm_core, verify
+from collections import Counter
+
+from circpeaks import chains_zeta, complex_poset, perm_core, verify
 
 # (suite, name, detail) of every check of run_suite("all", 8).  A detail
 # states the range a check covered, so a range that shrinks fails here.
@@ -153,6 +155,23 @@ def test_face_count_checks_read_the_run_face_list(monkeypatch):
     assert verify.check_face_counts(8)[0]
     assert verify.check_face_dyck_counts(8)[0]
     assert calls == []
+
+
+def test_chains_suite_builds_each_face_below_list_once(monkeypatch):
+    builds = []
+    real = chains_zeta._faces_below
+
+    def counted(n, strict):
+        builds.append((n, strict))
+        return real(n, strict)
+
+    monkeypatch.setattr(chains_zeta, "_faces_below", counted)
+    results = verify.run_suite("chains", 8)
+    assert all(r.ok for r in results)
+    assert set(Counter(builds).values()) == {1}
+    # chain-formula-vs-oracle (strict, n <= 12) and zeta-vs-multichain-oracle (n <= 8)
+    assert sorted(builds) == sorted([(n, True) for n in range(3, 13)]
+                                    + [(n, False) for n in range(3, 9)])
 
 
 def test_run_suite_all_pins_every_result_line():
