@@ -14,10 +14,10 @@ be rebuilt from the chain counts alone.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 
-from .complex_poset import _check_poset_cap, _mask, _submasks, all_faces
+from .complex_poset import _check_poset_cap, _mask, _submasks, face_tuples
 from .exact_algebra import ExactPoly, multinomial
 # Re-exported from the integer core, which defines them.
 from .tables import (
@@ -46,14 +46,14 @@ def zeta_polynomial(n: int) -> ExactPoly:
 
 
 def _faces_below(n: int, strict: bool) -> list[list[int]]:
-    """For each face b of all_faces(n), the indices of the faces a < b (a <= b), ascending.
+    """For each face b of face_tuples(n), the indices of the faces a < b (a <= b), ascending.
 
     The faces below b are the submasks of b's bitmask that are faces, at
     most 2^D of them with D = floor((n-1)/2); each is looked up in the
     face index.  That is O(m 2^D) lookups for the m faces, instead of
     comparing all m^2 pairs.
     """
-    masks = [_mask(f.elements) for f in all_faces(n)]
+    masks = [_mask(c) for c in face_tuples(n)]
     index = {m: j for j, m in enumerate(masks)}
     return [sorted(index[s] for s in _submasks(b) if s in index and not (strict and s == b))
             for b in masks]
@@ -138,10 +138,15 @@ def f_polynomial_from_chains(n: int) -> ExactPoly:
 
     P_n(x) = sum_{i=2}^{D+2} x^(D+2-i)/(i-2)! * prod_{j=1}^{i-2}(1-jx) * d_{n,i-1}.
     """
+    return _f_polynomial_from_counts(n, chain_count_formula)
+
+
+def _f_polynomial_from_counts(n: int, count: Callable[[int, int], int]) -> ExactPoly:
+    """f_polynomial_from_chains with d_{n,i} read off count(n, i)."""
     top = max_peak_count(n)
     acc = ExactPoly(())
     for i in range(2, top + 3):
-        d = chain_count_formula(n, i - 1)
+        d = count(n, i - 1)
         if d == 0:
             continue
         term = ExactPoly.constant(d)

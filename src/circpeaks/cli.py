@@ -12,7 +12,6 @@ in full before anything is written, so output is all or nothing.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -54,6 +53,8 @@ def _emit_json(payload, out) -> None:
 
 
 def _emit_csv(rows, header, out) -> None:
+    import csv  # only the CSV forms load it
+
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     out.write(buf.getvalue())

@@ -44,26 +44,36 @@ def _check_poset_cap(n: int) -> None:
         )
 
 
-def faces(n: int, dim: int) -> list[PeakSet]:
-    """All faces of the given dimension, lexicographic by element sequence."""
+def face_tuples(n: int, dim: int | None = None) -> list[tuple[int, ...]]:
+    """The faces of one dimension (of every dimension if dim is None) as
+    ascending tuples, ordered by dimension, then lexicographically.
+
+    This is the one face enumerator: each candidate combination is tested
+    with is_valid.  faces and all_faces wrap its tuples in PeakSet; the
+    oracles read the tuples directly.
+    """
     if n < 3:
         raise ValueError("n must be >= 3")
-    if dim < -1 or dim > max_peak_count(n) - 1:
-        return []
-    if dim == -1:
-        return [PeakSet(n, ())]
-    _check_poset_cap(n)
-    return [PeakSet(n, c)
-            for c in combinations(range(3, n + 1), dim + 1)
-            if is_valid(n, c)]
+    top = max_peak_count(n) - 1
+    dims = range(-1, top + 1) if dim is None else [dim] if -1 <= dim <= top else []
+    out: list[tuple[int, ...]] = []
+    for d in dims:
+        if d == -1:
+            out.append(())
+        else:
+            _check_poset_cap(n)
+            out.extend(c for c in combinations(range(3, n + 1), d + 1) if is_valid(n, c))
+    return out
+
+
+def faces(n: int, dim: int) -> list[PeakSet]:
+    """All faces of the given dimension, lexicographic by element sequence."""
+    return [PeakSet(n, c) for c in face_tuples(n, dim)]
 
 
 def all_faces(n: int) -> list[PeakSet]:
     """Every face, ordered by dimension then lexicographically."""
-    out: list[PeakSet] = []
-    for d in range(-1, max_peak_count(n)):
-        out.extend(faces(n, d))
-    return out
+    return [PeakSet(n, c) for c in face_tuples(n)]
 
 
 def face_count(n: int, dim: int) -> int:
@@ -214,7 +224,7 @@ def _require_interval(n: int, s: PeakSet, t: PeakSet) -> None:
     for u in (s, t):
         if not is_valid(n, u):
             raise ValueError(f"{u.elements} is not a face of the complex for n={n}")
-    if not set(s.elements) <= set(t.elements):
+    if not set(s.elements).issubset(t.elements):
         raise ValueError(f"{s.elements} is not contained in {t.elements}")
 
 
@@ -226,17 +236,26 @@ def moebius_recursive_oracle(n: int, s: PeakSet, t: PeakSet) -> int:
     value computed once; both are memoized by set.
     """
     _require_interval(n, s, t)
-    sset = frozenset(s.elements)
-    values = {sset: 1}  # mu(s, u) of each face u evaluated so far
+    return _moebius_from(n, frozenset(s.elements))(frozenset(t.elements))
+
+
+def _moebius_from(n: int, bottom: frozenset) -> Callable[[frozenset], int]:
+    """u -> mu(bottom, u) by the recursion, for faces u containing bottom.
+
+    The returned function memoizes, by set, which sets are faces and the
+    value of each face it has evaluated, so the calls for every upper face
+    over one bottom share them.  It does not check its argument.
+    """
+    values = {bottom: 1}  # mu(bottom, u) of each face u evaluated so far
     is_face: dict[frozenset, bool] = {}
 
     def mu(upper: frozenset) -> int:
         if upper not in values:
             total = 0
-            between = sorted(upper - sset)
+            between = sorted(upper - bottom)
             for k in range(len(between)):
                 for extra in combinations(between, k):
-                    u = sset.union(extra)
+                    u = bottom.union(extra)
                     if u not in is_face:
                         is_face[u] = is_valid(n, u)
                     if is_face[u]:
@@ -244,7 +263,7 @@ def moebius_recursive_oracle(n: int, s: PeakSet, t: PeakSet) -> int:
             values[upper] = -total
         return values[upper]
 
-    return mu(frozenset(t.elements))
+    return mu
 
 
 def _mask(elements) -> int:
@@ -285,8 +304,8 @@ def verify_product_structure(n: int) -> bool:
         raise ValueError("n must be >= 3")
     _check_poset_cap(n + 1)
     # faces as bitmasks: the subsets of a face are the submasks of its mask
-    base = {_mask(f.elements) for f in all_faces(n)}
-    big = [_mask(f.elements) for f in all_faces(n + 1)]
+    base = {_mask(c) for c in face_tuples(n)}
+    big = [_mask(c) for c in face_tuples(n + 1)]
     top = max_peak_count(n) - 1
     last = 1 << (n + 1)
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .complex_poset import all_faces
+from .complex_poset import face_tuples
 from .exact_algebra import ExactPoly
 from .record import Record
 # Re-exported from the integer core, which defines them.
@@ -118,7 +118,7 @@ def standard_monomial_oracle(n: int, algebra: str, degree: int) -> int:
     """Count degree-d monomials surviving in the quotient, by enumeration.
 
     Faces are indexed in the fixed lexicographic-by-dimension order of
-    all_faces; a monomial survives iff every pair of distinct indices in
+    face_tuples; a monomial survives iff every pair of distinct indices in
     its support is comparable (algebra A), with squarefreeness imposed on
     top for algebra B.
     """
@@ -132,7 +132,7 @@ def standard_monomial_oracle(n: int, algebra: str, degree: int) -> int:
         raise ResourceLimitError(
             f"monomial oracle capped at degree <= {MONOMIAL_DEGREE_CAP}"
         )
-    fs = [frozenset(f.elements) for f in all_faces(n)]
+    fs = [frozenset(c) for c in face_tuples(n)]
     m = len(fs)
     work = comb(m + degree - 1, degree) if algebra == "A" else comb(m, degree)
     if work > _MONOMIAL_WORK_CAP:

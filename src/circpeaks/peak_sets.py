@@ -49,7 +49,7 @@ class PeakSet(Record):
     elements: tuple[int, ...]
 
     def __init__(self, n: int, elements=()):
-        elems = tuple(sorted(set(int(v) for v in elements)))
+        elems = tuple(sorted(set(map(int, elements))))
         if n < 1:
             raise ValueError("ambient size must be >= 1")
         if elems and (elems[0] < 1 or elems[-1] > n):
@@ -94,27 +94,32 @@ class DyckPrefix(Record):
         return self.letters.count("U") - self.letters.count("D")
 
 
-def first_violation(elements) -> tuple[int, int, int] | None:
-    """(j, i_j, 2j+1) for the smallest violating index, or None if valid."""
-    for j, e in enumerate(sorted(elements), start=1):
+def _first_violation_sorted(elems) -> tuple[int, int, int] | None:
+    """first_violation of elements already in ascending order."""
+    for j, e in enumerate(elems, start=1):
         if e < 2 * j + 1:
             return j, e, 2 * j + 1
     return None
 
 
+def first_violation(elements) -> tuple[int, int, int] | None:
+    """(j, i_j, 2j+1) for the smallest violating index, or None if valid."""
+    return _first_violation_sorted(sorted(elements))
+
+
 def is_valid(n: int, s: PeakSet | object) -> bool:
     """True iff i_j >= 2j+1 for every j, i.e. CP_n(s) is nonempty."""
-    elems = s.elements if isinstance(s, PeakSet) else tuple(sorted(set(s)))
+    elems = s.elements if isinstance(s, PeakSet) else sorted(set(s))
     if elems and elems[-1] > n:
         return False
-    return first_violation(elems) is None
+    return _first_violation_sorted(elems) is None
 
 
 def _require_valid(s: PeakSet) -> None:
     if s.elements and s.elements[-1] > s.n:
         raise InvalidPeakSetError(s.n, s.elements, len(s.elements),
                                   s.elements[-1], s.n + 1)
-    v = first_violation(s.elements)
+    v = _first_violation_sorted(s.elements)
     if v is not None:
         raise InvalidPeakSetError(s.n, s.elements, *v)
 
@@ -132,7 +137,8 @@ def witness(n: int, s: PeakSet) -> Permutation:
         return Permutation.identity(n)
     peaks = s.elements
     top = peaks[-1]
-    rest = [v for v in range(1, top + 1) if v not in set(peaks)]
+    members = set(peaks)
+    rest = [v for v in range(1, top + 1) if v not in members]
     vals: list[int] = []
     for j, p in enumerate(peaks):
         vals.append(rest[j])

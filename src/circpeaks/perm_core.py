@@ -26,7 +26,7 @@ class Permutation(Record):
     values: tuple[int, ...]
 
     def __init__(self, values):
-        vals = tuple(int(v) for v in values)
+        vals = tuple(map(int, values))
         n = len(vals)
         if sorted(vals) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of [{n}]: {vals}")
@@ -86,14 +86,23 @@ def cp_class_size(n: int, s) -> int:
 
 
 def cp_class_table(n: int) -> dict[tuple[int, ...], int]:
-    """Map CP set -> class size over all of S_n (single sweep)."""
+    """Map CP set -> class size over all of S_n (single sweep).
+
+    The sweep keys each permutation by the bitmask of its peak values (bit
+    v set iff v is a peak), which needs no sort, and turns each of the
+    distinct masks into its ascending tuple once, at the end.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_cap(n)
-    table: dict[tuple[int, ...], int] = {}
+    counts: dict[int, int] = {}
+    interior = range(1, n - 1)
     for vals in permutations(range(1, n + 1)):
-        peaks = tuple(sorted(
-            vals[i] for i in range(1, n - 1) if vals[i - 1] < vals[i] > vals[i + 1]
-        ))
-        table[peaks] = table.get(peaks, 0) + 1
-    return table
+        mask = 0
+        for i in interior:
+            v = vals[i]
+            if vals[i - 1] < v > vals[i + 1]:
+                mask |= 1 << v
+        counts[mask] = counts.get(mask, 0) + 1
+    return {tuple(v for v in range(3, n + 1) if mask >> v & 1): size
+            for mask, size in counts.items()}

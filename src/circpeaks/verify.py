@@ -3,9 +3,15 @@
 Every closed form in the library is checked here against an independent
 brute-force path (exhaustive permutation scan, subset scan, poset chain
 enumeration, monomial enumeration, series cross-multiplication).  One
-result line per check; all comparisons are bit-exact.  Within one
-run_suite call, the face lists and the S_n sweeps that several checks
-share are built once.
+result line per check; all comparisons are bit-exact.
+
+Within one run_suite call, what several checks share is computed once
+and kept in a memo that the call discards when it ends:
+- the faces of P_n as ascending tuples (complex_poset.face_tuples);
+- the CP class table of each S_n sweep (perm_core.cp_class_table);
+- the per-face lists of the poset chain oracles (chains_zeta._faces_below);
+- each composition sum chain_count_formula(n, i).
+A check called outside run_suite computes all of these afresh.
 """
 
 from __future__ import annotations
@@ -42,9 +48,8 @@ class CheckResult(Record):
     detail: str
 
 
-# Objects that several checks enumerate, kept for the length of one
-# run_suite call only; None outside it, so a check called on its own
-# computes afresh.
+# The run memo of the module docstring; None outside run_suite, so a
+# check called on its own computes afresh.
 _memo: dict | None = None
 
 
@@ -57,9 +62,8 @@ def _memoized(key, build):
 
 
 def _valid_subsets(n: int) -> tuple[tuple[int, ...], ...]:
-    """Every face of P_n as an ascending tuple, in all_faces order."""
-    return _memoized(("valid_subsets", n),
-                     lambda: tuple(f.elements for f in complex_poset.all_faces(n)))
+    """Every face of P_n as an ascending tuple, in face_tuples order."""
+    return _memoized(("valid_subsets", n), lambda: tuple(complex_poset.face_tuples(n)))
 
 
 def _cp_class_table(n: int) -> dict[tuple[int, ...], int]:
@@ -69,6 +73,11 @@ def _cp_class_table(n: int) -> dict[tuple[int, ...], int]:
 def _faces_below(n: int, strict: bool) -> list[list[int]]:
     """The per-face lists of the poset oracles, for every length they count."""
     return _memoized(("faces_below", n, strict), lambda: chains_zeta._faces_below(n, strict))
+
+
+def _chain_count_formula(n: int, i: int) -> int:
+    return _memoized(("chain_count_formula", n, i),
+                     lambda: chains_zeta.chain_count_formula(n, i))
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +247,14 @@ def check_face_dyck_counts(max_n: int) -> tuple[bool, str]:
 def check_moebius(max_n: int) -> tuple[bool, str]:
     top = min(10, max_n + 2)
     for n in range(3, top + 1):
-        faces = [PeakSet(n, s) for s in _valid_subsets(n)]
-        for s in faces:
-            for t in faces:
-                if set(s.elements) <= set(t.elements):
-                    closed = complex_poset.moebius(n, s, t)
-                    rec = complex_poset.moebius_recursive_oracle(n, s, t)
-                    if closed != rec:
-                        return False, f"moebius mismatch at n={n}, {s.elements}<{t.elements}"
+        faces = [(s, PeakSet(n, s), frozenset(s)) for s in _valid_subsets(n)]
+        for s, lower, s_set in faces:
+            # the recursion's values mu(s, u) are shared by every upper face t
+            recursive = complex_poset._moebius_from(n, s_set)
+            for t, upper, t_set in faces:
+                if s_set <= t_set:
+                    if complex_poset.moebius(n, lower, upper) != recursive(t_set):
+                        return False, f"moebius mismatch at n={n}, {s}<{t}"
     return True, f"(-1)^(|T|-|S|) = recursive Moebius on every interval, n <= {top}"
 
 
@@ -305,7 +314,7 @@ def check_chain_formula(max_n: int) -> tuple[bool, str]:
     top = min(12, max_n + 4)
     for n in range(3, top + 1):
         for i in range(1, 5):
-            formula = chains_zeta.chain_count_formula(n, i)
+            formula = _chain_count_formula(n, i)
             oracle = chains_zeta.chain_oracle(n, i, below=_faces_below(n, True))
             if formula != oracle:
                 return False, f"chain count mismatch at (n={n}, i={i}): formula {formula}, oracle {oracle}"
@@ -318,7 +327,7 @@ def check_chain_counts(max_n: int) -> tuple[bool, str]:
         counts = chains_zeta.chain_counts(n)
         for i in range(1, peak_sets.max_peak_count(n) + 4):
             fast = counts[i] if i < len(counts) else 0
-            formula = chains_zeta.chain_count_formula(n, i)
+            formula = _chain_count_formula(n, i)
             if fast != formula:
                 return False, f"chain count mismatch at (n={n}, i={i}): inversion {fast}, composition sum {formula}"
     return True, f"binomial-inversion chain counts = composition sum, n <= {top}, i <= D+3"
@@ -326,7 +335,7 @@ def check_chain_counts(max_n: int) -> tuple[bool, str]:
 
 def check_chain_formula_elements(max_n: int) -> tuple[bool, str]:
     for n in range(3, 21):
-        if chains_zeta.chain_count_formula(n, 1) != peak_sets.count_valid(n):
+        if _chain_count_formula(n, 1) != peak_sets.count_valid(n):
             return False, f"element count mismatch at n={n}"
     return True, "chain formula at i=1 counts the faces, n <= 20"
 
@@ -336,7 +345,7 @@ def check_zeta_from_chains(max_n: int) -> tuple[bool, str]:
     for n in range(3, top + 1):
         for i in range(2, 7):
             recon = sum(
-                chains_zeta.chain_count_formula(n, j - 1) *
+                _chain_count_formula(n, j - 1) *
                 exact_algebra.binomial(i - 2, j - 2)
                 for j in range(2, peak_sets.max_peak_count(n) + 4)
             )
@@ -348,7 +357,8 @@ def check_zeta_from_chains(max_n: int) -> tuple[bool, str]:
 def check_fpoly_from_chains(max_n: int) -> tuple[bool, str]:
     top = min(12, max_n + 4)
     for n in range(3, top + 1):
-        if chains_zeta.f_polynomial_from_chains(n) != complex_poset.f_polynomial(n):
+        rebuilt = chains_zeta._f_polynomial_from_counts(n, _chain_count_formula)
+        if rebuilt != complex_poset.f_polynomial(n):
             return False, f"chain reconstruction of f-polynomial failed at n={n}"
     return True, f"f-polynomial rebuilt from chain counts, n <= {top}"
 
@@ -544,7 +554,7 @@ def check_series_b(max_n: int) -> tuple[bool, str]:
 def check_nonvanishing_criterion(max_n: int) -> tuple[bool, str]:
     rng = random.Random(20240817)
     for n in range(3, 7):
-        fs = [frozenset(f.elements) for f in complex_poset.all_faces(n)]
+        fs = [frozenset(s) for s in _valid_subsets(n)]
         for _ in range(1000):
             size = rng.randint(1, 4)
             idxs = [rng.randrange(len(fs)) for _ in range(size)]

@@ -14,6 +14,7 @@ from circpeaks.complex_poset import (
     face_count,
     face_counts_by_recurrence,
     face_table,
+    face_tuples,
     faces,
     moebius,
     moebius_recursive_oracle,
@@ -107,6 +108,18 @@ def test_moebius_examples():
     assert moebius_recursive_oracle(5, PeakSet(5, ()), PeakSet(5, (3, 5))) == 1
 
 
+@pytest.mark.parametrize("n", range(3, 15))
+def test_face_tuples_is_the_face_enumeration(n):
+    tuples = face_tuples(n)
+    assert tuples == [f.elements for f in complex_poset.all_faces(n)]
+    scan = [c for k in range(0, n - 1) for c in combinations(range(3, n + 1), k)
+            if is_valid(n, c)]
+    assert tuples == scan
+    for d in range(-2, max_peak_count(n) + 1):
+        assert face_tuples(n, d) == [f.elements for f in faces(n, d)] \
+            == [c for c in scan if len(c) == d + 1]
+
+
 def test_moebius_rejects_bad_intervals():
     with pytest.raises(ValueError):
         moebius(5, PeakSet(5, (3,)), PeakSet(5, (4, 5)))  # not nested
@@ -124,6 +137,17 @@ def test_moebius_matches_recursive_oracle(n):
         for t in all_fs:
             if set(s.elements) <= set(t.elements):
                 assert moebius(n, s, t) == moebius_recursive_oracle(n, s, t)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_shared_moebius_recursion_matches_the_oracle(n):
+    fs = [frozenset(c) for c in face_tuples(n)]
+    for s in fs:
+        shared = complex_poset._moebius_from(n, s)  # one memo for every t
+        for t in fs:
+            if s <= t:
+                assert shared(t) == moebius_recursive_oracle(
+                    n, PeakSet(n, s), PeakSet(n, t))
 
 
 @pytest.mark.parametrize("n", [8, 10, 14])
@@ -196,9 +220,12 @@ def test_product_structure_matches_all_pairs_reference(n):
 
 
 def _patch_faces_of(monkeypatch, m, edit):
-    real = complex_poset.all_faces
-    monkeypatch.setattr(complex_poset, "all_faces",
-                        lambda k: edit(real(k)) if k == m else real(k))
+    # face_tuples is the one face enumerator: all_faces wraps its tuples,
+    # and verify_product_structure reads them directly.
+    real = complex_poset.face_tuples
+    monkeypatch.setattr(complex_poset, "face_tuples",
+                        lambda k, dim=None: edit(real(k)) if (k, dim) == (m, None)
+                        else real(k, dim))
 
 
 @pytest.mark.parametrize("n", [3, 4, 7, 8])
@@ -212,7 +239,7 @@ def test_product_structure_rejects_a_missing_face(monkeypatch, n):
 def test_product_structure_rejects_an_added_non_face(monkeypatch, n):
     non_face = PeakSet(n + 1, (3, 4))
     assert not is_valid(n + 1, non_face)
-    _patch_faces_of(monkeypatch, n + 1, lambda fs: fs + [non_face])
+    _patch_faces_of(monkeypatch, n + 1, lambda fs: fs + [non_face.elements])
     assert not verify_product_structure(n)
     assert not _product_structure_all_pairs(n)
 

@@ -132,3 +132,15 @@ def test_left_factor_prefix_property(length):
             height += 1 if ch == "U" else -1
             assert height >= 0
     assert len(words) == len(set(words))
+
+
+@pytest.mark.parametrize("n, elements", [
+    (3001, range(3, 3002, 2)),          # the largest set: every odd value
+    (4000, range(1001, 4001, 3)),
+    (2500, (3, 2500)),
+])
+def test_witness_at_n_in_the_thousands(n, elements):
+    s = PeakSet(n, elements)
+    w = witness(n, s)
+    assert sorted(w.values) == list(range(1, n + 1))
+    assert circular_peak_set(w) == s.elements

@@ -89,3 +89,16 @@ def test_small_n_have_no_peaks():
     for n in (1, 2):
         for vals in permutations(range(1, n + 1)):
             assert circular_peak_set(Permutation(vals)) == ()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cp_class_table_matches_a_plain_scan(n):
+    # The sweep keys by peak bitmask; the plain scan keys by the sorted
+    # tuple of circular_peak_set.  Same keys, counts and key order.
+    scan = {}
+    for vals in permutations(range(1, n + 1)):
+        cp = circular_peak_set(Permutation(vals))
+        scan[cp] = scan.get(cp, 0) + 1
+    table = cp_class_table(n)
+    assert list(table.items()) == list(scan.items())
+    assert all(type(v) is int for key in table for v in key)

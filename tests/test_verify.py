@@ -4,6 +4,7 @@ the pinned result line of every check at --max-n 8."""
 from collections import Counter
 
 from circpeaks import chains_zeta, complex_poset, perm_core, verify
+from circpeaks.peak_sets import PeakSet, count_valid
 
 # (suite, name, detail) of every check of run_suite("all", 8).  A detail
 # states the range a check covered, so a range that shrinks fails here.
@@ -172,6 +173,46 @@ def test_chains_suite_builds_each_face_below_list_once(monkeypatch):
     # chain-formula-vs-oracle (strict, n <= 12) and zeta-vs-multichain-oracle (n <= 8)
     assert sorted(builds) == sorted([(n, True) for n in range(3, 13)]
                                     + [(n, False) for n in range(3, 9)])
+
+
+def _count_chain_formulas(monkeypatch):
+    calls = []
+    real = chains_zeta.chain_count_formula
+
+    def counted(n, i):
+        calls.append((n, i))
+        return real(n, i)
+
+    monkeypatch.setattr(chains_zeta, "chain_count_formula", counted)
+    return calls
+
+
+def test_chains_suite_evaluates_each_chain_formula_once(monkeypatch):
+    calls = _count_chain_formulas(monkeypatch)
+    results = verify.run_suite("chains", 8)
+    assert all(r.ok for r in results)
+    assert set(Counter(calls).values()) == {1}
+    # n <= 12 at i <= D+3 (chain-counts-vs-composition-sum), and i = 1 up to n = 20
+    assert set(calls) == ({(n, i) for n in range(3, 13)
+                           for i in range(1, (n - 1) // 2 + 4)}
+                          | {(n, 1) for n in range(3, 21)})
+
+
+def test_chain_checks_outside_run_suite_compute_afresh(monkeypatch):
+    calls = _count_chain_formulas(monkeypatch)
+    assert verify.check_chain_formula_elements(8)[0]
+    assert verify.check_chain_formula_elements(8)[0]
+    assert Counter(calls) == Counter(2 * [(n, 1) for n in range(3, 21)])
+
+
+def test_valid_subsets_builds_no_peak_set(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("PeakSet built")
+
+    monkeypatch.setattr(PeakSet, "__init__", refuse)
+    monkeypatch.setattr(verify, "_memo", {})
+    for n in range(3, 15):
+        assert len(verify._valid_subsets(n)) == count_valid(n)
 
 
 def test_run_suite_all_pins_every_result_line():
