@@ -27,6 +27,14 @@ from . import tables
 TABULAR = ("enum-cp", "fvector", "hvector", "zeta", "chains", "hilbert")
 # series --order 500 takes ~0.5 s and prints ~5 MB; the output grows as order^3.
 SERIES_ORDER_CAP = 500
+# hilbert --algebra A --n 800 --order 2000 takes ~0.5 s and prints ~3 MB
+# (--n 200: ~0.1 s); time and output grow as order * n.
+HILBERT_ORDER_CAP = 2000
+# zeta's poset oracle costs ~4 ms per multichain length at n = 14 and never
+# stops early: zeta --n 14 --i 101 takes ~0.4 s in-process, ~0.5 s as a
+# subprocess.  Past this length zeta reports no oracle value, as past
+# POSET_CAP.  The strict-chain oracle of chains stops after D + 2 lengths.
+ZETA_ORACLE_LENGTH_CAP = 100
 
 
 class CliError(Exception):
@@ -63,11 +71,12 @@ def _emit_csv(rows, header, out) -> None:
 def _emit_count(args, key: str, value: int, length: int, out) -> None:
     """A count of zeta or chains, with its poset oracle's value up to POSET_CAP.
 
-    The oracle counts the multichains (zeta) or strict chains of ``length``
-    faces; its module is loaded only when it runs.
+    The oracle counts the multichains (zeta, up to ZETA_ORACLE_LENGTH_CAP)
+    or strict chains of ``length`` faces; its module is loaded only when it
+    runs.
     """
     found = None
-    if args.n <= POSET_CAP:
+    if args.n <= POSET_CAP and (key != "zeta" or length <= ZETA_ORACLE_LENGTH_CAP):
         from .chains_zeta import chain_oracle, multichain_oracle
 
         found = (multichain_oracle if key == "zeta" else chain_oracle)(args.n, length)
@@ -270,6 +279,9 @@ def _run(args, out) -> int:
     elif args.command == "hilbert":
         _require(args.n >= 3, "--n must be >= 3")
         _require(args.order >= 0, "--order must be >= 0")
+        if args.order > HILBERT_ORDER_CAP:
+            raise ResourceLimitError(
+                f"hilbert --order capped at {HILBERT_ORDER_CAP} (got {args.order})")
         if args.algebra == "B":
             counts = tables.chain_counts(args.n)  # dims and series share it
             dims = tables.graded_dimensions_b(args.n, counts, args.order)

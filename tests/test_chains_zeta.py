@@ -8,18 +8,16 @@ from circpeaks.chains_zeta import (
     chain_count_formula,
     chain_counts,
     chain_oracle,
-    f_polynomial_from_chains,
     multichain_oracle,
     zeta,
     zeta_polynomial,
     zeta_values,
 )
-from circpeaks.complex_poset import FaceTable, all_faces, f_polynomial, face_table
+from circpeaks.complex_poset import FaceTable, all_faces, face_table
 from circpeaks.exact_algebra import (
     ExactPoly,
     NonIntegralError,
     binomial,
-    epsilon_odd,
     poly_shift,
 )
 from circpeaks.peak_sets import count_valid, max_peak_count
@@ -51,9 +49,8 @@ def test_multichain_oracle_small():
 
 
 @pytest.mark.parametrize("n", range(3, 9))
-def test_zeta_matches_oracle(n):
-    for i in range(2, 7):
-        assert zeta(n, i) == multichain_oracle(n, i - 1)
+def test_zeta_matches_oracle(n, covered_by):
+    covered_by("chains", "zeta-vs-multichain-oracle", n)
 
 
 def test_zeta_rejects_nonintegral_f_polynomial(monkeypatch):
@@ -63,20 +60,12 @@ def test_zeta_rejects_nonintegral_f_polynomial(monkeypatch):
         zeta(5, 2)
 
 
-def test_zeta_recurrence():
-    for n in range(3, 13):
-        for i in range(2, 7):
-            correction = epsilon_odd(n) * \
-                Fraction(2 * (i - 1) ** ((n + 1) // 2), n + 1) * \
-                binomial(n - 1, (n - 1) // 2)
-            assert zeta(n + 1, i) == i * zeta(n, i) - correction
+def test_zeta_recurrence(covered_by):
+    covered_by("chains", "zeta-recurrence", 12)
 
 
-def test_zeta_polynomial_evaluates():
-    for n in range(3, 13):
-        zp = zeta_polynomial(n)
-        for i in range(2, 7):
-            assert zp.eval(i) == zeta(n, i)
+def test_zeta_polynomial_evaluates(covered_by):
+    covered_by("chains", "zeta-polynomial-eval", 12)
 
 
 @pytest.mark.parametrize("n", [*range(3, 61), 400])
@@ -90,6 +79,9 @@ def test_chain_formula_examples():
     assert chain_count_formula(5, 1) == 6
     assert chain_count_formula(5, 2) == 9
     assert chain_count_formula(5, 3) == 4
+    for n in range(3, 13):
+        for i in range(1, 5):
+            assert type(chain_count_formula(n, i)) is int
 
 
 def test_chain_oracle_examples():
@@ -99,11 +91,8 @@ def test_chain_oracle_examples():
 
 
 @pytest.mark.parametrize("n", range(3, 13))
-def test_chain_formula_matches_oracle(n):
-    for i in range(1, 5):
-        formula = chain_count_formula(n, i)
-        assert type(formula) is int
-        assert formula == chain_oracle(n, i)
+def test_chain_formula_matches_oracle(n, covered_by):
+    covered_by("chains", "chain-formula-vs-oracle", n)
 
 
 def test_chain_formula_rejects_a_sum_not_divisible_by_n(monkeypatch):
@@ -114,22 +103,18 @@ def test_chain_formula_rejects_a_sum_not_divisible_by_n(monkeypatch):
         chain_count_formula(5, 1)
 
 
-def test_chain_formula_counts_elements():
-    for n in range(3, 21):
-        assert chain_count_formula(n, 1) == count_valid(n)
+def test_chain_formula_counts_elements(covered_by):
+    covered_by("chains", "chain-formula-element-count", 20)
 
 
 @pytest.mark.parametrize("n", range(3, 11))
-def test_chain_counts_reconstruct_zeta(n):
-    for i in range(2, 7):
-        recon = sum(chain_count_formula(n, j - 1) * binomial(i - 2, j - 2)
-                    for j in range(2, max_peak_count(n) + 4))
-        assert recon == zeta(n, i)
+def test_chain_counts_reconstruct_zeta(n, covered_by):
+    covered_by("chains", "zeta-from-chain-counts", n)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
-def test_f_polynomial_from_chains(n):
-    assert f_polynomial_from_chains(n) == f_polynomial(n)
+def test_f_polynomial_from_chains(n, covered_by):
+    covered_by("chains", "fpolynomial-from-chains", n)
 
 
 @pytest.mark.parametrize("n", range(3, 17))

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from circpeaks import complex_poset, hvector, tables, verify
-from circpeaks.cli import SERIES_ORDER_CAP, run
+from circpeaks.cli import HILBERT_ORDER_CAP, SERIES_ORDER_CAP, ZETA_ORACLE_LENGTH_CAP, run
 from circpeaks.complex_poset import f_polynomial
 from circpeaks.exact_algebra import PolySeries
 from circpeaks.hvector import h_polynomial
@@ -289,6 +289,43 @@ def test_series_order_cap(capsys):
     assert f"capped at {SERIES_ORDER_CAP}" in capsys.readouterr().err
     payload = invoke_json("series", "--which", "H", "--order", str(SERIES_ORDER_CAP))
     assert payload["coefficients"][-1]["n"] == SERIES_ORDER_CAP
+
+
+@pytest.mark.parametrize("algebra", ["A", "B"])
+def test_hilbert_order_cap(capsys, algebra):
+    started = time.perf_counter()
+    for order in (HILBERT_ORDER_CAP + 1, 10 ** 10):
+        assert invoke("hilbert", "--n", "5", "--algebra", algebra,
+                      "--order", str(order)) == (1, "")
+        assert f"error: hilbert --order capped at {HILBERT_ORDER_CAP} (got {order})" \
+            in capsys.readouterr().err
+    assert time.perf_counter() - started < 0.5
+    payload = invoke_json("hilbert", "--n", "5", "--algebra", algebra,
+                          "--order", str(HILBERT_ORDER_CAP))
+    assert len(payload["dims"]) == HILBERT_ORDER_CAP + 1
+
+
+def test_zeta_oracle_runs_up_to_its_length_cap_only():
+    # zeta --i counts multichains of i - 1 faces
+    i = ZETA_ORACLE_LENGTH_CAP + 1
+    payload = invoke_json("zeta", "--n", "14", "--i", str(i))
+    assert payload["oracle"] == payload["zeta"] and payload["match"] is True
+    started = time.perf_counter()
+    for i in (ZETA_ORACLE_LENGTH_CAP + 2, 10 ** 6):
+        payload = invoke_json("zeta", "--n", "14", "--i", str(i))
+        assert payload["zeta"] == tables.zeta(14, i)
+        assert payload["oracle"] is None and payload["match"] is None
+    code, text = invoke("zeta", "--n", "14", "--i", str(ZETA_ORACLE_LENGTH_CAP + 2),
+                        "--format", "csv")
+    assert code == 0 and text.splitlines()[1].endswith(",,")
+    assert time.perf_counter() - started < 0.5
+
+
+def test_chains_oracle_stops_once_no_chain_is_left():
+    started = time.perf_counter()
+    payload = invoke_json("chains", "--n", "14", "--i", str(10 ** 6))
+    assert time.perf_counter() - started < 1.0
+    assert payload["count"] == 0 and payload["oracle"] == 0 and payload["match"] is True
 
 
 def test_format_only_on_tabular_commands(capsys):

@@ -11,12 +11,9 @@ from circpeaks.exact_algebra import (
 from circpeaks.complex_poset import f_polynomial
 from circpeaks.hvector import (
     HVector,
-    h_dyck_oracle,
     h_entry,
     h_generating_series,
     h_polynomial,
-    h_polynomial_by_recurrence,
-    h_recurrence_table,
     h_table,
     printed_h_series_discrepancy,
 )
@@ -40,21 +37,14 @@ def test_h_polynomial_matches_shifted_f_polynomial(n):
     assert h_polynomial(n) == poly_shift(f_polynomial(n))
 
 
-def test_h_polynomial_recurrence():
-    for n in range(3, 41):
-        assert h_polynomial_by_recurrence(n) == h_polynomial(n)
+def test_h_polynomial_recurrence(covered_by):
+    covered_by("hvector", "h-closed-recurrence-shift", 40)
 
 
 def test_h_entry_examples():
     assert h_table(6) == HVector(6, (1, 2, 2))
     assert h_table(7) == HVector(7, (1, 2, 2, 0))
     assert h_entry(9, 4) == 0
-    # coefficient list of H_n is the reversed h-vector
-    for n in range(3, 31):
-        hv = h_table(n).h
-        poly = h_polynomial(n)
-        d = max_peak_count(n)
-        assert all(poly.coeff(d - i) == hv[i] for i in range(d + 1))
 
 
 def test_h_entry_domain():
@@ -71,9 +61,8 @@ def test_h_entry_rejects_inexact_division(monkeypatch):
         h_entry(8, 1)
 
 
-def test_h_recurrence_table():
-    for n in range(3, 31):
-        assert h_recurrence_table(n) == h_table(n)
+def test_h_recurrence_table(covered_by):
+    covered_by("hvector", "h-closed-recurrence-shift", 30)
 
 
 def test_h_odd_top_entry_vanishes():
@@ -86,16 +75,13 @@ def test_h_even_top_entry_is_catalan():
         assert h_entry(n, max_peak_count(n)) == catalan_number(n // 2 - 1)
 
 
-def test_h_sum_counts_top_faces():
-    # H_n(1) = P_n(0), the number of top-dimensional faces
-    for n in range(3, 31):
-        assert sum(h_table(n).h) == f_polynomial(n).coeff(0)
+def test_h_sum_counts_top_faces(covered_by):
+    covered_by("hvector", "h-sum-identity", 30)
 
 
 @pytest.mark.parametrize("n", range(3, 17))
-def test_h_entry_matches_dyck_oracle(n):
-    for i in range(0, max_peak_count(n) + 1):
-        assert h_entry(n, i) == h_dyck_oracle(n, i)
+def test_h_entry_matches_dyck_oracle(n, covered_by):
+    covered_by("hvector", "h-dyck-endpoint-oracle", n)
 
 
 def test_h_generating_series():

@@ -1,5 +1,3 @@
-from itertools import combinations
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,13 +18,6 @@ from circpeaks.peak_sets import (
     witness,
 )
 from circpeaks.perm_core import circular_peak_set
-
-
-def valid_subsets(n):
-    for k in range(0, max_peak_count(n) + 1):
-        for c in combinations(range(3, n + 1), k):
-            if is_valid(n, c):
-                yield c
 
 
 def test_is_valid_examples():
@@ -85,33 +76,24 @@ def test_count_valid_values():
 
 
 @pytest.mark.parametrize("n", range(3, 15))
-def test_count_valid_exhaustive(n):
-    assert count_valid(n) == sum(1 for _ in valid_subsets(n))
+def test_count_valid_exhaustive(n, covered_by):
+    covered_by("peaksets", "count-valid-exhaustive", n)
 
 
 @pytest.mark.parametrize("n", range(3, 15))
-def test_dyck_round_trip_and_onto(n):
-    words = set()
-    for s in valid_subsets(n):
-        ps = PeakSet(n, s)
-        word = to_dyck(ps)
-        assert from_dyck(n, word) == ps
-        words.add(word.letters)
-    assert words == set(enumerate_left_factors(n - 1))
+def test_dyck_round_trip_and_onto(n, covered_by):
+    covered_by("peaksets", "dyck-round-trip", n)
+    covered_by("peaksets", "dyck-bijection-onto", n)
 
 
 @pytest.mark.parametrize("n", range(3, 15))
-def test_witness_realizes_every_valid_set(n):
-    for s in valid_subsets(n):
-        assert circular_peak_set(witness(n, PeakSet(n, s))) == s
+def test_witness_realizes_every_valid_set(n, covered_by):
+    covered_by("perm", "witness-realizes-set", n)
 
 
 @pytest.mark.parametrize("n", range(3, 14))
-def test_extension_law(n):
-    cap = max_peak_count(n)
-    for s in valid_subsets(n):
-        expected = len(s) < cap or n % 2 == 0
-        assert is_valid(n + 1, s + (n + 1,)) == expected
+def test_extension_law(n, covered_by):
+    covered_by("peaksets", "extension-parity-law", n)
 
 
 def test_left_factor_counts():

@@ -1,7 +1,9 @@
-"""The verify registry as a whole: the memo of one run_suite call, and
-the pinned result line of every check at --max-n 8."""
+"""The verify registry: the memo of one run_suite call, and one test id
+per registry check, pinning its result line at --max-n 8."""
 
 from collections import Counter
+
+import pytest
 
 from circpeaks import chains_zeta, complex_poset, perm_core, verify
 from circpeaks.peak_sets import PeakSet, count_valid
@@ -215,7 +217,14 @@ def test_valid_subsets_builds_no_peak_set(monkeypatch):
         assert len(verify._valid_subsets(n)) == count_valid(n)
 
 
-def test_run_suite_all_pins_every_result_line():
-    results = verify.run_suite("all", 8)
-    assert [(r.suite, r.name, r.detail) for r in results] == EXPECTED_ALL_8
-    assert all(r.ok for r in results)
+@pytest.mark.parametrize("suite, name, detail", EXPECTED_ALL_8,
+                         ids=[f"{suite}/{name}" for suite, name, _ in EXPECTED_ALL_8])
+def test_registry_check(registry, suite, name, detail):
+    result = registry[(suite, name)]
+    assert result.ok, result.detail
+    assert result.detail == detail
+
+
+def test_registry_lists_every_check():
+    listed = [(suite, name) for suite, checks in verify.SUITES.items() for name, _ in checks]
+    assert listed == [(suite, name) for suite, name, _ in EXPECTED_ALL_8]
