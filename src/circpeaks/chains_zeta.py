@@ -7,9 +7,10 @@ floor((n-1)/2), as the forward differences of the multichain counts,
 which is their binomial inversion (Stanley, EC1 3.12).  Both are defined
 in circpeaks.tables, the integer core, and re-exported here.  The paper's
 multinomial composition sum, chain_count_formula, grows exponentially in
-n and is kept as an oracle only.  Both counts have dumb exhaustive
-oracles over the face poset for cross-checking, and the f-polynomial can
-be rebuilt from the chain counts alone.
+n and is kept as an oracle only.  Both counts have exhaustive oracles,
+one level pass over the face poset's down-sets (complex_poset.down_sets)
+that counts every length at once, and the f-polynomial can be rebuilt
+from the chain counts alone.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 
-from .complex_poset import _check_poset_cap, _mask, _submasks, face_tuples
+from .complex_poset import down_sets, face_tuples
 from .exact_algebra import ExactPoly, multinomial
 # Re-exported from the integer core, which defines them.
 from .tables import (
@@ -45,63 +46,37 @@ def zeta_polynomial(n: int) -> ExactPoly:
     return ExactPoly(c)
 
 
-def _faces_below(n: int, strict: bool) -> list[list[int]]:
-    """For each face b of face_tuples(n), the indices of the faces a < b (a <= b), ascending.
+def _poset_chain_counts(down: list[list[int]], length: int, strict: bool) -> list[int]:
+    """Tuples of k faces, each below the next (strictly if strict), for k = 0..length.
 
-    The faces below b are the submasks of b's bitmask that are faces, at
-    most 2^D of them with D = floor((n-1)/2); each is looked up in the
-    face index.  That is O(m 2^D) lookups for the m faces, instead of
-    comparing all m^2 pairs.
+    down is complex_poset.down_sets of the faces.  counts[j] is the number
+    of tuples of the current length ending at face j, summed over the
+    faces below face j; a strict sum leaves out js[0], face j itself.
+    Once every count is zero no longer tuple exists, so the list stops
+    after its first zero: a k past its end counts 0.  That never happens
+    for multichains, as every face is below itself.
     """
-    masks = [_mask(c) for c in face_tuples(n)]
-    index = {m: j for j, m in enumerate(masks)}
-    return [sorted(index[s] for s in _submasks(b) if s in index and not (strict and s == b))
-            for b in masks]
+    out, counts = [1], [1] * len(down)
+    while len(out) <= length and out[-1]:
+        if len(out) > 1:
+            counts = [sum(counts[j] for j in js) - strict * counts[js[0]] for js in down]
+        out.append(sum(counts))
+    return out
 
 
-def _count_chains(n: int, length: int, strict: bool,
-                  below: list[list[int]] | None) -> int:
-    """Tuples of ``length`` faces, each below the next (strictly if strict).
-
-    counts[k] is the number of tuples of the current length ending at
-    face k, summed over per-face lists of the faces below it (below, or
-    _faces_below(n, strict) if it is None).  Once every count is zero no
-    longer tuple exists, so the level loop stops there; that never
-    happens for multichains, as every face is below itself.
-    """
-    _check_poset_cap(n)
-    if length == 0:
-        return 1
-    if below is None:
-        below = _faces_below(n, strict)
-    counts = [1] * len(below)
-    for _ in range(length - 1):
-        counts = [sum(counts[j] for j in js) for js in below]
-        if not any(counts):
-            return 0
-    return sum(counts)
-
-
-def multichain_oracle(n: int, length: int, *, below: list[list[int]] | None = None) -> int:
-    """Exhaustive count of weakly increasing length-tuples of faces.
-
-    A caller that counts at several lengths may pass below =
-    _faces_below(n, False), built once; by default it is built here.
-    """
+def multichain_oracle(n: int, length: int) -> int:
+    """Exhaustive count of weakly increasing length-tuples of faces."""
     if length < 0:
         raise ValueError("length must be >= 0")
-    return _count_chains(n, length, False, below)
+    return _poset_chain_counts(down_sets(face_tuples(n)), length, False)[length]
 
 
-def chain_oracle(n: int, i: int, *, below: list[list[int]] | None = None) -> int:
-    """Exhaustive count of strictly increasing i-tuples of faces.
-
-    A caller that counts at several i may pass below =
-    _faces_below(n, True), built once; by default it is built here.
-    """
+def chain_oracle(n: int, i: int) -> int:
+    """Exhaustive count of strictly increasing i-tuples of faces."""
     if i < 0:
         raise ValueError("i must be >= 0")
-    return _count_chains(n, i, True, below)
+    counts = _poset_chain_counts(down_sets(face_tuples(n)), i, True)
+    return counts[i] if i < len(counts) else 0
 
 
 def _compositions(total: int, mins: list[int]) -> Iterator[tuple[int, ...]]:

@@ -20,7 +20,7 @@ import sys
 # the integer core, whose functions are looked up on the module at call
 # time.  Every other module is imported only by the branch that runs it,
 # so those commands load no oracle.
-from .tables import POSET_CAP, ResourceLimitError, as_integer
+from .tables import POSET_CAP, ResourceLimitError
 from . import tables
 
 
@@ -295,10 +295,9 @@ def _run(args, out) -> int:
             payload = {"n": args.n, "algebra": args.algebra,
                        "dims": list(dims.dims)}
             if args.algebra == "A":
-                payload["numerator"] = [as_integer(c, "numerator") for c in numerator]
+                payload["numerator"] = list(numerator)
                 payload["denominator_exponent"] = exponent
-                payload["hilbert_polynomial"] = [as_integer(c, "Hilbert polynomial")
-                                                 for c in f]
+                payload["hilbert_polynomial"] = list(f)
             else:
                 payload["series_polynomial"] = list(counts)
             _emit_json(payload, out)

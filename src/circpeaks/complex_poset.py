@@ -10,10 +10,11 @@ enumeration and the parity recurrence kept here as independent oracles.
 face_table(n), the integer f-vector, and the Euler characteristic are
 defined in circpeaks.tables and re-exported here; f_polynomial is its
 ExactPoly view.
-Also here: the one builder of the corrected generating series, written
-in a with P(x,y) at a = x+1 and H(x,y) = P(x-1,y) at a = x, with the
-one cross-multiplied check of the printed forms; the Moebius function
-and the product-structure check.
+Also here: the builders written in a, with P at a = x+1 and H = P(x-1)
+at a = x, of the parity-recurrence polynomials and of the corrected
+generating series, with the one cross-multiplied check of the printed
+forms; the Moebius function; down_sets, the one builder of the order
+relation of the face poset; and the product-structure check.
 """
 
 from __future__ import annotations
@@ -120,17 +121,26 @@ def f_polynomial_by_recurrence(n: int) -> ExactPoly:
     Even m: P_{m+1} = (1+x)P_m; odd m: x P_{m+1} = (1+x)P_m - 2/(m+1) C(m-1,(m-1)/2),
     the latter solved by exact division by x.
     """
+    return _polynomial_by_recurrence(ExactPoly((1, 1)), n)
+
+
+def _polynomial_by_recurrence(a: ExactPoly, n: int) -> ExactPoly:
+    """The parity recurrence in a, from p = a at n = 3.
+
+    Even m: p <- a p; odd m: p <- (a p - c_m) / (a - 1), divided exactly,
+    with c_m = 2/(m+1) C(m-1,(m-1)/2).  a = 1+x gives P_n; a = x gives
+    H_n = P_n(x-1).
+    """
     if n < 3:
         raise ValueError("n must be >= 3")
-    p = ExactPoly((1, 1))
-    one_plus_x = ExactPoly((1, 1))
+    p, a_minus_one = a, a - ExactPoly.constant(1)
     for m in range(3, n):
         if m % 2 == 0:
-            p = one_plus_x * p
+            p = a * p
         else:
             c = exact_quotient(2 * binomial(m - 1, (m - 1) // 2), m + 1,
                                f"the Catalan term 2/(m+1) C(m-1,(m-1)/2) at m={m}")
-            p = (one_plus_x * p - ExactPoly.constant(c)).exact_div(ExactPoly.x())
+            p = (a * p - ExactPoly.constant(c)).exact_div(a_minus_one)
     return p
 
 
@@ -284,6 +294,20 @@ def _submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
+def down_sets(faces) -> list[list[int]]:
+    """For each face of a face_tuples list, the indices of the faces it contains.
+
+    The face's own index comes first, so the faces strictly below it are
+    the rest of its list.  They are the submasks of its bitmask that are
+    faces, at most 2^D of them with D = floor((n-1)/2); each is looked up
+    in the face index.  That is O(m 2^D) lookups for the m faces, instead
+    of comparing all m^2 pairs.
+    """
+    masks = [_mask(c) for c in faces]
+    index = {m: j for j, m in enumerate(masks)}
+    return [[index[s] for s in _submasks(m) if s in index] for m in masks]
+
+
 def verify_product_structure(n: int) -> bool:
     """Check the product decomposition of the (n+1)-poset over the n-poset.
 
@@ -291,39 +315,37 @@ def verify_product_structure(n: int) -> bool:
     (2 if n+1 in S else 1, S minus {n+1}).  For even n it must be an order
     isomorphism onto the full product 2 x P_n; for odd n, onto the product
     minus the slice (carrying n+1) over the top-dimensional faces.
-
-    Once the map is checked to be a bijection onto that target, "S <= S'
-    iff image(S) <= image(S')" for all pairs is the same as: for each S',
-    the image of the down-set of S' is the down-set of image(S') in the
-    target.  Both down-sets are found by enumerating the submasks of a
-    face's bitmask (at most 2^D of them, D = floor(n/2)) and looking each
-    one up, so the order test costs O(m 2^D) set lookups, m = |P_{n+1}|,
-    instead of the O(m^2) comparisons of every pair.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
     _check_poset_cap(n + 1)
-    # faces as bitmasks: the subsets of a face are the submasks of its mask
-    base = {_mask(c) for c in face_tuples(n)}
-    big = [_mask(c) for c in face_tuples(n + 1)]
-    top = max_peak_count(n) - 1
-    last = 1 << (n + 1)
+    base, big = face_tuples(n), face_tuples(n + 1)
+    return _product_structure(n, base, down_sets(base), big, down_sets(big))
 
-    image = {S: (2 if S & last else 1, S & ~last) for S in big}
 
+def _product_structure(n: int, base, base_down, big, big_down) -> bool:
+    """verify_product_structure on the faces of P_n, P_{n+1} and their down_sets.
+
+    Once the map is a bijection onto its target, "S <= S' iff image(S) <=
+    image(S')" for all pairs is the same as: for each S', the image of the
+    down-set of S' is the down-set of image(S') in the target.  That reads
+    O(m 2^D) list entries, m = |P_{n+1}|, not the O(m^2) pairs.
+    """
+    # faces are ascending tuples, so n+1 is the last element of a face holding it
+    image = [(2, S[:-1]) if S and S[-1] == n + 1 else (1, S) for S in big]
     target = {(a, T) for a in (1, 2) for T in base}
     if n % 2:
-        target -= {(2, T) for T in base if T.bit_count() == top + 1}
+        target -= {(2, T) for T in base if len(T) == max_peak_count(n)}
 
-    images = set(image.values())
+    images = set(image)
     if images != target or len(images) != len(big):
         return False
     # order isomorphism: S <= S' iff labels and bases are componentwise <=,
     # checked as image(down-set of S') = down-set of image(S') in the target
-    for S2, (a2, T2) in image.items():
-        below = {image[m] for m in _submasks(S2) if m in image}
-        product_below = {(a, m) for m in _submasks(T2) if m in base
+    index = {T: j for j, T in enumerate(base)}
+    for (a2, T2), below in zip(image, big_down):
+        product_below = {(a, base[j]) for j in base_down[index[T2]]
                          for a in range(1, a2 + 1)}
-        if below != product_below & target:
+        if {image[k] for k in below} != product_below & target:
             return False
     return True

@@ -13,7 +13,7 @@ h_entry and the shift P_n(x-1) are its oracles.
 
 from __future__ import annotations
 
-from .complex_poset import _corrected_series, _printed_series_discrepancy
+from .complex_poset import _corrected_series, _polynomial_by_recurrence, _printed_series_discrepancy
 from .exact_algebra import (
     ExactPoly,
     PolySeries,
@@ -41,18 +41,7 @@ def h_polynomial_by_recurrence(n: int) -> ExactPoly:
     Even m: H_{m+1} = x H_m; odd m: (x-1) H_{m+1} = x H_m - 2/(m+1) C(m-1,(m-1)/2),
     the latter solved by exact division by (x-1).
     """
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    h = ExactPoly((0, 1))
-    x = ExactPoly.x()
-    for m in range(3, n):
-        if m % 2 == 0:
-            h = x * h
-        else:
-            c = exact_quotient(2 * binomial(m - 1, (m - 1) // 2), m + 1,
-                               f"the Catalan term 2/(m+1) C(m-1,(m-1)/2) at m={m}")
-            h = (x * h - ExactPoly.constant(c)).exact_div(ExactPoly((-1, 1)))
-    return h
+    return _polynomial_by_recurrence(ExactPoly.x(), n)
 
 
 def h_entry(n: int, i: int) -> int:

@@ -9,7 +9,8 @@ Within one run_suite call, what several checks share is computed once
 and kept in a memo that the call discards when it ends:
 - the faces of P_n as ascending tuples (complex_poset.face_tuples);
 - the CP class table of each S_n sweep (perm_core.cp_class_table);
-- the per-face lists of the poset chain oracles (chains_zeta._faces_below);
+- the down-sets of P_n (complex_poset.down_sets), which the chain oracles
+  and the product-structure check read;
 - each composition sum chain_count_formula(n, i).
 A check called outside run_suite computes all of these afresh.
 """
@@ -34,9 +35,9 @@ from . import (
 from .exact_algebra import ExactPoly
 from .peak_sets import PeakSet
 from .record import Record
+from .tables import POSET_CAP
 
 PERM_DEFAULT = 8
-POSET_DEFAULT = 14
 MIN_MAX_N = 3  # the complex starts at n = 3; below it some checks cover no n
 
 
@@ -70,9 +71,9 @@ def _cp_class_table(n: int) -> dict[tuple[int, ...], int]:
     return _memoized(("cp_class_table", n), lambda: perm_core.cp_class_table(n))
 
 
-def _faces_below(n: int, strict: bool) -> list[list[int]]:
-    """The per-face lists of the poset oracles, for every length they count."""
-    return _memoized(("faces_below", n, strict), lambda: chains_zeta._faces_below(n, strict))
+def _down_sets(n: int) -> list[list[int]]:
+    """complex_poset.down_sets of the faces of P_n, indexed as _valid_subsets(n)."""
+    return _memoized(("down_sets", n), lambda: complex_poset.down_sets(_valid_subsets(n)))
 
 
 def _chain_count_formula(n: int, i: int) -> int:
@@ -122,7 +123,7 @@ def check_peak_window(max_n: int) -> tuple[bool, str]:
 
 
 def check_witness(max_n: int) -> tuple[bool, str]:
-    top = min(POSET_DEFAULT, max_n + 6)
+    top = min(POSET_CAP, max_n + 6)
     for n in range(3, top + 1):
         for s in _valid_subsets(n):
             w = peak_sets.witness(n, PeakSet(n, s))
@@ -136,7 +137,7 @@ def check_witness(max_n: int) -> tuple[bool, str]:
 
 
 def check_dyck_roundtrip(max_n: int) -> tuple[bool, str]:
-    top = min(POSET_DEFAULT, max_n + 6)
+    top = min(POSET_CAP, max_n + 6)
     for n in range(3, top + 1):
         for s in _valid_subsets(n):
             ps = PeakSet(n, s)
@@ -146,7 +147,7 @@ def check_dyck_roundtrip(max_n: int) -> tuple[bool, str]:
 
 
 def check_dyck_bijection(max_n: int) -> tuple[bool, str]:
-    top = min(POSET_DEFAULT, max_n + 6)
+    top = min(POSET_CAP, max_n + 6)
     for n in range(3, top + 1):
         words = {peak_sets.to_dyck(PeakSet(n, s)).letters for s in _valid_subsets(n)}
         expected = set(peak_sets.enumerate_left_factors(n - 1))
@@ -156,7 +157,7 @@ def check_dyck_bijection(max_n: int) -> tuple[bool, str]:
 
 
 def check_count_valid(max_n: int) -> tuple[bool, str]:
-    top = min(POSET_DEFAULT, max_n + 6)
+    top = min(POSET_CAP, max_n + 6)
     for n in range(3, top + 1):
         if peak_sets.count_valid(n) != sum(1 for _ in _valid_subsets(n)):
             return False, f"count_valid mismatch at n={n}"
@@ -180,7 +181,7 @@ def check_extension_law(max_n: int) -> tuple[bool, str]:
 
 
 def check_downward_closure(max_n: int) -> tuple[bool, str]:
-    top = min(POSET_DEFAULT, max_n + 6)
+    top = min(POSET_CAP, max_n + 6)
     for n in range(3, top + 1):
         faces = _valid_subsets(n)
         face_set = set(faces)
@@ -193,7 +194,7 @@ def check_downward_closure(max_n: int) -> tuple[bool, str]:
 
 
 def check_vertices_and_dimension(max_n: int) -> tuple[bool, str]:
-    top = min(POSET_DEFAULT, max_n + 6)
+    top = min(POSET_CAP, max_n + 6)
     for n in range(3, top + 1):
         for x in range(1, n + 1):
             if peak_sets.is_valid(n, (x,)) != (3 <= x <= n):
@@ -205,7 +206,7 @@ def check_vertices_and_dimension(max_n: int) -> tuple[bool, str]:
 
 
 def check_face_counts(max_n: int) -> tuple[bool, str]:
-    top = min(POSET_DEFAULT, max_n + 6)
+    top = min(POSET_CAP, max_n + 6)
     for n in range(3, top + 1):
         row = tuple(complex_poset.face_count(n, i)
                     for i in range(-1, peak_sets.max_peak_count(n)))
@@ -233,7 +234,7 @@ def check_fpoly_recurrence(max_n: int) -> tuple[bool, str]:
 
 
 def check_face_dyck_counts(max_n: int) -> tuple[bool, str]:
-    top = min(POSET_DEFAULT, max_n + 6)
+    top = min(POSET_CAP, max_n + 6)
     for n in range(3, top + 1):
         factors = peak_sets.enumerate_left_factors(n - 1)
         sizes = Counter(len(s) for s in _valid_subsets(n))
@@ -279,7 +280,8 @@ def check_euler(max_n: int) -> tuple[bool, str]:
 def check_product_structure(max_n: int) -> tuple[bool, str]:
     top = min(13, max_n + 5)
     for n in range(3, top + 1):
-        if not complex_poset.verify_product_structure(n):
+        if not complex_poset._product_structure(n, _valid_subsets(n), _down_sets(n),
+                                                _valid_subsets(n + 1), _down_sets(n + 1)):
             return False, f"product decomposition failed at n={n}"
     return True, f"poset product decomposition holds, n <= {top}"
 
@@ -291,9 +293,9 @@ def check_product_structure(max_n: int) -> tuple[bool, str]:
 def check_zeta_oracle(max_n: int) -> tuple[bool, str]:
     top = min(PERM_DEFAULT, max_n)
     for n in range(3, top + 1):
+        counts = chains_zeta._poset_chain_counts(_down_sets(n), 5, strict=False)
         for i in range(2, 7):
-            if chains_zeta.zeta(n, i) != chains_zeta.multichain_oracle(
-                    n, i - 1, below=_faces_below(n, False)):
+            if chains_zeta.zeta(n, i) != counts[i - 1]:
                 return False, f"zeta mismatch at n={n}, i={i}"
     return True, f"zeta = multichain oracle, n <= {top}, i <= 6"
 
@@ -313,9 +315,10 @@ def check_zeta_recurrence(max_n: int) -> tuple[bool, str]:
 def check_chain_formula(max_n: int) -> tuple[bool, str]:
     top = min(12, max_n + 4)
     for n in range(3, top + 1):
+        counts = chains_zeta._poset_chain_counts(_down_sets(n), 4, strict=True)
         for i in range(1, 5):
             formula = _chain_count_formula(n, i)
-            oracle = chains_zeta.chain_oracle(n, i, below=_faces_below(n, True))
+            oracle = counts[i] if i < len(counts) else 0
             if formula != oracle:
                 return False, f"chain count mismatch at (n={n}, i={i}): formula {formula}, oracle {oracle}"
     return True, f"multinomial chain formula = strict-chain oracle, n <= {top}, i <= 4"

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from circpeaks import chains_zeta, tables
+from circpeaks import chains_zeta, complex_poset, tables
 from circpeaks.chains_zeta import (
     chain_count_formula,
     chain_counts,
@@ -164,7 +164,19 @@ def test_faces_below_matches_all_pairs_reference(n, strict):
         reference = [[j for j, a in enumerate(fs) if a < b] for b in fs]
     else:
         reference = [[j for j, a in enumerate(fs) if a <= b] for b in fs]
-    assert chains_zeta._faces_below(n, strict) == reference
+    down = complex_poset.down_sets(complex_poset.face_tuples(n))
+    assert [d[0] for d in down] == list(range(len(fs)))
+    assert [sorted(d[1:] if strict else d) for d in down] == reference
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_one_pass_chain_counts_at_the_poset_cap(n):
+    # No registry check reaches these n.
+    down = complex_poset.down_sets(complex_poset.face_tuples(n))
+    multichains = chains_zeta._poset_chain_counts(down, 5, strict=False)
+    assert multichains == [1] + [zeta(n, length + 1) for length in range(1, 6)]
+    chains = chains_zeta._poset_chain_counts(down, max_peak_count(n) + 10, strict=True)
+    assert chains == list(chain_counts(n)) + [0]
 
 
 def test_poset_cap():

@@ -160,21 +160,43 @@ def test_face_count_checks_read_the_run_face_list(monkeypatch):
     assert calls == []
 
 
-def test_chains_suite_builds_each_face_below_list_once(monkeypatch):
+def _count_down_set_builds(monkeypatch):
     builds = []
-    real = chains_zeta._faces_below
+    real = complex_poset.down_sets
 
-    def counted(n, strict):
-        builds.append((n, strict))
-        return real(n, strict)
+    def counted(faces):
+        builds.append(len(faces))  # |P_n| grows with n, so it names n
+        return real(faces)
 
-    monkeypatch.setattr(chains_zeta, "_faces_below", counted)
+    monkeypatch.setattr(complex_poset, "down_sets", counted)
+    return builds
+
+
+def test_chains_suite_builds_each_face_below_list_once(monkeypatch):
+    builds = _count_down_set_builds(monkeypatch)
     results = verify.run_suite("chains", 8)
     assert all(r.ok for r in results)
-    assert set(Counter(builds).values()) == {1}
-    # chain-formula-vs-oracle (strict, n <= 12) and zeta-vs-multichain-oracle (n <= 8)
-    assert sorted(builds) == sorted([(n, True) for n in range(3, 13)]
-                                    + [(n, False) for n in range(3, 9)])
+    # chain-formula-vs-oracle (n <= 12) and zeta-vs-multichain-oracle (n <= 8)
+    # share the down-sets of each n
+    assert sorted(builds) == [count_valid(n) for n in range(3, 13)]
+
+
+def test_complex_suite_enumerates_each_poset_once(monkeypatch):
+    builds = _count_down_set_builds(monkeypatch)
+    enumerated = []
+    real = complex_poset.face_tuples
+
+    def counted(n, dim=None):
+        if dim is None:
+            enumerated.append(n)
+        return real(n, dim)
+
+    monkeypatch.setattr(complex_poset, "face_tuples", counted)
+    results = verify.run_suite("complex", 8)
+    assert all(r.ok for r in results)
+    assert sorted(enumerated) == list(range(3, 15))
+    # product-structure reads the down-sets of P_n and P_{n+1}, n <= 13
+    assert sorted(builds) == [count_valid(n) for n in range(3, 15)]
 
 
 def _count_chain_formulas(monkeypatch):
