@@ -43,13 +43,12 @@ _DEFINED_IN = {
         "h_recurrence_table",
     ),
     "hilbert_algebras": (
-        "RationalSeriesForm", "dim_a", "dim_b", "hilbert_data_a",
-        "hilbert_polynomial_a", "hilbert_series_b", "numerator_a",
-        "standard_monomial_oracle",
+        "RationalSeriesForm", "dim_a", "dim_b", "hilbert_polynomial_a",
+        "hilbert_series_b", "numerator_a", "standard_monomial_oracle",
     ),
     "tables": (
-        "POSET_CAP", "ClosedFormMismatchError", "FaceTable", "GradedDimensions",
-        "HVector", "InexactDivisionError", "NonIntegralError",
+        "POSET_CAP", "ClosedFormMismatchError", "FaceTable", "HVector",
+        "InexactDivisionError", "NonIntegralError",
         "ResourceLimitError", "chain_counts", "euler_characteristic",
         "euler_characteristic_closed_form", "face_table", "h_table",
         "hilbert_series_a", "max_peak_count", "zeta", "zeta_values",

@@ -35,6 +35,15 @@ HILBERT_ORDER_CAP = 2000
 # subprocess.  Past this length zeta reports no oracle value, as past
 # POSET_CAP.  The strict-chain oracle of chains stops after D + 2 lengths.
 ZETA_ORACLE_LENGTH_CAP = 100
+# --n caps, one per growth class in n of the README table.  The f-vector
+# has D = floor((n-1)/2) entries of O(n) bits, so an O(D) command still
+# does O(n^2) bit operations: as subprocesses, fvector --n 16000 takes
+# ~4.2 s and prints ~56 MB, hvector ~3.6 s, euler and zeta ~0.2 s.
+LINEAR_N_CAP = 16000  # fvector, hvector, euler, zeta
+# O(D^2): D+1 (hilbert A: D+6) multichain counts.  chains --n 2000 takes
+# ~1.3 s, hilbert --algebra A --n 2000 ~1.8 s (~3.2 s and ~10 MB at
+# --order 2000).
+QUADRATIC_N_CAP = 2000  # chains, hilbert
 
 
 class CliError(Exception):
@@ -164,6 +173,13 @@ def _require(cond: bool, message: str) -> None:
         raise CliError(message)
 
 
+def _require_n(args, cap: int) -> None:
+    """--n is at least 3 and at most the command's cap."""
+    _require(args.n >= 3, "--n must be >= 3")
+    if args.n > cap:
+        raise ResourceLimitError(f"{args.command} --n capped at {cap} (got {args.n})")
+
+
 def _run(args, out) -> int:
     if args.command == "stats":
         from .perm_core import Permutation, circular_descent_set, circular_peak_set
@@ -212,47 +228,42 @@ def _run(args, out) -> int:
                     "round_trip": list(back.elements)}, out)
 
     elif args.command == "faces":
-        from .complex_poset import faces
+        from .complex_poset import face_tuples
 
         _require(args.n >= 3, "--n must be >= 3")
+        # JSON writes each face tuple as a list
         if args.dim is not None:
-            fs = faces(args.n, args.dim)
             _emit_json({"n": args.n, "dim": args.dim,
-                        "faces": [list(f.elements) for f in fs]}, out)
+                        "faces": face_tuples(args.n, args.dim)}, out)
         else:
-            by_dim = {
-                str(d): [list(f.elements) for f in faces(args.n, d)]
-                for d in range(-1, tables.max_peak_count(args.n))
-            }
+            by_dim = {str(d): face_tuples(args.n, d)
+                      for d in range(-1, tables.max_peak_count(args.n))}
             _emit_json({"n": args.n, "faces_by_dim": by_dim}, out)
 
     elif args.command == "fvector":
-        _require(args.n >= 3, "--n must be >= 3")
-        table = tables.face_table(args.n)
+        _require_n(args, LINEAR_N_CAP)
+        f = tables.face_table(args.n).f
         if args.format == "csv":
-            _emit_csv(table.csv_rows(), ["n", "dim", "count"], out)
+            _emit_csv([(args.n, i - 1, p) for i, p in enumerate(f)],
+                      ["n", "dim", "count"], out)
         else:
-            payload = table.to_json_dict()
-            payload["f_polynomial"] = table.f[::-1]
-            _emit_json(payload, out)
+            _emit_json({"n": args.n, "f": f, "f_polynomial": f[::-1]}, out)
 
     elif args.command == "hvector":
-        _require(args.n >= 3, "--n must be >= 3")
-        table = tables.h_table(args.n)
+        _require_n(args, LINEAR_N_CAP)
+        h = tables.h_table(args.n).h
         if args.format == "csv":
-            _emit_csv(table.csv_rows(), ["n", "i", "h"], out)
+            _emit_csv([(args.n, i, v) for i, v in enumerate(h)], ["n", "i", "h"], out)
         else:
-            payload = table.to_json_dict()
-            payload["h_polynomial"] = table.h[::-1]
-            _emit_json(payload, out)
+            _emit_json({"n": args.n, "h": h, "h_polynomial": h[::-1]}, out)
 
     elif args.command == "zeta":
-        _require(args.n >= 3, "--n must be >= 3")
+        _require_n(args, LINEAR_N_CAP)
         _require(args.i >= 2, "--i must be >= 2 (zeta counts i-1 element multichains)")
         _emit_count(args, "zeta", tables.zeta(args.n, args.i), args.i - 1, out)
 
     elif args.command == "chains":
-        _require(args.n >= 3, "--n must be >= 3")
+        _require_n(args, QUADRATIC_N_CAP)
         _require(args.i >= 1, "--i must be >= 1")
         top = tables.max_peak_count(args.n)
         value = tables.chain_counts(args.n)[args.i] if args.i <= top + 1 else 0
@@ -272,34 +283,33 @@ def _run(args, out) -> int:
                     "moebius": value}, out)
 
     elif args.command == "euler":
-        _require(args.n >= 3, "--n must be >= 3")
+        _require_n(args, LINEAR_N_CAP)
         _emit_json({"n": args.n,
                     "euler": tables.euler_characteristic(args.n)}, out)
 
     elif args.command == "hilbert":
-        _require(args.n >= 3, "--n must be >= 3")
+        _require_n(args, QUADRATIC_N_CAP)
         _require(args.order >= 0, "--order must be >= 0")
         if args.order > HILBERT_ORDER_CAP:
             raise ResourceLimitError(
                 f"hilbert --order capped at {HILBERT_ORDER_CAP} (got {args.order})")
         if args.algebra == "B":
             counts = tables.chain_counts(args.n)  # dims and series share it
-            dims = tables.graded_dimensions_b(args.n, counts, args.order)
-        elif args.format == "csv":
-            dims = tables.graded_dimensions(args.n, "A", args.order)
+            dims = counts[: args.order + 1] + (0,) * (args.order + 1 - len(counts))
+        elif args.format == "csv":  # the dims alone, without the numerator's longer run
+            dims = tables.hilbert_series_a(args.n, args.order)
         else:  # dims, numerator and polynomial share one f-vector
             dims, numerator, exponent, f = tables.hilbert_a_integers(args.n, args.order)
         if args.format == "csv":
-            _emit_csv(dims.csv_rows(), ["n", "algebra", "degree", "dim"], out)
+            _emit_csv([(args.n, args.algebra, i, d) for i, d in enumerate(dims)],
+                      ["n", "algebra", "degree", "dim"], out)
         else:
-            payload = {"n": args.n, "algebra": args.algebra,
-                       "dims": list(dims.dims)}
+            payload = {"n": args.n, "algebra": args.algebra, "dims": dims}
             if args.algebra == "A":
-                payload["numerator"] = list(numerator)
-                payload["denominator_exponent"] = exponent
-                payload["hilbert_polynomial"] = list(f)
+                payload.update(numerator=numerator, denominator_exponent=exponent,
+                               hilbert_polynomial=f)
             else:
-                payload["series_polynomial"] = list(counts)
+                payload["series_polynomial"] = counts
             _emit_json(payload, out)
 
     elif args.command == "series":

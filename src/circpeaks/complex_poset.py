@@ -111,8 +111,8 @@ def face_counts_by_recurrence(n: int) -> FaceTable:
 
 
 def f_polynomial(n: int) -> ExactPoly:
-    """P_n(x) = sum_i p_{n,i-1} x^{D-i} with D = floor((n-1)/2)."""
-    return face_table(n).polynomial()
+    """P_n(x) = sum_i p_{n,i-1} x^{D-i} with D = floor((n-1)/2): the f-vector, reversed."""
+    return ExactPoly(reversed(face_table(n).f))
 
 
 def f_polynomial_by_recurrence(n: int) -> ExactPoly:
@@ -329,23 +329,29 @@ def _product_structure(n: int, base, base_down, big, big_down) -> bool:
     Once the map is a bijection onto its target, "S <= S' iff image(S) <=
     image(S')" for all pairs is the same as: for each S', the image of the
     down-set of S' is the down-set of image(S') in the target.  That reads
-    O(m 2^D) list entries, m = |P_{n+1}|, not the O(m^2) pairs.
+    O(m 2^D) list entries, m = |P_{n+1}|, not the O(m^2) pairs.  The
+    pair (a, base[j]) of the product is coded as the int 2j + a - 1.
     """
-    # faces are ascending tuples, so n+1 is the last element of a face holding it
-    image = [(2, S[:-1]) if S and S[-1] == n + 1 else (1, S) for S in big]
-    target = {(a, T) for a in (1, 2) for T in base}
+    index = {T: j for j, T in enumerate(base)}
+    image = []
+    for S in big:
+        # faces are ascending tuples, so n+1 is the last element of a face holding it
+        a, T = (2, S[:-1]) if S and S[-1] == n + 1 else (1, S)
+        if T not in index:  # not a face of P_n, so outside the target
+            return False
+        image.append(2 * index[T] + a - 1)
+    target = set(range(2 * len(base)))
     if n % 2:
-        target -= {(2, T) for T in base if len(T) == max_peak_count(n)}
+        target -= {2 * j + 1 for j, T in enumerate(base) if len(T) == max_peak_count(n)}
 
     images = set(image)
     if images != target or len(images) != len(big):
         return False
     # order isomorphism: S <= S' iff labels and bases are componentwise <=,
     # checked as image(down-set of S') = down-set of image(S') in the target
-    index = {T: j for j, T in enumerate(base)}
-    for (a2, T2), below in zip(image, big_down):
-        product_below = {(a, base[j]) for j in base_down[index[T2]]
-                         for a in range(1, a2 + 1)}
+    for code, below in zip(image, big_down):
+        j2, b2 = divmod(code, 2)  # b = a - 1, the label's bit in the code
+        product_below = {2 * j + b for j in base_down[j2] for b in range(b2 + 1)}
         if {image[k] for k in below} != product_below & target:
             return False
     return True

@@ -6,11 +6,11 @@ dimensions are multichain respectively strict-chain counts, so everything
 reduces to the chain machinery; the ideals themselves are never
 materialized, only the comparability predicate is used.  The A-dimensions
 are zeta values and the B-dimensions the vector chain_counts(n); each
-function here builds the integer f-vector once per call, and
-hilbert_data_a gives the dimensions, rational form and Hilbert
-polynomial of A from one build.  The integer data of both algebras is
-computed in circpeaks.tables, the integer core, and re-exported here;
-the ExactPoly views and the oracles are defined here.
+function here builds the integer f-vector once per call.  The integer
+data of both algebras is computed in circpeaks.tables, the integer
+core, and re-exported here (tables.hilbert_a_integers gives the
+dimensions, rational form and Hilbert polynomial of A as integer tuples
+from one build); the ExactPoly views and the oracles are defined here.
 """
 
 from __future__ import annotations
@@ -24,16 +24,12 @@ from .exact_algebra import ExactPoly
 from .record import Record
 # Re-exported from the integer core, which defines them.
 from .tables import (
-    GradedDimensions,
     InexactDivisionError,
     NonIntegralError,
     ResourceLimitError,
     _numerator_order,
     chain_counts,
     face_table,
-    graded_dimensions,
-    graded_dimensions_b,
-    hilbert_a_integers,
     hilbert_series_a,
     max_peak_count,
     rational_form_a,
@@ -87,15 +83,6 @@ def numerator_a(n: int) -> RationalSeriesForm:
     """
     numerator, exponent = rational_form_a(n, hilbert_series_a(n, _numerator_order(n)))
     return RationalSeriesForm(ExactPoly(numerator), exponent)
-
-
-def hilbert_data_a(n: int, order: int) -> tuple[GradedDimensions, RationalSeriesForm, ExactPoly]:
-    """Degrees 0..order of A, its rational form and its Hilbert polynomial.
-
-    One f-vector serves all three (hilbert_a_integers).
-    """
-    dims, numerator, exponent, f = hilbert_a_integers(n, order)
-    return dims, RationalSeriesForm(ExactPoly(numerator), exponent), ExactPoly(f)
 
 
 def dim_b(n: int, i: int) -> int:

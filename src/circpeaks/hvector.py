@@ -32,7 +32,7 @@ def h_polynomial(n: int) -> ExactPoly:
 
     The Taylor shift poly_shift(f_polynomial(n)) is its oracle.
     """
-    return h_table(n).polynomial()
+    return ExactPoly(reversed(h_table(n).h))
 
 
 def h_polynomial_by_recurrence(n: int) -> ExactPoly:

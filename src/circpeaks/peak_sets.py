@@ -57,10 +57,6 @@ class PeakSet(Record):
         set_field(self, "n", n)
         set_field(self, "elements", elems)
 
-    @property
-    def dimension(self) -> int:
-        return len(self.elements) - 1
-
     def __str__(self) -> str:
         return ",".join(str(v) for v in self.elements)
 
@@ -87,11 +83,6 @@ class DyckPrefix(Record):
     @property
     def length(self) -> int:
         return len(self.letters)
-
-    @property
-    def height(self) -> int:
-        """End height: #U - #D."""
-        return self.letters.count("U") - self.letters.count("D")
 
 
 def _first_violation_sorted(elems) -> tuple[int, int, int] | None:

@@ -2,15 +2,18 @@
 
 face_table(n) is the f-vector of the circular-peak complex P_n.  The
 h-vector, the reduced Euler characteristic, the zeta values, the strict
-chain counts and the graded dimensions and rational form of the Hilbert
-series of both algebras are computed here from it, in integer
-arithmetic, with every division exact or an error.  Besides record, this
-module loads nothing of the package, no rational arithmetic and no
-oracle, so a command that prints only these numbers loads only this
-module, record and cli.  complex_poset, chains_zeta, hvector,
-hilbert_algebras, exact_algebra, peak_sets and perm_core re-export these
-names, and hold the ExactPoly views (f_polynomial, h_polynomial, the
-Hilbert polynomial) and every oracle.
+chain counts (the graded dimensions of algebra B) and the graded
+dimensions and rational form of the Hilbert series of algebra A are
+computed here from it, in integer arithmetic, with every division exact
+or an error.  Its values are ints and tuples of ints (face_table and
+h_table hold theirs in a two-field record): the cli alone shapes them
+into JSON or CSV rows, and the ExactPoly views (f_polynomial,
+h_polynomial, the Hilbert polynomial) live in the modules that
+re-export these names.  Besides record, this module loads nothing
+of the package, no rational arithmetic and no oracle, so a command that
+prints only these numbers loads only this module, record and cli.
+complex_poset, chains_zeta, hvector, hilbert_algebras, exact_algebra,
+peak_sets and perm_core re-export these names and hold every oracle.
 """
 
 from __future__ import annotations
@@ -77,18 +80,6 @@ class FaceTable(Record):
     n: int
     f: tuple[int, ...]
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "f": list(self.f)}
-
-    def csv_rows(self) -> list[tuple[int, int, int]]:
-        return [(self.n, i - 1, p) for i, p in enumerate(self.f)]
-
-    def polynomial(self):
-        """P_n(x) = sum_i p_{n,i-1} x^{D-i}: the f-vector, reversed, as an ExactPoly."""
-        from .exact_algebra import ExactPoly
-
-        return ExactPoly(reversed(self.f))
-
 
 def face_table(n: int) -> FaceTable:
     """The f-vector, from which every closed form of the package is derived.
@@ -135,18 +126,6 @@ class HVector(Record):
     __slots__ = ("n", "h")
     n: int
     h: tuple[int, ...]
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "h": list(self.h)}
-
-    def csv_rows(self) -> list[tuple[int, int, int]]:
-        return [(self.n, i, v) for i, v in enumerate(self.h)]
-
-    def polynomial(self):
-        """H_n(x) = sum_i h_{n,i} x^{D-i}: the h-vector, reversed, as an ExactPoly."""
-        from .exact_algebra import ExactPoly
-
-        return ExactPoly(reversed(self.h))
 
 
 def h_table(n: int) -> HVector:
@@ -225,16 +204,6 @@ def chain_counts(n: int) -> tuple[int, ...]:
 # (dimensions: strict chain counts)
 
 
-class GradedDimensions(Record):
-    __slots__ = ("n", "algebra", "dims")
-    n: int
-    algebra: str  # "A" or "B"
-    dims: tuple[int, ...]
-
-    def csv_rows(self) -> list[tuple[int, str, int, int]]:
-        return [(self.n, self.algebra, i, d) for i, d in enumerate(self.dims)]
-
-
 def hilbert_series_a(n: int, order: int) -> tuple[int, ...]:
     """Coefficients 0..order of the Hilbert series of algebra A, from one f-vector."""
     if order < 0:
@@ -272,7 +241,7 @@ def rational_form_a(n: int, series: tuple[int, ...]) -> tuple[tuple[int, ...], i
 
 
 def hilbert_a_integers(n: int, order: int
-                       ) -> tuple[GradedDimensions, tuple[int, ...], int, tuple[int, ...]]:
+                       ) -> tuple[tuple[int, ...], tuple[int, ...], int, tuple[int, ...]]:
     """Degrees 0..order of A, its rational form (N, e) and its Hilbert polynomial.
 
     One f-vector serves all three: the dimensions of both the requested
@@ -285,20 +254,4 @@ def hilbert_a_integers(n: int, order: int
     length = _numerator_order(n)
     series = (1,) + zeta_values_of(table, range(2, max(order, length) + 2))
     numerator, exponent = rational_form_a(n, series[: length + 1])
-    return GradedDimensions(n, "A", series[: order + 1]), numerator, exponent, table.f
-
-
-def graded_dimensions_b(n: int, counts: tuple[int, ...], max_degree: int) -> GradedDimensions:
-    """Degrees 0..max_degree of B from its chain-count vector, zero past it."""
-    return GradedDimensions(
-        n, "B", counts[: max_degree + 1] + (0,) * (max_degree + 1 - len(counts)))
-
-
-def graded_dimensions(n: int, algebra: str, max_degree: int) -> GradedDimensions:
-    if algebra == "A":
-        dims = hilbert_series_a(n, max_degree)
-    elif algebra == "B":
-        return graded_dimensions_b(n, chain_counts(n), max_degree)
-    else:
-        raise ValueError("algebra must be 'A' or 'B'")
-    return GradedDimensions(n, algebra, dims)
+    return series[: order + 1], numerator, exponent, table.f

@@ -11,8 +11,15 @@ from pathlib import Path
 import pytest
 
 from circpeaks import complex_poset, hvector, tables, verify
-from circpeaks.cli import HILBERT_ORDER_CAP, SERIES_ORDER_CAP, ZETA_ORACLE_LENGTH_CAP, run
-from circpeaks.complex_poset import f_polynomial
+from circpeaks.cli import (
+    HILBERT_ORDER_CAP,
+    LINEAR_N_CAP,
+    QUADRATIC_N_CAP,
+    SERIES_ORDER_CAP,
+    ZETA_ORACLE_LENGTH_CAP,
+    run,
+)
+from circpeaks.complex_poset import f_polynomial, faces
 from circpeaks.exact_algebra import PolySeries
 from circpeaks.hvector import h_polynomial
 
@@ -65,6 +72,17 @@ def test_faces():
     payload = invoke_json("faces", "--n", "5")
     assert payload["faces_by_dim"]["-1"] == [[]]
     assert payload["faces_by_dim"]["0"] == [[3], [4], [5]]
+
+
+def test_faces_command_lists_the_faces():
+    for n in range(3, 15):
+        top = tables.max_peak_count(n)  # D; the dimensions are -1..D-1
+        for d in range(-3, top + 2):
+            assert invoke_json("faces", "--n", str(n), "--dim", str(d)) == {
+                "n": n, "dim": d, "faces": [list(f.elements) for f in faces(n, d)]}
+        assert invoke_json("faces", "--n", str(n)) == {
+            "n": n, "faces_by_dim": {str(d): [list(f.elements) for f in faces(n, d)]
+                                     for d in range(-1, top)}}
 
 
 def test_fvector_and_hvector():
@@ -241,6 +259,25 @@ def test_hilbert():
     assert payload["series_polynomial"] == [1, 6, 9, 4]
 
 
+def test_hilbert_csv_rows(capsys):
+    header = "n,algebra,degree,dim"
+    for algebra in ("A", "B"):
+        code, text = invoke("hilbert", "--n", "5", "--algebra", algebra, "--order", "0",
+                            "--format", "csv")
+        assert (code, text.splitlines()) == (0, [header, f"5,{algebra},0,1"])
+    code, text = invoke("hilbert", "--n", "5", "--algebra", "A", "--order", "4",
+                        "--format", "csv")
+    assert (code, text.splitlines()) == (
+        0, [header, "5,A,0,1", "5,A,1,6", "5,A,2,15", "5,A,3,28", "5,A,4,45"])
+    # B's last nonzero dimension is in degree D + 1 = 3; past it the rows are zeros.
+    code, text = invoke("hilbert", "--n", "5", "--algebra", "B", "--order", "5",
+                        "--format", "csv")
+    assert (code, text.splitlines()) == (
+        0, [header, "5,B,0,1", "5,B,1,6", "5,B,2,9", "5,B,3,4", "5,B,4,0", "5,B,5,0"])
+    assert invoke("hilbert", "--n", "5", "--algebra", "C", "--format", "csv") == (1, "")
+    assert "invalid choice: 'C'" in capsys.readouterr().err
+
+
 def test_series():
     payload = invoke_json("series", "--which", "P", "--order", "6")
     by_n = {row["n"]: row["poly"] for row in payload["coefficients"]}
@@ -303,6 +340,30 @@ def test_hilbert_order_cap(capsys, algebra):
     payload = invoke_json("hilbert", "--n", "5", "--algebra", algebra,
                           "--order", str(HILBERT_ORDER_CAP))
     assert len(payload["dims"]) == HILBERT_ORDER_CAP + 1
+
+
+@pytest.mark.parametrize("argv,cap", [
+    ("fvector", LINEAR_N_CAP), ("hvector", LINEAR_N_CAP), ("euler", LINEAR_N_CAP),
+    ("zeta --i 3", LINEAR_N_CAP), ("chains --i 3", QUADRATIC_N_CAP),
+    ("hilbert --algebra A", QUADRATIC_N_CAP), ("hilbert --algebra B", QUADRATIC_N_CAP),
+    ("hilbert --algebra A --format csv", QUADRATIC_N_CAP),
+])
+def test_n_cap(capsys, argv, cap):
+    command, *rest = argv.split()
+    started = time.perf_counter()
+    for n in (cap + 1, 10 ** 100):
+        assert invoke(command, "--n", str(n), *rest) == (1, "")
+        assert f"error: {command} --n capped at {cap} (got {n})" in capsys.readouterr().err
+    assert time.perf_counter() - started < 0.5
+
+
+def test_n_caps_admit_the_cap(monkeypatch):
+    payload = invoke_json("zeta", "--n", str(LINEAR_N_CAP), "--i", "2")
+    assert payload["zeta"] == sum(tables.face_table(LINEAR_N_CAP).f)
+    monkeypatch.setattr(tables, "chain_counts", lambda n: (1, 2))
+    payload = invoke_json("hilbert", "--n", str(QUADRATIC_N_CAP), "--algebra", "B",
+                          "--order", "2")
+    assert payload["dims"] == [1, 2, 0]
 
 
 def test_zeta_oracle_runs_up_to_its_length_cap_only():

@@ -236,12 +236,6 @@ def test_caps():
         verify_product_structure(14)
 
 
-def test_face_table_serialization():
-    table = face_table(5)
-    assert table.to_json_dict() == {"n": 5, "f": [1, 3, 2]}
-    assert table.csv_rows() == [(5, -1, 1), (5, 0, 3), (5, 1, 2)]
-
-
 @pytest.mark.parametrize("n", [500, 2001])
 def test_face_table_matches_face_count_at_large_n(n):
     # face_table carries the binomial by its ratio recurrence; face_count

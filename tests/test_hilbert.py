@@ -8,11 +8,8 @@ from circpeaks.complex_poset import FaceTable
 from circpeaks.exact_algebra import ExactPoly, InexactDivisionError, NonIntegralError
 from circpeaks.hilbert_algebras import (
     MONOMIAL_DEGREE_CAP,
-    GradedDimensions,
     dim_a,
     dim_b,
-    graded_dimensions,
-    hilbert_data_a,
     hilbert_polynomial_a,
     hilbert_series_a,
     hilbert_series_b,
@@ -131,16 +128,6 @@ def test_numerator_recurrence_a(n):
     assert verify_numerator_recurrence_a(n)
 
 
-def test_graded_dimensions_serialization():
-    table = graded_dimensions(5, "B", 3)
-    assert table == GradedDimensions(5, "B", (1, 6, 9, 4))
-    assert table.csv_rows() == [
-        (5, "B", 0, 1), (5, "B", 1, 6), (5, "B", 2, 9), (5, "B", 3, 4)
-    ]
-    with pytest.raises(ValueError):
-        graded_dimensions(5, "C", 3)
-
-
 def test_monomial_oracle_caps():
     with pytest.raises(ResourceLimitError):
         standard_monomial_oracle(5, "A", MONOMIAL_DEGREE_CAP + 1)
@@ -150,8 +137,10 @@ def test_monomial_oracle_caps():
 
 @pytest.mark.parametrize("n", list(range(3, 41)) + [200, 489])
 def test_hilbert_data_a_matches_its_parts(n):
+    # tables.hilbert_a_integers reads all three off one f-vector, as tuples.
+    form, poly = numerator_a(n), hilbert_polynomial_a(n)
     for order in (0, 4, (n + 1) // 2 + 9):
-        dims, form, poly = hilbert_data_a(n, order)
-        assert dims == graded_dimensions(n, "A", order)
-        assert form == numerator_a(n)
-        assert poly == hilbert_polynomial_a(n)
+        dims, numerator, exponent, f = tables.hilbert_a_integers(n, order)
+        assert dims == hilbert_series_a(n, order)
+        assert (numerator, exponent) == (form.numerator.coeffs, form.denominator_exponent)
+        assert f == poly.coeffs

@@ -1,6 +1,6 @@
 """Value semantics of the immutable records (circpeaks.record.Record).
 
-Each of the nine record classes must compare equal only to an instance of
+Each of the eight record classes must compare equal only to an instance of
 its own class with equal fields, hash like the tuple of its fields, print
 as Name(field=value, ...), refuse assignment and deletion, and survive
 pickle and copy.deepcopy.
@@ -14,7 +14,7 @@ import pytest
 
 from circpeaks.complex_poset import FaceTable
 from circpeaks.exact_algebra import ExactPoly
-from circpeaks.hilbert_algebras import GradedDimensions, RationalSeriesForm
+from circpeaks.hilbert_algebras import RationalSeriesForm
 from circpeaks.hvector import HVector
 from circpeaks.peak_sets import DyckPrefix, PeakSet
 from circpeaks.perm_core import Permutation
@@ -52,11 +52,6 @@ CASES = {
         lambda: HVector(5, (1, 1, 0)),
         (5, (1, 1, 0)),
         "HVector(n=5, h=(1, 1, 0))",
-    ),
-    "GradedDimensions": (
-        lambda: GradedDimensions(5, "A", (1, 6, 15)),
-        (5, "A", (1, 6, 15)),
-        "GradedDimensions(n=5, algebra='A', dims=(1, 6, 15))",
     ),
     "RationalSeriesForm": (
         lambda: RationalSeriesForm(ExactPoly((1, 1)), 3),
