@@ -1,8 +1,12 @@
+import csv
+import io
+import json
 from itertools import combinations
 
 import pytest
 
 from circpeaks import complex_poset, tables
+from circpeaks.cli import run
 from circpeaks.complex_poset import (
     FaceTable,
     euler_characteristic,
@@ -234,6 +238,20 @@ def test_caps():
         faces(15, 1)
     with pytest.raises(ResourceLimitError):
         verify_product_structure(14)
+
+
+def test_face_table_serialization():
+    # The CLI builds the JSON payload and CSV rows from face_table's tuple.
+    table = face_table(5)
+    assert table.f == (1, 3, 2)
+    out = io.StringIO()
+    assert run(["fvector", "--n", "5"], out) == 0
+    payload = json.loads(out.getvalue())
+    assert {k: payload[k] for k in ("n", "f")} == {"n": 5, "f": [1, 3, 2]}
+    out = io.StringIO()
+    assert run(["fvector", "--n", "5", "--format", "csv"], out) == 0
+    assert list(csv.reader(io.StringIO(out.getvalue())))[1:] == [
+        ["5", "-1", "1"], ["5", "0", "3"], ["5", "1", "2"]]
 
 
 @pytest.mark.parametrize("n", [500, 2001])

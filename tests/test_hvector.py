@@ -1,6 +1,11 @@
+import csv
+import io
+import json
+
 import pytest
 
 from circpeaks import hvector
+from circpeaks.cli import run
 from circpeaks.exact_algebra import (
     ExactPoly,
     NonIntegralError,
@@ -98,6 +103,20 @@ def test_printed_form_discrepancy_is_documented():
     assert report is not None
     assert report["first_mismatch_y_order"] == 4
     assert "corrected" in report["note"]
+
+
+def test_hvector_serialization():
+    # The CLI builds the JSON payload and CSV rows from h_table's tuple.
+    table = h_table(6)
+    assert table.h == (1, 2, 2)
+    out = io.StringIO()
+    assert run(["hvector", "--n", "6"], out) == 0
+    payload = json.loads(out.getvalue())
+    assert {k: payload[k] for k in ("n", "h")} == {"n": 6, "h": [1, 2, 2]}
+    out = io.StringIO()
+    assert run(["hvector", "--n", "6", "--format", "csv"], out) == 0
+    assert list(csv.reader(io.StringIO(out.getvalue())))[1:] == [
+        ["6", "0", "1"], ["6", "1", "2"], ["6", "2", "2"]]
 
 
 @pytest.mark.parametrize("n", [500, 2001])
