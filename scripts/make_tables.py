@@ -21,8 +21,8 @@ def main() -> None:
 
     print(f"{'n':>3}  {'f-vector':<28} {'h-vector':<22} euler")
     for n in range(args.min_n, args.max_n + 1):
-        f = face_table(n).f
-        h = h_table(n).h
+        f = face_table(n)
+        h = h_table(n)
         chi = euler_characteristic(n)
         print(f"{n:>3}  {str(list(f)):<28} {str(list(h)):<22} {chi}")
 

@@ -47,12 +47,11 @@ _DEFINED_IN = {
         "hilbert_series_b", "numerator_a", "standard_monomial_oracle",
     ),
     "tables": (
-        "POSET_CAP", "ClosedFormMismatchError", "FaceTable", "HVector",
-        "InexactDivisionError", "NonIntegralError",
-        "ResourceLimitError", "chain_counts", "euler_characteristic",
-        "euler_characteristic_closed_form", "face_table", "h_table",
-        "hilbert_series_a", "max_peak_count", "zeta", "zeta_values",
-        "zeta_values_of",
+        "POSET_CAP", "ClosedFormMismatchError", "InexactDivisionError",
+        "NonIntegralError", "ResourceLimitError", "chain_counts",
+        "euler_characteristic", "euler_characteristic_closed_form",
+        "face_table", "h_table", "hilbert_series_a", "max_peak_count",
+        "zeta", "zeta_values",
     ),
 }
 _HOME = {name: module for module, names in _DEFINED_IN.items() for name in names}

@@ -22,15 +22,12 @@ from .complex_poset import down_sets, face_tuples
 from .exact_algebra import ExactPoly, multinomial
 # Re-exported from the integer core, which defines them.
 from .tables import (
-    FaceTable,
-    as_integer,
     chain_counts,
     exact_quotient,
     face_table,
     max_peak_count,
     zeta,
     zeta_values,
-    zeta_values_of,
 )
 
 
@@ -38,8 +35,8 @@ def zeta_polynomial(n: int) -> ExactPoly:
     """Z(P_n, i) as a polynomial in i: the f-vector polynomial at i - 1.
 
     Integer Taylor shift by repeated synthetic subtraction, O(D^2); the
-    oracle is poly_shift(ExactPoly(face_table(n).f))."""
-    c = list(face_table(n).f)
+    oracle is poly_shift(ExactPoly(face_table(n)))."""
+    c = list(face_table(n))
     for k in range(len(c) - 1):
         for j in range(len(c) - 2, k - 1, -1):
             c[j] -= c[j + 1]

@@ -242,7 +242,7 @@ def _run(args, out) -> int:
 
     elif args.command == "fvector":
         _require_n(args, LINEAR_N_CAP)
-        f = tables.face_table(args.n).f
+        f = tables.face_table(args.n)
         if args.format == "csv":
             _emit_csv([(args.n, i - 1, p) for i, p in enumerate(f)],
                       ["n", "dim", "count"], out)
@@ -251,7 +251,7 @@ def _run(args, out) -> int:
 
     elif args.command == "hvector":
         _require_n(args, LINEAR_N_CAP)
-        h = tables.h_table(args.n).h
+        h = tables.h_table(args.n)
         if args.format == "csv":
             _emit_csv([(args.n, i, v) for i, v in enumerate(h)], ["n", "i", "h"], out)
         else:
@@ -322,12 +322,12 @@ def _run(args, out) -> int:
         if args.which == "P":
             from .complex_poset import printed_f_series_discrepancy
 
-            vectors = [tables.face_table(n).f for n in orders]
+            vectors = [tables.face_table(n) for n in orders]
             report = printed_f_series_discrepancy()
         else:
             from .hvector import printed_h_series_discrepancy
 
-            vectors = [tables.h_table(n).h for n in orders]
+            vectors = [tables.h_table(n) for n in orders]
             report = printed_h_series_discrepancy()
         payload = {
             "which": args.which,

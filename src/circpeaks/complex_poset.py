@@ -27,8 +27,6 @@ from .peak_sets import PeakSet, is_valid
 # Re-exported from the integer core, which defines them.
 from .tables import (
     POSET_CAP,
-    ClosedFormMismatchError,
-    FaceTable,
     ResourceLimitError,
     euler_characteristic,
     euler_characteristic_closed_form,
@@ -36,6 +34,11 @@ from .tables import (
     face_table,
     max_peak_count,
 )
+
+
+# The y-order through which the printed P(x,y) and H(x,y) forms are
+# cross-multiplied against the f- and h-polynomials.
+PRINTED_FORM_ORDER = 12
 
 
 def _check_poset_cap(n: int) -> None:
@@ -50,8 +53,8 @@ def face_tuples(n: int, dim: int | None = None) -> list[tuple[int, ...]]:
     ascending tuples, ordered by dimension, then lexicographically.
 
     This is the one face enumerator: each candidate combination is tested
-    with is_valid.  faces and all_faces wrap its tuples in PeakSet; the
-    oracles read the tuples directly.
+    with is_valid.  faces wraps its tuples in PeakSet; the oracles read
+    the tuples directly.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
@@ -72,11 +75,6 @@ def faces(n: int, dim: int) -> list[PeakSet]:
     return [PeakSet(n, c) for c in face_tuples(n, dim)]
 
 
-def all_faces(n: int) -> list[PeakSet]:
-    """Every face, ordered by dimension then lexicographically."""
-    return [PeakSet(n, c) for c in face_tuples(n)]
-
-
 def face_count(n: int, dim: int) -> int:
     """Closed-form p_{n,dim}; zero outside the dimension range."""
     if n < 3:
@@ -89,7 +87,7 @@ def face_count(n: int, dim: int) -> int:
                           f"face_count({n}, {dim})")
 
 
-def face_counts_by_recurrence(n: int) -> FaceTable:
+def face_counts_by_recurrence(n: int) -> tuple[int, ...]:
     """f-vector built purely from the parity recurrence (test oracle).
 
     Even m:  p_{m+1,i} = p_{m,i-1} + p_{m,i} for interior i, with the
@@ -107,12 +105,12 @@ def face_counts_by_recurrence(n: int) -> FaceTable:
         row = [p(-1)] + [p(i - 1) + p(i) for i in range(0, top + 1)] \
             if m % 2 else \
             [p(-1)] + [p(i - 1) + p(i) for i in range(0, top)] + [p(top - 1)]
-    return FaceTable(n, tuple(row))
+    return tuple(row)
 
 
 def f_polynomial(n: int) -> ExactPoly:
     """P_n(x) = sum_i p_{n,i-1} x^{D-i} with D = floor((n-1)/2): the f-vector, reversed."""
-    return ExactPoly(reversed(face_table(n).f))
+    return ExactPoly(reversed(face_table(n)))
 
 
 def f_polynomial_by_recurrence(n: int) -> ExactPoly:
@@ -164,14 +162,15 @@ def _corrected_series(a: ExactPoly, order_n: int) -> PolySeries:
 
 
 def _printed_series_discrepancy(a: ExactPoly, truth: Callable[[int], ExactPoly],
-                                order_n: int, formula: str, note: str) -> dict | None:
+                                formula: str, note: str) -> dict | None:
     """Cross-multiplied check of a printed closed form, as a function of a.
 
     Tests (S + y^2)(a(a-1) - a^2 y^2) = [(a^2-1) - (a-1) C(y^2)] y^2 (1 + a y)
-    through y^order_n, with S = sum_{n>=3} truth(n) y^n.  Returns None if
-    the identity holds, else a report naming the first failing y-order
-    with both coefficient polynomials.
+    through y^PRINTED_FORM_ORDER, with S = sum_{n>=3} truth(n) y^n.
+    Returns None if the identity holds, else a report naming the first
+    failing y-order with both coefficient polynomials.
     """
+    order_n = PRINTED_FORM_ORDER
     zero, one = ExactPoly(()), ExactPoly.constant(1)
     s = PolySeries([truth(n) if n >= 3 else zero for n in range(order_n + 1)], order_n)
     y2 = PolySeries([zero, zero, one], order_n)
@@ -205,7 +204,7 @@ def f_generating_series(order_n: int) -> PolySeries:
     return _corrected_series(ExactPoly((1, 1)), order_n)
 
 
-def printed_f_series_discrepancy(order_n: int = 12) -> dict | None:
+def printed_f_series_discrepancy() -> dict | None:
     """Check the commonly printed P(x,y) closed form by cross-multiplication.
 
     Tests whether (S + y^2) * (x - (x+1)y^2)(x+1) equals
@@ -215,7 +214,7 @@ def printed_f_series_discrepancy(order_n: int = 12) -> dict | None:
     polynomials.
     """
     return _printed_series_discrepancy(
-        ExactPoly((1, 1)), f_polynomial, order_n,
+        ExactPoly((1, 1)), f_polynomial,
         "P(x,y) printed form (cross-multiplied)",
         "printed denominator x-(x+1)y^2 should be x-(x+1)^2 y^2 and the "
         "numerator factor x(x+2)-xC(y^2) should be (x+1)((x+1)-C(y^2)); "

@@ -24,7 +24,6 @@ from .exact_algebra import ExactPoly
 from .record import Record
 # Re-exported from the integer core, which defines them.
 from .tables import (
-    InexactDivisionError,
     NonIntegralError,
     ResourceLimitError,
     _numerator_order,
@@ -34,11 +33,11 @@ from .tables import (
     max_peak_count,
     rational_form_a,
     zeta,
-    zeta_values,
-    zeta_values_of,
 )
 
 MONOMIAL_DEGREE_CAP = 6
+# The order through which verify_series_recurrence_a compares the A-series.
+SERIES_RECURRENCE_ORDER = 12
 _MONOMIAL_WORK_CAP = 2_000_000
 
 
@@ -71,7 +70,7 @@ def hilbert_polynomial_a(n: int) -> ExactPoly:
     generating function sum_j p_{n,j} x^(j+1) (void face included); it
     happens to give the correct dimension 1 at i = 0 as well.
     """
-    return ExactPoly(face_table(n).f)
+    return ExactPoly(face_table(n))
 
 
 def numerator_a(n: int) -> RationalSeriesForm:
@@ -144,8 +143,8 @@ def standard_monomial_oracle(n: int, algebra: str, degree: int) -> int:
 # truncated-series identities; production paths never use them)
 
 
-def _series(n: int, order: int) -> list[int]:
-    return list(hilbert_series_a(n, order))
+def _series(n: int) -> list[int]:
+    return list(hilbert_series_a(n, SERIES_RECURRENCE_ORDER))
 
 
 def _xd(s: list) -> list:
@@ -153,7 +152,7 @@ def _xd(s: list) -> list:
     return [k * c for k, c in enumerate(s)]
 
 
-def verify_series_recurrence_a(n: int, order: int = 12) -> bool:
+def verify_series_recurrence_a(n: int) -> bool:
     """Check the A-series derivative recurrence starting at parity of n.
 
     Even n: Hilb_{n+1} = x Hilb'_n + Hilb_n.
@@ -161,17 +160,17 @@ def verify_series_recurrence_a(n: int, order: int = 12) -> bool:
             - (8n/(n+3)) x Hilb'_n - (4n/(n+3)) x^2 Hilb''_n.
     """
     if n % 2 == 0:
-        lhs = _series(n + 1, order)
-        rhs = [a + b for a, b in zip(_xd(_series(n, order)), _series(n, order))]
+        lhs = _series(n + 1)
+        rhs = [a + b for a, b in zip(_xd(_series(n)), _series(n))]
         return lhs == rhs
     c = Fraction(4 * n, n + 3)
-    s0, s1, s2 = _series(n, order), _series(n + 1, order), _series(n + 2, order)
+    s0, s1, s2 = _series(n), _series(n + 1), _series(n + 2)
     x2dd = [k * (k - 1) * v for k, v in enumerate(s0)]
     rhs = [
         _xd(s2)[k] + s2[k] + c * _xd(s1)[k] - 2 * c * _xd(s0)[k] - c * x2dd[k]
-        for k in range(order + 1)
+        for k in range(SERIES_RECURRENCE_ORDER + 1)
     ]
-    return _series(n + 3, order) == rhs
+    return _series(n + 3) == rhs
 
 
 def verify_numerator_recurrence_a(n: int) -> bool:

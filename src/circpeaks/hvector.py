@@ -24,7 +24,7 @@ from .exact_algebra import (
 )
 from .peak_sets import count_left_factors_to
 # Re-exported from the integer core, which defines them.
-from .tables import HVector, h_table, max_peak_count
+from .tables import h_table, max_peak_count
 
 
 def h_polynomial(n: int) -> ExactPoly:
@@ -32,7 +32,7 @@ def h_polynomial(n: int) -> ExactPoly:
 
     The Taylor shift poly_shift(f_polynomial(n)) is its oracle.
     """
-    return ExactPoly(reversed(h_table(n).h))
+    return ExactPoly(reversed(h_table(n)))
 
 
 def h_polynomial_by_recurrence(n: int) -> ExactPoly:
@@ -57,7 +57,7 @@ def h_entry(n: int, i: int) -> int:
                           f"h_entry({n}, {i})")
 
 
-def h_recurrence_table(n: int) -> HVector:
+def h_recurrence_table(n: int) -> tuple[int, ...]:
     """h-vector built purely from the recurrence (test oracle).
 
     h_{m+1,0} = h_{m,0}; h_{m+1,i} = h_{m,i} + eps(m) h_{m+1,i-1} for
@@ -77,7 +77,7 @@ def h_recurrence_table(n: int) -> HVector:
             new.append(h(i) + eps * new[i - 1])
         new.append(eps * catalan_number(top))
         row = new
-    return HVector(n, tuple(row))
+    return tuple(row)
 
 
 def h_generating_series(order_n: int) -> PolySeries:
@@ -93,7 +93,7 @@ def h_generating_series(order_n: int) -> PolySeries:
     return _corrected_series(ExactPoly.x(), order_n)
 
 
-def printed_h_series_discrepancy(order_n: int = 12) -> dict | None:
+def printed_h_series_discrepancy() -> dict | None:
     """Cross-multiplied check of the commonly printed H(x,y) closed form.
 
     Tests (S + y^2) * x (x - 1 - x y^2) against
@@ -101,7 +101,7 @@ def printed_h_series_discrepancy(order_n: int = 12) -> dict | None:
     else a report with the first mismatching y-order.
     """
     return _printed_series_discrepancy(
-        ExactPoly.x(), h_polynomial, order_n,
+        ExactPoly.x(), h_polynomial,
         "H(x,y) printed form (cross-multiplied)",
         "inherits the f-series misprint under x -> x-1; the shipped "
         "series uses the corrected form (x-1) - x^2 y^2 denominator",

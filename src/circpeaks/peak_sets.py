@@ -86,16 +86,11 @@ class DyckPrefix(Record):
 
 
 def _first_violation_sorted(elems) -> tuple[int, int, int] | None:
-    """first_violation of elements already in ascending order."""
+    """(j, i_j, 2j+1) for the smallest violating index of ascending elems, or None."""
     for j, e in enumerate(elems, start=1):
         if e < 2 * j + 1:
             return j, e, 2 * j + 1
     return None
-
-
-def first_violation(elements) -> tuple[int, int, int] | None:
-    """(j, i_j, 2j+1) for the smallest violating index, or None if valid."""
-    return _first_violation_sorted(sorted(elements))
 
 
 def is_valid(n: int, s: PeakSet | object) -> bool:

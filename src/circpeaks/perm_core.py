@@ -45,11 +45,14 @@ class Permutation(Record):
             ",".join(str(v) for v in self.values)
 
 
+def _peaks(v: tuple[int, ...]) -> tuple[int, ...]:
+    """Values v[i] with v[i-1] < v[i] > v[i+1], ascending."""
+    return tuple(sorted(v[i] for i in range(1, len(v) - 1) if v[i - 1] < v[i] > v[i + 1]))
+
+
 def circular_peak_set(sigma: Permutation) -> tuple[int, ...]:
     """Values sigma(i) with sigma(i-1) < sigma(i) > sigma(i+1), ascending."""
-    v = sigma.values
-    peaks = [v[i] for i in range(1, len(v) - 1) if v[i - 1] < v[i] > v[i + 1]]
-    return tuple(sorted(peaks))
+    return _peaks(sigma.values)
 
 
 def circular_descent_set(sigma: Permutation) -> tuple[int, ...]:
@@ -74,11 +77,8 @@ def enumerate_cp_class(n: int, s) -> list[Permutation]:
     if any(v < 1 or v > n for v in target):
         raise ValueError(f"set {target} is not a subset of [{n}]")
     out = []
-    for vals in permutations(range(1, n + 1)):
-        peaks = [vals[i] for i in range(1, n - 1) if vals[i - 1] < vals[i] > vals[i + 1]]
-        if tuple(sorted(peaks)) == target:
-            out.append(Permutation(vals))
-    return out
+    return [Permutation(vals) for vals in permutations(range(1, n + 1))
+            if _peaks(vals) == target]
 
 
 def cp_class_size(n: int, s) -> int:

@@ -5,13 +5,12 @@ h-vector, the reduced Euler characteristic, the zeta values, the strict
 chain counts (the graded dimensions of algebra B) and the graded
 dimensions and rational form of the Hilbert series of algebra A are
 computed here from it, in integer arithmetic, with every division exact
-or an error.  Its values are ints and tuples of ints (face_table and
-h_table hold theirs in a two-field record): the cli alone shapes them
-into JSON or CSV rows, and the ExactPoly views (f_polynomial,
-h_polynomial, the Hilbert polynomial) live in the modules that
-re-export these names.  Besides record, this module loads nothing
-of the package, no rational arithmetic and no oracle, so a command that
-prints only these numbers loads only this module, record and cli.
+or an error.  Its values are ints and tuples of ints: the cli alone
+shapes them into JSON or CSV rows, and the ExactPoly views
+(f_polynomial, h_polynomial, the Hilbert polynomial) live in the modules
+that re-export these names.  This module loads nothing of the package,
+no rational arithmetic and no oracle, so a command that prints only
+these numbers loads only this module and cli.
 complex_poset, chains_zeta, hvector, hilbert_algebras, exact_algebra,
 peak_sets and perm_core re-export these names and hold every oracle.
 """
@@ -20,8 +19,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from math import comb, gcd
-
-from .record import Record
 
 POSET_CAP = 14
 # Coefficients past the numerator degree that the A-series' rational
@@ -73,16 +70,8 @@ def max_peak_count(n: int) -> int:
 # f-vector, Euler characteristic and h-vector
 
 
-class FaceTable(Record):
-    """f-vector of the complex: (p_{n,-1}, p_{n,0}, ..., p_{n,D-1})."""
-
-    __slots__ = ("n", "f")
-    n: int
-    f: tuple[int, ...]
-
-
-def face_table(n: int) -> FaceTable:
-    """The f-vector, from which every closed form of the package is derived.
+def face_table(n: int) -> tuple[int, ...]:
+    """The f-vector (p_{n,-1}, ..., p_{n,D-1}), from which every closed form is derived.
 
     Row i is p_{n,i} = (n-2i-2)/(i+1) * C(n-1, i), with the binomial
     carried by the ratio recurrence C(n-1, i) = C(n-1, i-1) * (n-i) / i:
@@ -96,7 +85,7 @@ def face_table(n: int) -> FaceTable:
         if i:
             c = c * (n - i) // i
         row.append(exact_quotient((n - 2 * i - 2) * c, i + 1, f"face_table({n}) entry {i}"))
-    return FaceTable(n, tuple(row))
+    return tuple(row)
 
 
 def euler_characteristic_closed_form(n: int) -> int:
@@ -114,7 +103,7 @@ def euler_characteristic(n: int) -> int:
     ClosedFormMismatchError is raised if it differs from
     euler_characteristic_closed_form(n).
     """
-    chi = sum((-1) ** (m + 1) * p for m, p in enumerate(face_table(n).f))
+    chi = sum((-1) ** (m + 1) * p for m, p in enumerate(face_table(n)))
     closed = euler_characteristic_closed_form(n)
     if chi != closed:
         raise ClosedFormMismatchError(
@@ -122,13 +111,7 @@ def euler_characteristic(n: int) -> int:
     return chi
 
 
-class HVector(Record):
-    __slots__ = ("n", "h")
-    n: int
-    h: tuple[int, ...]
-
-
-def h_table(n: int) -> HVector:
+def h_table(n: int) -> tuple[int, ...]:
     """(h_{n,0}, ..., h_{n,D}), read off one pass of the ratio recurrence.
 
     h_{n,i} = (half - i)/(half + i) * C(half + i, half) with half =
@@ -143,7 +126,7 @@ def h_table(n: int) -> HVector:
         if i:
             c = c * (half + i) // i
         row.append(exact_quotient((half - i) * c, half + i, f"h_table({n}) entry {i}"))
-    return HVector(n, tuple(row))
+    return tuple(row)
 
 
 # ---------------------------------------------------------------------------
@@ -152,18 +135,17 @@ def h_table(n: int) -> HVector:
 
 def zeta_values(n: int, i_values: Iterable[int]) -> tuple[int, ...]:
     """zeta(n, i) for each i in i_values, from one build of the f-vector."""
-    return zeta_values_of(face_table(n), i_values)
+    return _zeta_values_of(n, face_table(n), i_values)
 
 
-def zeta_values_of(table: FaceTable, i_values: Iterable[int]) -> tuple[int, ...]:
-    """zeta(table.n, i) for each i in i_values, from the given f-vector.
+def _zeta_values_of(n: int, f: tuple[int, ...], i_values: Iterable[int]) -> tuple[int, ...]:
+    """zeta(n, i) for each i in i_values, from f, the f-vector of P_n.
 
     Z(P_n, i) = sum_m p_{n,m-1} (i-1)^m, evaluated by integer Horner over
     the f-vector.  This is the one evaluation of the multichain formula:
     zeta, the dimensions of algebra A and the strict chain counts all
     come through here.
     """
-    n, f = table.n, table.f
     out = []
     for i in i_values:
         if i < 2:
@@ -250,8 +232,8 @@ def hilbert_a_integers(n: int, order: int
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    table = face_table(n)
+    f = face_table(n)
     length = _numerator_order(n)
-    series = (1,) + zeta_values_of(table, range(2, max(order, length) + 2))
+    series = (1,) + _zeta_values_of(n, f, range(2, max(order, length) + 2))
     numerator, exponent = rational_form_a(n, series[: length + 1])
-    return series[: order + 1], numerator, exponent, table.f
+    return series[: order + 1], numerator, exponent, f

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from circpeaks import complex_poset, hvector, tables, verify
+from circpeaks import complex_poset, tables, verify
 from circpeaks.cli import (
     HILBERT_ORDER_CAP,
     LINEAR_N_CAP,
@@ -226,8 +226,7 @@ class _Unprintable:
 def test_json_output_is_all_or_nothing(monkeypatch):
     # The Fraction is the last f entry: a streaming encoder would already
     # have written the opening of the payload when it fails.
-    table = complex_poset.FaceTable(5, (1, 3, Fraction(1, 2)))
-    monkeypatch.setattr(tables, "face_table", lambda n: table)
+    monkeypatch.setattr(tables, "face_table", lambda n: (1, 3, Fraction(1, 2)))
     out = io.StringIO()
     with pytest.raises(TypeError, match="Fraction"):
         run(["fvector", "--n", "5"], out)
@@ -235,8 +234,7 @@ def test_json_output_is_all_or_nothing(monkeypatch):
 
 
 def test_csv_output_is_all_or_nothing(monkeypatch):
-    table = hvector.HVector(6, (1, 2, _Unprintable()))
-    monkeypatch.setattr(tables, "h_table", lambda n: table)
+    monkeypatch.setattr(tables, "h_table", lambda n: (1, 2, _Unprintable()))
     assert invoke("hvector", "--n", "6", "--format", "csv") == (1, "")
 
 
@@ -359,7 +357,7 @@ def test_n_cap(capsys, argv, cap):
 
 def test_n_caps_admit_the_cap(monkeypatch):
     payload = invoke_json("zeta", "--n", str(LINEAR_N_CAP), "--i", "2")
-    assert payload["zeta"] == sum(tables.face_table(LINEAR_N_CAP).f)
+    assert payload["zeta"] == sum(tables.face_table(LINEAR_N_CAP))
     monkeypatch.setattr(tables, "chain_counts", lambda n: (1, 2))
     payload = invoke_json("hilbert", "--n", str(QUADRATIC_N_CAP), "--algebra", "B",
                           "--order", "2")
@@ -451,8 +449,8 @@ ORACLE_MODULES = ("fractions", "circpeaks.exact_algebra", "circpeaks.peak_sets",
     "fvector --n 40 --format csv", "hilbert --n 40 --algebra A --format csv",
 ])
 def test_production_commands_load_only_the_integer_core(argv):
-    # The JSON forms do not load csv either.
-    forbidden = ORACLE_MODULES + (() if "csv" in argv else ("csv",))
+    # Nor the record base class; the JSON forms do not load csv either.
+    forbidden = ORACLE_MODULES + ("circpeaks.record",) + (() if "csv" in argv else ("csv",))
     # -S: no site-packages .pth file may import these on the package's behalf.
     probe = ("import io, sys; from circpeaks import cli; "
              f"code = cli.run({argv.split()!r}, io.StringIO()); "

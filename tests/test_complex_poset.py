@@ -8,7 +8,6 @@ import pytest
 from circpeaks import complex_poset, tables
 from circpeaks.cli import run
 from circpeaks.complex_poset import (
-    FaceTable,
     euler_characteristic,
     euler_characteristic_closed_form,
     f_generating_series,
@@ -44,9 +43,9 @@ def test_face_count_examples():
 
 
 def test_face_table_and_recurrence():
-    assert face_counts_by_recurrence(3) == FaceTable(3, (1, 1))
-    assert face_counts_by_recurrence(4) == FaceTable(4, (1, 2))
-    assert face_counts_by_recurrence(6) == FaceTable(6, (1, 4, 5))
+    assert face_counts_by_recurrence(3) == (1, 1)
+    assert face_counts_by_recurrence(4) == (1, 2)
+    assert face_counts_by_recurrence(6) == (1, 4, 5)
 
 
 @pytest.mark.parametrize("n", range(3, 15))
@@ -87,7 +86,7 @@ def test_corrected_series_rejects_coefficients_past_the_truncation_degree():
 
 
 def test_printed_form_discrepancy_is_documented():
-    report = printed_f_series_discrepancy(12)
+    report = printed_f_series_discrepancy()
     assert report is not None
     assert report["first_mismatch_y_order"] == 4
     assert "corrected" in report["note"]
@@ -105,7 +104,6 @@ def test_moebius_examples():
 @pytest.mark.parametrize("n", range(3, 15))
 def test_face_tuples_is_the_face_enumeration(n):
     tuples = face_tuples(n)
-    assert tuples == [f.elements for f in complex_poset.all_faces(n)]
     scan = [c for k in range(0, n - 1) for c in combinations(range(3, n + 1), k)
             if is_valid(n, c)]
     assert tuples == scan
@@ -172,7 +170,7 @@ def test_face_count_rejects_inexact_division(monkeypatch):
 
 
 def test_euler_characteristic_rejects_closed_form_mismatch(monkeypatch):
-    monkeypatch.setattr(tables, "face_table", lambda n: FaceTable(n, (1, 5, 3)))
+    monkeypatch.setattr(tables, "face_table", lambda n: (1, 5, 3))
     with pytest.raises(ClosedFormMismatchError, match="closed form"):
         euler_characteristic(6)
 
@@ -184,8 +182,8 @@ def test_product_structure(n, covered_by):
 
 def _product_structure_all_pairs(n):
     """The product-structure check with the order tested on every pair of faces."""
-    base = [frozenset(f.elements) for f in complex_poset.all_faces(n)]
-    big = [frozenset(f.elements) for f in complex_poset.all_faces(n + 1)]
+    base = [frozenset(s) for s in complex_poset.face_tuples(n)]
+    big = [frozenset(s) for s in complex_poset.face_tuples(n + 1)]
     image = {S: (2 if n + 1 in S else 1, S - {n + 1}) for S in big}
     target = {(a, T) for a in (1, 2) for T in base}
     if n % 2:
@@ -202,8 +200,8 @@ def test_product_structure_matches_all_pairs_reference(n):
 
 
 def _patch_faces_of(monkeypatch, m, edit):
-    # face_tuples is the one face enumerator: all_faces wraps its tuples,
-    # and verify_product_structure reads them directly.
+    # face_tuples is the one face enumerator: verify_product_structure and
+    # the all-pairs reference both read its tuples.
     real = complex_poset.face_tuples
     monkeypatch.setattr(complex_poset, "face_tuples",
                         lambda k, dim=None: edit(real(k)) if (k, dim) == (m, None)
@@ -242,8 +240,7 @@ def test_caps():
 
 def test_face_table_serialization():
     # The CLI builds the JSON payload and CSV rows from face_table's tuple.
-    table = face_table(5)
-    assert table.f == (1, 3, 2)
+    assert face_table(5) == (1, 3, 2)
     out = io.StringIO()
     assert run(["fvector", "--n", "5"], out) == 0
     payload = json.loads(out.getvalue())
@@ -259,4 +256,4 @@ def test_face_table_matches_face_count_at_large_n(n):
     # face_table carries the binomial by its ratio recurrence; face_count
     # computes each entry afresh and is its oracle.
     row = tuple(face_count(n, i) for i in range(-1, max_peak_count(n)))
-    assert face_table(n) == FaceTable(n, row)
+    assert face_table(n) == row

@@ -4,7 +4,6 @@ import pytest
 
 from circpeaks import hilbert_algebras, tables
 from circpeaks.chains_zeta import multichain_oracle
-from circpeaks.complex_poset import FaceTable
 from circpeaks.exact_algebra import ExactPoly, InexactDivisionError, NonIntegralError
 from circpeaks.hilbert_algebras import (
     MONOMIAL_DEGREE_CAP,
@@ -31,8 +30,7 @@ def test_dim_a_examples():
 
 
 def test_dim_a_rejects_nonintegral_f_polynomial(monkeypatch):
-    monkeypatch.setattr(tables, "face_table",
-                        lambda n: FaceTable(n, (1, 1, Fraction(1, 2))))
+    monkeypatch.setattr(tables, "face_table", lambda n: (1, 1, Fraction(1, 2)))
     with pytest.raises(NonIntegralError, match="dim_a"):
         dim_a(5, 1)
     with pytest.raises(NonIntegralError):

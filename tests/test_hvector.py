@@ -15,7 +15,6 @@ from circpeaks.exact_algebra import (
 )
 from circpeaks.complex_poset import f_polynomial
 from circpeaks.hvector import (
-    HVector,
     h_entry,
     h_generating_series,
     h_polynomial,
@@ -47,8 +46,8 @@ def test_h_polynomial_recurrence(covered_by):
 
 
 def test_h_entry_examples():
-    assert h_table(6) == HVector(6, (1, 2, 2))
-    assert h_table(7) == HVector(7, (1, 2, 2, 0))
+    assert h_table(6) == (1, 2, 2)
+    assert h_table(7) == (1, 2, 2, 0)
     assert h_entry(9, 4) == 0
 
 
@@ -99,7 +98,7 @@ def test_h_generating_series():
 
 
 def test_printed_form_discrepancy_is_documented():
-    report = printed_h_series_discrepancy(12)
+    report = printed_h_series_discrepancy()
     assert report is not None
     assert report["first_mismatch_y_order"] == 4
     assert "corrected" in report["note"]
@@ -107,8 +106,7 @@ def test_printed_form_discrepancy_is_documented():
 
 def test_hvector_serialization():
     # The CLI builds the JSON payload and CSV rows from h_table's tuple.
-    table = h_table(6)
-    assert table.h == (1, 2, 2)
+    assert h_table(6) == (1, 2, 2)
     out = io.StringIO()
     assert run(["hvector", "--n", "6"], out) == 0
     payload = json.loads(out.getvalue())
@@ -124,4 +122,4 @@ def test_h_table_matches_h_entry_at_large_n(n):
     # h_table carries the binomial by its ratio recurrence; h_entry
     # computes each entry afresh and is its oracle.
     row = tuple(h_entry(n, i) for i in range(max_peak_count(n) + 1))
-    assert h_table(n) == HVector(n, row)
+    assert h_table(n) == row

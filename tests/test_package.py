@@ -34,15 +34,15 @@ EXPORTED = {
         "DyckFormatError", "DyckPrefix", "InvalidPeakSetError", "PeakSet", "count_valid",
         "from_dyck", "is_valid", "max_peak_count", "to_dyck", "witness"),
     "complex_poset": (
-        "POSET_CAP", "FaceTable", "euler_characteristic", "euler_characteristic_closed_form",
+        "POSET_CAP", "euler_characteristic", "euler_characteristic_closed_form",
         "f_generating_series", "f_polynomial", "face_count", "face_counts_by_recurrence",
         "face_table", "faces", "moebius", "moebius_recursive_oracle",
         "verify_product_structure"),
     "chains_zeta": (
         "chain_count_formula", "chain_counts", "chain_oracle", "f_polynomial_from_chains",
-        "multichain_oracle", "zeta", "zeta_polynomial", "zeta_values", "zeta_values_of"),
+        "multichain_oracle", "zeta", "zeta_polynomial", "zeta_values"),
     "hvector": (
-        "HVector", "h_dyck_oracle", "h_entry", "h_generating_series", "h_polynomial",
+        "h_dyck_oracle", "h_entry", "h_generating_series", "h_polynomial",
         "h_recurrence_table", "h_table"),
     "hilbert_algebras": (
         "RationalSeriesForm", "dim_a", "dim_b", "hilbert_polynomial_a", "hilbert_series_a",
@@ -56,10 +56,10 @@ MOVED = {
                       "as_integer", "exact_quotient"),
     "perm_core": ("ResourceLimitError",),
     "peak_sets": ("max_peak_count",),
-    "complex_poset": ("POSET_CAP", "FaceTable", "face_table", "euler_characteristic",
+    "complex_poset": ("POSET_CAP", "face_table", "euler_characteristic",
                       "euler_characteristic_closed_form"),
-    "chains_zeta": ("zeta", "zeta_values", "zeta_values_of", "chain_counts"),
-    "hvector": ("HVector", "h_table"),
+    "chains_zeta": ("zeta", "zeta_values", "chain_counts"),
+    "hvector": ("h_table",),
     "hilbert_algebras": ("hilbert_series_a",),
 }
 ALL_MOVED = sorted((m, name) for m, names in MOVED.items() for name in names)
@@ -126,7 +126,7 @@ def test_the_integer_core_imports_no_rational_arithmetic_or_oracle():
     assert "fractions" not in source and "Fraction" not in source
     loaded = {node.module for node in ast.parse(source).body
               if isinstance(node, ast.ImportFrom)}
-    assert loaded == {"__future__", "collections.abc", "math", "record"}
+    assert loaded == {"__future__", "collections.abc", "math"}
     # Nor does any function import a module when called.
     deferred = {node.module for node in ast.walk(ast.parse(source))
                 if isinstance(node, ast.ImportFrom)} - loaded

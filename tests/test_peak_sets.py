@@ -10,7 +10,6 @@ from circpeaks.peak_sets import (
     count_left_factors_to,
     count_valid,
     enumerate_left_factors,
-    first_violation,
     from_dyck,
     is_valid,
     max_peak_count,
@@ -46,7 +45,6 @@ def test_witness_rejects_invalid_with_diagnostics():
     assert err.value.j == 2
     assert err.value.element == 4
     assert err.value.bound == 5
-    assert first_violation((3, 4)) == (2, 4, 5)
 
 
 def test_dyck_examples():

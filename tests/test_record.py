@@ -1,6 +1,6 @@
 """Value semantics of the immutable records (circpeaks.record.Record).
 
-Each of the eight record classes must compare equal only to an instance of
+Each of the six record classes must compare equal only to an instance of
 its own class with equal fields, hash like the tuple of its fields, print
 as Name(field=value, ...), refuse assignment and deletion, and survive
 pickle and copy.deepcopy.
@@ -12,10 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from circpeaks.complex_poset import FaceTable
 from circpeaks.exact_algebra import ExactPoly
 from circpeaks.hilbert_algebras import RationalSeriesForm
-from circpeaks.hvector import HVector
 from circpeaks.peak_sets import DyckPrefix, PeakSet
 from circpeaks.perm_core import Permutation
 from circpeaks.record import Record
@@ -42,16 +40,6 @@ CASES = {
         lambda: DyckPrefix("UUD"),
         ("UUD",),
         "DyckPrefix(letters='UUD')",
-    ),
-    "FaceTable": (
-        lambda: FaceTable(n=5, f=(1, 3, 2)),
-        (5, (1, 3, 2)),
-        "FaceTable(n=5, f=(1, 3, 2))",
-    ),
-    "HVector": (
-        lambda: HVector(5, (1, 1, 0)),
-        (5, (1, 1, 0)),
-        "HVector(n=5, h=(1, 1, 0))",
     ),
     "RationalSeriesForm": (
         lambda: RationalSeriesForm(ExactPoly((1, 1)), 3),
@@ -110,9 +98,8 @@ def test_equal_only_to_the_same_class(name):
 
 
 def test_field_differences_break_equality():
-    assert FaceTable(5, (1, 3, 2)) != FaceTable(6, (1, 3, 2))
-    assert FaceTable(5, (1, 3, 2)) != FaceTable(5, (1, 3, 3))
-    assert FaceTable(5, (1, 3, 2)) != HVector(5, (1, 3, 2))
+    assert PeakSet(5, (3,)) != PeakSet(6, (3,))
+    assert PeakSet(5, (3,)) != PeakSet(5, (4,))
     assert CheckResult("a", "b", True, "d") != CheckResult("a", "b", False, "d")
 
 
@@ -153,15 +140,17 @@ def test_copy_and_deepcopy(name):
 
 
 def test_constructor_binds_fields_like_keywords_and_positions():
-    assert FaceTable(5, (1, 3, 2)) == FaceTable(n=5, f=(1, 3, 2)) == FaceTable(5, f=(1, 3, 2))
+    p = ExactPoly((1, 1))
+    assert RationalSeriesForm(p, 3) == RationalSeriesForm(numerator=p, denominator_exponent=3) \
+        == RationalSeriesForm(p, denominator_exponent=3)
     with pytest.raises(TypeError):
-        FaceTable(5)
+        RationalSeriesForm(p)
     with pytest.raises(TypeError):
-        FaceTable(5, (1,), 7)
+        RationalSeriesForm(p, 3, 7)
     with pytest.raises(TypeError):
-        FaceTable(5, n=5)
+        RationalSeriesForm(p, numerator=p)
     with pytest.raises(TypeError):
-        FaceTable(5, g=(1,))
+        RationalSeriesForm(p, g=3)
 
 
 def test_validating_constructors_still_validate():
