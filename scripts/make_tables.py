@@ -30,9 +30,8 @@ def main() -> None:
     print(f"{'n':>3}  {'A dims (deg 0..order)':<40} numerator / (1-x)^e")
     for n in range(args.min_n, args.max_n + 1):
         dims = hilbert_series_a(n, args.order)
-        form = numerator_a(n)
-        nums = list(form.numerator.coeffs)
-        print(f"{n:>3}  {str(list(dims)):<40} {nums} / (1-x)^{form.denominator_exponent}")
+        numerator, exponent = numerator_a(n)
+        print(f"{n:>3}  {str(list(dims)):<40} {list(numerator.coeffs)} / (1-x)^{exponent}")
 
     print()
     print(f"{'n':>3}  B series coefficients")

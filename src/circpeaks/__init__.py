@@ -43,8 +43,8 @@ _DEFINED_IN = {
         "h_recurrence_table",
     ),
     "hilbert_algebras": (
-        "RationalSeriesForm", "dim_a", "dim_b", "hilbert_polynomial_a",
-        "hilbert_series_b", "numerator_a", "standard_monomial_oracle",
+        "dim_a", "dim_b", "hilbert_polynomial_a", "hilbert_series_b",
+        "numerator_a", "standard_monomial_oracle",
     ),
     "tables": (
         "POSET_CAP", "ClosedFormMismatchError", "InexactDivisionError",

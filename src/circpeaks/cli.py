@@ -38,8 +38,9 @@ ZETA_ORACLE_LENGTH_CAP = 100
 # --n caps, one per growth class in n of the README table.  The f-vector
 # has D = floor((n-1)/2) entries of O(n) bits, so an O(D) command still
 # does O(n^2) bit operations: as subprocesses, fvector --n 16000 takes
-# ~4.2 s and prints ~56 MB, hvector ~3.6 s, euler and zeta ~0.2 s.
-LINEAR_N_CAP = 16000  # fvector, hvector, euler, zeta
+# ~4.2 s and prints ~56 MB, hvector ~3.6 s, euler and zeta ~0.2 s,
+# witness and dyck ~0.1 s.
+LINEAR_N_CAP = 16000  # fvector, hvector, euler, zeta, witness, dyck
 # O(D^2): D+1 (hilbert A: D+6) multichain counts.  chains --n 2000 takes
 # ~1.3 s, hilbert --algebra A --n 2000 ~1.8 s (~3.2 s and ~10 MB at
 # --order 2000).
@@ -210,7 +211,7 @@ def _run(args, out) -> int:
     elif args.command == "witness":
         from .peak_sets import PeakSet, witness
 
-        _require(args.n >= 3, "--n must be >= 3")
+        _require_n(args, LINEAR_N_CAP)
         s = PeakSet(args.n, _parse_int_list(args.set))
         w = witness(args.n, s)
         _emit_json({"n": args.n, "set": list(s.elements),
@@ -219,7 +220,7 @@ def _run(args, out) -> int:
     elif args.command == "dyck":
         from .peak_sets import PeakSet, from_dyck, to_dyck
 
-        _require(args.n >= 3, "--n must be >= 3")
+        _require_n(args, LINEAR_N_CAP)
         s = PeakSet(args.n, _parse_int_list(args.set))
         word = to_dyck(s)
         back = from_dyck(args.n, word)

@@ -56,8 +56,6 @@ def face_tuples(n: int, dim: int | None = None) -> list[tuple[int, ...]]:
     with is_valid.  faces wraps its tuples in PeakSet; the oracles read
     the tuples directly.
     """
-    if n < 3:
-        raise ValueError("n must be >= 3")
     top = max_peak_count(n) - 1
     dims = range(-1, top + 1) if dim is None else [dim] if -1 <= dim <= top else []
     out: list[tuple[int, ...]] = []
@@ -315,8 +313,6 @@ def verify_product_structure(n: int) -> bool:
     isomorphism onto the full product 2 x P_n; for odd n, onto the product
     minus the slice (carrying n+1) over the top-dimensional faces.
     """
-    if n < 3:
-        raise ValueError("n must be >= 3")
     _check_poset_cap(n + 1)
     base, big = face_tuples(n), face_tuples(n + 1)
     return _product_structure(n, base, down_sets(base), big, down_sets(big))

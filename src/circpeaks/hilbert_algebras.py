@@ -11,6 +11,8 @@ data of both algebras is computed in circpeaks.tables, the integer
 core, and re-exported here (tables.hilbert_a_integers gives the
 dimensions, rational form and Hilbert polynomial of A as integer tuples
 from one build); the ExactPoly views and the oracles are defined here.
+numerator_a returns that rational form N(x) / (1-x)^e as the plain pair
+(N as an ExactPoly, e).
 """
 
 from __future__ import annotations
@@ -19,19 +21,17 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
+from . import tables
 from .complex_poset import face_tuples
 from .exact_algebra import ExactPoly
-from .record import Record
 # Re-exported from the integer core, which defines them.
 from .tables import (
     NonIntegralError,
     ResourceLimitError,
-    _numerator_order,
     chain_counts,
     face_table,
     hilbert_series_a,
     max_peak_count,
-    rational_form_a,
     zeta,
 )
 
@@ -39,14 +39,6 @@ MONOMIAL_DEGREE_CAP = 6
 # The order through which verify_series_recurrence_a compares the A-series.
 SERIES_RECURRENCE_ORDER = 12
 _MONOMIAL_WORK_CAP = 2_000_000
-
-
-class RationalSeriesForm(Record):
-    """numerator / (1-x)^denominator_exponent."""
-
-    __slots__ = ("numerator", "denominator_exponent")
-    numerator: ExactPoly
-    denominator_exponent: int
 
 
 def dim_a(n: int, i: int) -> int:
@@ -73,15 +65,15 @@ def hilbert_polynomial_a(n: int) -> ExactPoly:
     return ExactPoly(face_table(n))
 
 
-def numerator_a(n: int) -> RationalSeriesForm:
-    """Closed rational form of the A-series: rational_form_a of its first terms.
+def numerator_a(n: int) -> tuple[ExactPoly, int]:
+    """(N, e) with Hilb_A(x) = N(x) / (1-x)^e, read off tables.hilbert_a_integers.
 
-    The denominator exponent is floor((n+1)/2).  The numerator is
+    The denominator exponent e is floor((n+1)/2).  The numerator is
     obtained by repeated differencing of the integer dimensions and
     checked to terminate; InexactDivisionError is raised if it does not.
     """
-    numerator, exponent = rational_form_a(n, hilbert_series_a(n, _numerator_order(n)))
-    return RationalSeriesForm(ExactPoly(numerator), exponent)
+    _, numerator, exponent, _ = tables.hilbert_a_integers(n, 0)
+    return ExactPoly(numerator), exponent
 
 
 def dim_b(n: int, i: int) -> int:
@@ -184,15 +176,12 @@ def verify_numerator_recurrence_a(n: int) -> bool:
     one = ExactPoly.constant(1)
     one_minus_x = ExactPoly((1, -1))
     if n % 2 == 0:
-        a = numerator_a(n).numerator
-        lhs = numerator_a(n + 1).numerator
+        a, _ = numerator_a(n)
+        lhs, _ = numerator_a(n + 1)
         rhs = x * one_minus_x * a.derivative() + \
             ExactPoly((1, n // 2 - 1)) * a
         return lhs == rhs
-    a0 = numerator_a(n).numerator
-    a1 = numerator_a(n + 1).numerator
-    a2 = numerator_a(n + 2).numerator
-    a3 = numerator_a(n + 3).numerator
+    a0, a1, a2, a3 = (numerator_a(m)[0] for m in range(n, n + 4))
     lhs = one_minus_x * a3
     rhs = (
         x * one_minus_x * a2.derivative()

@@ -46,8 +46,6 @@ def h_polynomial_by_recurrence(n: int) -> ExactPoly:
 
 def h_entry(n: int, i: int) -> int:
     """Closed-form h_{n,i}."""
-    if n < 3:
-        raise ValueError("n must be >= 3")
     if i < 0 or i > max_peak_count(n):
         raise ValueError(f"i={i} outside [0, {max_peak_count(n)}]")
     half = n // 2
@@ -114,8 +112,6 @@ def h_dyck_oracle(n: int, i: int) -> int:
     Counts left factors of length floor(n/2)+i-1 ending at height
     floor(n/2)-i-1 (zero when the height is negative or of wrong parity).
     """
-    if n < 3:
-        raise ValueError("n must be >= 3")
     if i < 0 or i > max_peak_count(n):
         raise ValueError(f"i={i} outside [0, {max_peak_count(n)}]")
     half = n // 2

@@ -57,9 +57,6 @@ class PeakSet(Record):
         set_field(self, "n", n)
         set_field(self, "elements", elems)
 
-    def __str__(self) -> str:
-        return ",".join(str(v) for v in self.elements)
-
 
 class DyckPrefix(Record):
     """A word over {U, D} whose every prefix has #U >= #D."""
@@ -79,10 +76,6 @@ class DyckPrefix(Record):
             if height < 0:
                 raise DyckFormatError(f"{letters!r} is not a left factor (dips below 0)")
         set_field(self, "letters", letters)
-
-    @property
-    def length(self) -> int:
-        return len(self.letters)
 
 
 def _first_violation_sorted(elems) -> tuple[int, int, int] | None:
@@ -146,8 +139,8 @@ def from_dyck(n: int, w: DyckPrefix | str) -> PeakSet:
     """Inverse of to_dyck; the word must have length n-1."""
     if not isinstance(w, DyckPrefix):
         w = DyckPrefix(w)
-    if w.length != n - 1:
-        raise DyckFormatError(f"word length {w.length} != n-1 = {n - 1}")
+    if len(w.letters) != n - 1:
+        raise DyckFormatError(f"word length {len(w.letters)} != n-1 = {n - 1}")
     return PeakSet(n, (i + 1 for i, ch in enumerate(w.letters, start=1)
                        if ch == "D"))
 

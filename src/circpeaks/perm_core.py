@@ -40,10 +40,6 @@ class Permutation(Record):
     def identity(n: int) -> "Permutation":
         return Permutation(range(1, n + 1))
 
-    def __str__(self) -> str:
-        return "".join(str(v) for v in self.values) if self.n < 10 else \
-            ",".join(str(v) for v in self.values)
-
 
 def _peaks(v: tuple[int, ...]) -> tuple[int, ...]:
     """Values v[i] with v[i-1] < v[i] > v[i+1], ascending."""

@@ -1,7 +1,9 @@
-"""Immutable value records, the one base class of the package's value types.
+"""Immutable value records, the one base class of the validated value types.
 
-A subclass lists its fields in ``__slots__``; a subclass with its own
-validating ``__init__`` writes each field once with ``set_field``.
+Only a type whose constructor enforces a condition is a Record:
+ExactPoly, PeakSet, DyckPrefix and Permutation.  A subclass lists its
+fields in ``__slots__`` and its own validating ``__init__`` writes each
+field once with ``set_field``; Record has no constructor of its own.
 Records compare equal only to records of the same class with equal
 fields, hash like the tuple of their fields, print as
 ``Name(field=value, ...)``, refuse assignment and deletion of attributes,
@@ -30,13 +32,6 @@ class Record:
         # The field tuple, the value behind ==, hash and pickling.
         cls._values = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
 
-    def __init__(self, *args, **kwargs):
-        fields = self.__slots__
-        if kwargs or len(args) != len(fields):
-            args = _bind(type(self), fields, args, kwargs)
-        for name, value in zip(fields, args):
-            set_field(self, name, value)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -62,21 +57,6 @@ class Record:
         # __setattr__, which refuses; rebuild from the field values instead,
         # without re-running a subclass's validating __init__.
         return _restore, (type(self), self._values)
-
-
-def _bind(cls: type, fields: tuple, args: tuple, kwargs: dict) -> tuple:
-    """The field values of a call with keywords or a wrong count, or TypeError."""
-    if len(args) > len(fields):
-        raise TypeError(f"{cls.__name__} takes {len(fields)} fields, got {len(args)}")
-    values = dict(zip(fields, args))
-    for name, value in kwargs.items():
-        if name not in fields or name in values:
-            raise TypeError(f"{cls.__name__}: unexpected or repeated field {name!r}")
-        values[name] = value
-    missing = [name for name in fields if name not in values]
-    if missing:
-        raise TypeError(f"{cls.__name__}: missing fields {missing}")
-    return tuple(values[name] for name in fields)
 
 
 def _restore(cls: type, values: tuple) -> Record:

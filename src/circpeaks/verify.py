@@ -18,7 +18,7 @@ A check called outside run_suite computes all of these afresh.
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Callable
 from itertools import combinations, permutations
 from math import factorial
@@ -34,19 +34,13 @@ from . import (
 )
 from .exact_algebra import ExactPoly
 from .peak_sets import PeakSet
-from .record import Record
 from .tables import POSET_CAP
 
 PERM_DEFAULT = 8
 MIN_MAX_N = 3  # the complex starts at n = 3; below it some checks cover no n
 
 
-class CheckResult(Record):
-    __slots__ = ("suite", "name", "ok", "detail")
-    suite: str
-    name: str
-    ok: bool
-    detail: str
+CheckResult = namedtuple("CheckResult", "suite name ok detail")
 
 
 # The run memo of the module docstring; None outside run_suite, so a
@@ -497,17 +491,16 @@ def check_hilbert_polynomial(max_n: int) -> tuple[bool, str]:
 
 def check_numerator_form(max_n: int) -> tuple[bool, str]:
     for n in range(3, 13):
-        form = hilbert_algebras.numerator_a(n)
-        if form.denominator_exponent != (n + 1) // 2:
+        numerator, e = hilbert_algebras.numerator_a(n)
+        if e != (n + 1) // 2:
             return False, f"unexpected exponent at n={n}"
-        if any(c.denominator != 1 for c in form.numerator.coeffs):
+        if any(c.denominator != 1 for c in numerator.coeffs):
             return False, f"non-integer numerator at n={n}"
         # re-expand numerator/(1-x)^e to order 12
-        e = form.denominator_exponent
         expanded = [
-            sum(form.numerator.coeff(j) *
+            sum(numerator.coeff(j) *
                 exact_algebra.binomial(k - j + e - 1, e - 1)
-                for j in range(min(k, form.numerator.degree) + 1))
+                for j in range(min(k, numerator.degree) + 1))
             for k in range(13)
         ]
         if expanded != list(hilbert_algebras.hilbert_series_a(n, 12)):

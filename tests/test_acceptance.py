@@ -189,15 +189,15 @@ def test_criterion_10_hilbert():
     assert hilbert_series_a(3, 12) == tuple(i + 1 for i in range(13))
     assert hilbert_series_a(4, 12) == (1,) + tuple(2 * i + 1 for i in range(1, 13))
     for n in range(3, 13):
-        form = numerator_a(n)
-        assert form.denominator_exponent == (n + 1) // 2
-        assert all(c.denominator == 1 for c in form.numerator.coeffs)
+        numerator, exponent = numerator_a(n)
+        assert exponent == (n + 1) // 2
+        assert all(c.denominator == 1 for c in numerator.coeffs)
         order = 10
         series = [0] * (order + 1)
-        for k, c in enumerate(form.numerator.coeffs):
+        for k, c in enumerate(numerator.coeffs):
             if k <= order:
                 series[k] = c
-        for _ in range(form.denominator_exponent):
+        for _ in range(exponent):
             for k in range(1, order + 1):
                 series[k] += series[k - 1]
         assert tuple(series) == hilbert_series_a(n, order)

@@ -345,6 +345,7 @@ def test_hilbert_order_cap(capsys, algebra):
     ("zeta --i 3", LINEAR_N_CAP), ("chains --i 3", QUADRATIC_N_CAP),
     ("hilbert --algebra A", QUADRATIC_N_CAP), ("hilbert --algebra B", QUADRATIC_N_CAP),
     ("hilbert --algebra A --format csv", QUADRATIC_N_CAP),
+    ("witness --set 3", LINEAR_N_CAP), ("dyck --set 3", LINEAR_N_CAP),
 ])
 def test_n_cap(capsys, argv, cap):
     command, *rest = argv.split()
@@ -477,8 +478,7 @@ def test_verify_rejects_max_n_below_three(capsys):
     assert "PASS" not in text
     assert "max_n must be >= 3" in capsys.readouterr().err
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_verify.py"),
-         "--suite", "perm", "--max-n", "2"],
+        [sys.executable, "-m", "circpeaks.cli", "verify", "--suite", "perm", "--max-n", "2"],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )

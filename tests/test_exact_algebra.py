@@ -93,7 +93,7 @@ def test_non_integral_inputs_are_unchanged():
 def test_library_polynomials_have_int_coefficients(n):
     for p in (f_polynomial(n), f_polynomial_by_recurrence(n), h_polynomial(n),
               h_polynomial_by_recurrence(n), zeta_polynomial(n), hilbert_polynomial_a(n),
-              numerator_a(n).numerator, hilbert_series_b(n)):
+              numerator_a(n)[0], hilbert_series_b(n)):
         assert all(type(c) is int for c in p.coeffs), p
 
 

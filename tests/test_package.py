@@ -45,8 +45,8 @@ EXPORTED = {
         "h_dyck_oracle", "h_entry", "h_generating_series", "h_polynomial",
         "h_recurrence_table", "h_table"),
     "hilbert_algebras": (
-        "RationalSeriesForm", "dim_a", "dim_b", "hilbert_polynomial_a", "hilbert_series_a",
-        "hilbert_series_b", "numerator_a", "standard_monomial_oracle"),
+        "dim_a", "dim_b", "hilbert_polynomial_a", "hilbert_series_a", "hilbert_series_b",
+        "numerator_a", "standard_monomial_oracle"),
 }
 ALL_EXPORTED = sorted((m, name) for m, names in EXPORTED.items() for name in names)
 
