@@ -3,11 +3,13 @@
 Each of the four record classes must compare equal only to an instance of
 its own class with equal fields, hash like the tuple of its fields, print
 as Name(field=value, ...), refuse assignment and deletion, and survive
-pickle and copy.deepcopy.
+pickle and copy.deepcopy. verify.CheckResult, a namedtuple, is held to the
+same, except that it equals the plain tuple of its fields.
 """
 
 import copy
 import pickle
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from circpeaks.exact_algebra import ExactPoly
 from circpeaks.peak_sets import DyckPrefix, PeakSet
 from circpeaks.perm_core import Permutation
 from circpeaks.record import Record
+from circpeaks.verify import CheckResult
 
 # (factory, field values after construction, expected repr)
 CASES = {
@@ -40,8 +43,17 @@ CASES = {
         ("UUD",),
         "DyckPrefix(letters='UUD')",
     ),
+    "CheckResult": (
+        lambda: CheckResult("perm", "cp-classes-partition", True, "ok"),
+        ("perm", "cp-classes-partition", True, "ok"),
+        "CheckResult(suite='perm', name='cp-classes-partition', ok=True, detail='ok')",
+    ),
 }
 NAMES = sorted(CASES)
+
+
+def _fields(cls):
+    return getattr(cls, "_fields", None) or cls.__slots__
 
 
 def test_every_record_class_is_covered():
@@ -51,7 +63,7 @@ def test_every_record_class_is_covered():
             yield from subclasses(sub)
 
     assert sorted(c.__name__ for c in subclasses(Record)
-                  if c.__module__.startswith("circpeaks.")) == NAMES
+                  if c.__module__.startswith("circpeaks.")) == [n for n in NAMES if n != "CheckResult"]
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -63,7 +75,7 @@ def test_equality_hash_and_repr(name):
     assert a is not b
     assert hash(a) == hash(b) == hash(values)
     assert repr(a) == text
-    assert tuple(getattr(a, f) for f in type(a).__slots__) == values
+    assert tuple(getattr(a, f) for f in _fields(type(a))) == values
 
 
 def test_exact_poly_repr_keeps_a_non_integral_coefficient_a_fraction():
@@ -76,12 +88,17 @@ def test_exact_poly_repr_keeps_a_non_integral_coefficient_a_fraction():
 def test_equal_only_to_the_same_class(name):
     make, values, _ = CASES[name]
     a = make()
-    assert a != values
-    assert values != a
     assert a != values[0]
     for other in NAMES:
         if other != name:
             assert a != CASES[other][0]()
+    if isinstance(a, tuple):
+        # a namedtuple compares as the plain tuple of its fields
+        assert a == values and values == a
+        assert a == namedtuple("LookAlike", _fields(type(a)))(*values)
+        return
+    assert a != values
+    assert values != a
     look_alike = record._restore(type("LookAlike", (Record,), {"__slots__": type(a).__slots__}),
                                  values)
     assert a != look_alike and look_alike != a
@@ -91,12 +108,13 @@ def test_field_differences_break_equality():
     assert PeakSet(5, (3,)) != PeakSet(6, (3,))
     assert PeakSet(5, (3,)) != PeakSet(5, (4,))
     assert DyckPrefix("UD") != DyckPrefix("UU")
+    assert CheckResult("a", "b", True, "d") != CheckResult("a", "b", False, "d")
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_fields_are_immutable(name):
     a = CASES[name][0]()
-    field = type(a).__slots__[0]
+    field = _fields(type(a))[0]
     before = getattr(a, field)
     with pytest.raises(AttributeError):
         setattr(a, field, before)
@@ -116,7 +134,7 @@ def test_pickle_round_trip(name):
         assert type(b) is type(a)
         assert b == a and hash(b) == hash(a) and repr(b) == repr(a)
         with pytest.raises(AttributeError):
-            setattr(b, type(b).__slots__[0], None)
+            setattr(b, _fields(type(b))[0], None)
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -1,8 +1,6 @@
 """The verify registry: the memo of one run_suite call, and one test id
 per registry check, pinning its result line at --max-n 8."""
 
-import copy
-import pickle
 from collections import Counter
 
 import pytest
@@ -123,17 +121,6 @@ def test_perm_suite_sweeps_each_symmetric_group_once(monkeypatch):
     results = verify.run_suite("perm", 8)
     assert all(r.ok for r in results)
     assert sorted(calls) == list(range(1, 9))
-
-
-def test_check_result_fields_repr_and_value_semantics():
-    r = verify.CheckResult("perm", "cp-classes-partition", True, "ok")
-    assert (r.suite, r.name, r.ok, r.detail) == ("perm", "cp-classes-partition", True, "ok")
-    assert repr(r) == "CheckResult(suite='perm', name='cp-classes-partition', ok=True, detail='ok')"
-    assert r != verify.CheckResult("perm", "cp-classes-partition", False, "ok")
-    with pytest.raises(AttributeError):
-        r.ok = False
-    for b in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
-        assert b == r and hash(b) == hash(r) and repr(b) == repr(r)
 
 
 def test_memo_lives_for_one_run_suite_call(monkeypatch):
