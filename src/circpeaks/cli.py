@@ -1,30 +1,38 @@
-"""Command-line surface.
+"""Command-line entry point: the flag table, the hand parser and the integer-core commands.
 
-Subcommands: stats, enum-cp, witness, dyck, faces, fvector, hvector,
-zeta, chains, moebius, euler, hilbert, series, verify.  JSON is the
-default output format; the tabular commands (enum-cp, fvector, hvector,
-zeta, chains, hilbert) also accept --format csv.  Exit
-codes: 0 success, 1 validation/usage error, 2 verification failure.
-All numbers are emitted exactly, as integers; each payload is rendered
-in full before anything is written, so output is all or nothing.
+``python -m circpeaks.cli <command> --flag value ...`` (or the
+``circpeaks`` script) prints one JSON payload, or CSV rows for the
+tabular commands.  Exit codes: 0 success, 1 validation/usage error,
+2 verification failure.  All numbers are emitted exactly, as integers;
+each payload is rendered in full before anything is written, so output
+is all or nothing.
+
+Every process compiles this module, so it holds only what a well-formed
+command line of fvector, hvector, euler, zeta, chains or hilbert needs:
+``COMMANDS``, which declares each subcommand's flags once; ``parse``, which
+reads ``<command> --flag value ...`` by hand; and those six commands,
+which read their numbers off the integer core (``tables``).  Any other
+spelling, --help, ``--n=5``, an abbreviated, repeated or unknown flag or
+a bad value, goes to the argparse parser that ``cli_oracles`` builds from
+the same table, which prints the same help and errors.  ``cli_oracles``
+also runs the eight oracle-backed commands: stats, enum-cp, witness,
+dyck, faces, moebius, series and verify.  It is imported only then, and
+argparse only when a command line falls back.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import sys
+from types import SimpleNamespace
 
-# fvector, hvector, euler, zeta, chains and hilbert read their numbers off
-# the integer core, whose functions are looked up on the module at call
-# time.  Every other module is imported only by the branch that runs it,
-# so those commands load no oracle.
+# The six commands look the integer core's functions up on the module at
+# call time.
 from .tables import POSET_CAP, ResourceLimitError
 from . import tables
 
 
-TABULAR = ("enum-cp", "fvector", "hvector", "zeta", "chains", "hilbert")
 # series --order 500 takes ~0.5 s and prints ~5 MB; the output grows as order^3.
 SERIES_ORDER_CAP = 500
 # hilbert --algebra A --n 800 --order 2000 takes ~0.5 s and prints ~3 MB
@@ -46,24 +54,83 @@ LINEAR_N_CAP = 16000  # fvector, hvector, euler, zeta, witness, dyck
 # --order 2000).
 QUADRATIC_N_CAP = 2000  # chains, hilbert
 
+# Every subcommand, in help order: (help, flags).  A flag is (name, type,
+# default, choices, help); the default REQUIRED makes it required, and the
+# type list makes it an append flag.  The attribute is the name without
+# its dashes, with "-" read as "_".
+REQUIRED = object()
+_N = ("--n", int, REQUIRED, None, None)
+_I = ("--i", int, REQUIRED, None, None)
+_SET = ("--set", str, "", None, None)
+_FORMAT = ("--format", str, "json", ("json", "csv"), None)  # the tabular commands
+COMMANDS = {
+    "stats": ("circular peak and descent sets of a permutation",
+              (("--perm", str, REQUIRED, None, "comma-separated values"),)),
+    "enum-cp": ("all permutations with a given circular peak set",
+                (_FORMAT, _N, ("--set", str, "", None, "ascending comma-separated values"))),
+    "witness": ("construct one permutation realizing a peak set", (_N, _SET)),
+    "dyck": ("peak set <-> Dyck-prefix word", (_N, _SET)),
+    "faces": ("faces of the complex", (_N, ("--dim", int, None, None, None))),
+    "fvector": ("f-vector and f-polynomial", (_FORMAT, _N)),
+    "hvector": ("h-vector and h-polynomial", (_FORMAT, _N)),
+    "zeta": ("multichain counts (zeta polynomial values)", (_FORMAT, _N, _I)),
+    "chains": ("strict chain counts", (_FORMAT, _N, _I)),
+    "moebius": ("Moebius function over a face interval",
+                (_N, ("--set", list, (), None, "give twice: lower then upper face"))),
+    "euler": ("reduced Euler characteristic", (_N,)),
+    "hilbert": ("graded dimensions and Hilbert data",
+                (_FORMAT, _N, ("--algebra", str, REQUIRED, ("A", "B"), None),
+                 ("--order", int, 8, None, None))),
+    "series": ("generating-function expansion (f or h)",
+               (("--which", str, REQUIRED, ("P", "H"), None),
+                ("--order", int, 12, None, None))),
+    "verify": ("run oracle cross-check suites",
+               (("--suite", str, "all", None,
+                 "one of perm, peaksets, complex, chains, hvector, series, "
+                 "hilbert or 'all'"),
+                ("--max-n", int, 8, None, None))),
+}
+
 
 class CliError(Exception):
     """User-facing validation error; exits with code 1."""
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2
-        raise CliError(message)
+def parse(argv):
+    """The arguments of ``<command> --flag value ...``, or None for argparse.
 
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise CliError(f"expected comma-separated integers, got {text!r}") from exc
+    Each flag of the command may appear once, the append flag --set of
+    moebius any number of times, and every required flag must.  A value
+    that starts with "-" is left to argparse, which reads "-3" as a value
+    and "-h" as a flag.  Ints are read with int(), as argparse reads them,
+    so whatever this accepts, argparse parses to the same values.
+    """
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    flags = {spec[0]: spec for spec in COMMANDS[argv[0]][1]}
+    values = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        if flag not in flags or text.startswith("-"):
+            return None
+        _, kind, _, choices, _ = flags[flag]
+        if kind is list:
+            values.setdefault(flag, []).append(text)
+        elif flag in values or (choices and text not in choices):
+            return None
+        elif kind is int:
+            try:
+                values[flag] = int(text)
+            except ValueError:
+                return None
+        else:
+            values[flag] = text
+    for flag, kind, default, _, _ in flags.values():
+        if flag not in values:
+            if default is REQUIRED:
+                return None
+            values[flag] = list(default) if kind is list else default
+    return SimpleNamespace(command=argv[0],
+                           **{flag[2:].replace("-", "_"): v for flag, v in values.items()})
 
 
 def _emit_json(payload, out) -> None:
@@ -100,75 +167,6 @@ def _emit_count(args, key: str, value: int, length: int, out) -> None:
                     "oracle": found, "match": match}, out)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="circpeaks", description=__doc__)
-    sub = parser.add_subparsers(dest="command")
-
-    def cmd(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        if name in TABULAR:
-            p.add_argument("--format", choices=("json", "csv"), default="json")
-        return p
-
-    p = cmd("stats", help="circular peak and descent sets of a permutation")
-    p.add_argument("--perm", required=True, help="comma-separated values")
-
-    p = cmd("enum-cp", help="all permutations with a given circular peak set")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--set", default="", help="ascending comma-separated values")
-
-    p = cmd("witness", help="construct one permutation realizing a peak set")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--set", default="")
-
-    p = cmd("dyck", help="peak set <-> Dyck-prefix word")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--set", default="")
-
-    p = cmd("faces", help="faces of the complex")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dim", type=int, default=None)
-
-    p = cmd("fvector", help="f-vector and f-polynomial")
-    p.add_argument("--n", type=int, required=True)
-
-    p = cmd("hvector", help="h-vector and h-polynomial")
-    p.add_argument("--n", type=int, required=True)
-
-    p = cmd("zeta", help="multichain counts (zeta polynomial values)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-
-    p = cmd("chains", help="strict chain counts")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-
-    p = cmd("moebius", help="Moebius function over a face interval")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--set", action="append", default=[],
-                   help="give twice: lower then upper face")
-
-    p = cmd("euler", help="reduced Euler characteristic")
-    p.add_argument("--n", type=int, required=True)
-
-    p = cmd("hilbert", help="graded dimensions and Hilbert data")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--algebra", choices=("A", "B"), required=True)
-    p.add_argument("--order", type=int, default=8)
-
-    p = cmd("series", help="generating-function expansion (f or h)")
-    p.add_argument("--which", choices=("P", "H"), required=True)
-    p.add_argument("--order", type=int, default=12)
-
-    p = cmd("verify", help="run oracle cross-check suites")
-    p.add_argument("--suite", default="all",
-                   help="one of perm, peaksets, complex, chains, hvector, series, "
-                        "hilbert or 'all'")
-    p.add_argument("--max-n", type=int, default=8, dest="max_n")
-
-    return parser
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise CliError(message)
@@ -181,67 +179,20 @@ def _require_n(args, cap: int) -> None:
         raise ResourceLimitError(f"{args.command} --n capped at {cap} (got {args.n})")
 
 
+def _cli_oracles():
+    """The oracle commands and the argparse parser, loaded on first need.
+
+    Under ``python -m`` this module runs as ``__main__``, so it is handed
+    over as itself: an import of circpeaks.cli there would load a second
+    copy, whose CliError ``run`` would not catch.
+    """
+    from . import cli_oracles
+
+    return cli_oracles, sys.modules[__name__]
+
+
 def _run(args, out) -> int:
-    if args.command == "stats":
-        from .perm_core import Permutation, circular_descent_set, circular_peak_set
-
-        sigma = Permutation(_parse_int_list(args.perm))
-        payload = {
-            "n": sigma.n,
-            "perm": list(sigma.values),
-            "cp": list(circular_peak_set(sigma)),
-            "cdes": list(circular_descent_set(sigma)),
-        }
-        _emit_json(payload, out)
-
-    elif args.command == "enum-cp":
-        from .perm_core import enumerate_cp_class
-
-        _require(args.n >= 1, "--n must be >= 1")
-        s = _parse_int_list(args.set)
-        perms = enumerate_cp_class(args.n, s)
-        if args.format == "csv":
-            _emit_csv([[",".join(map(str, p.values))] for p in perms],
-                      ["permutation"], out)
-        else:
-            _emit_json({"n": args.n, "set": sorted(set(s)),
-                        "count": len(perms),
-                        "perms": [list(p.values) for p in perms]}, out)
-
-    elif args.command == "witness":
-        from .peak_sets import PeakSet, witness
-
-        _require_n(args, LINEAR_N_CAP)
-        s = PeakSet(args.n, _parse_int_list(args.set))
-        w = witness(args.n, s)
-        _emit_json({"n": args.n, "set": list(s.elements),
-                    "witness": list(w.values)}, out)
-
-    elif args.command == "dyck":
-        from .peak_sets import PeakSet, from_dyck, to_dyck
-
-        _require_n(args, LINEAR_N_CAP)
-        s = PeakSet(args.n, _parse_int_list(args.set))
-        word = to_dyck(s)
-        back = from_dyck(args.n, word)
-        _emit_json({"n": args.n, "set": list(s.elements),
-                    "word": word.letters,
-                    "round_trip": list(back.elements)}, out)
-
-    elif args.command == "faces":
-        from .complex_poset import face_tuples
-
-        _require(args.n >= 3, "--n must be >= 3")
-        # JSON writes each face tuple as a list
-        if args.dim is not None:
-            _emit_json({"n": args.n, "dim": args.dim,
-                        "faces": face_tuples(args.n, args.dim)}, out)
-        else:
-            by_dim = {str(d): face_tuples(args.n, d)
-                      for d in range(-1, tables.max_peak_count(args.n))}
-            _emit_json({"n": args.n, "faces_by_dim": by_dim}, out)
-
-    elif args.command == "fvector":
+    if args.command == "fvector":
         _require_n(args, LINEAR_N_CAP)
         f = tables.face_table(args.n)
         if args.format == "csv":
@@ -269,19 +220,6 @@ def _run(args, out) -> int:
         top = tables.max_peak_count(args.n)
         value = tables.chain_counts(args.n)[args.i] if args.i <= top + 1 else 0
         _emit_count(args, "count", value, args.i, out)
-
-    elif args.command == "moebius":
-        from .complex_poset import moebius
-        from .peak_sets import PeakSet
-
-        _require(args.n >= 3, "--n must be >= 3")
-        _require(len(args.set) == 2,
-                 "give --set twice: lower face then upper face")
-        s = PeakSet(args.n, _parse_int_list(args.set[0]))
-        t = PeakSet(args.n, _parse_int_list(args.set[1]))
-        value = moebius(args.n, s, t)
-        _emit_json({"n": args.n, "s": list(s.elements), "t": list(t.elements),
-                    "moebius": value}, out)
 
     elif args.command == "euler":
         _require_n(args, LINEAR_N_CAP)
@@ -313,45 +251,9 @@ def _run(args, out) -> int:
                 payload["series_polynomial"] = counts
             _emit_json(payload, out)
 
-    elif args.command == "series":
-        _require(args.order >= 3, "--order must be >= 3")
-        if args.order > SERIES_ORDER_CAP:
-            raise ResourceLimitError(
-                f"series --order capped at {SERIES_ORDER_CAP} (got {args.order})")
-        # The y^n coefficient is P_n(x) (H_n(x)): the f- (h-)vector, reversed.
-        orders = range(3, args.order + 1)
-        if args.which == "P":
-            from .complex_poset import printed_f_series_discrepancy
-
-            vectors = [tables.face_table(n) for n in orders]
-            report = printed_f_series_discrepancy()
-        else:
-            from .hvector import printed_h_series_discrepancy
-
-            vectors = [tables.h_table(n) for n in orders]
-            report = printed_h_series_discrepancy()
-        payload = {
-            "which": args.which,
-            "order": args.order,
-            "coefficients": [{"n": n, "poly": v[::-1]} for n, v in zip(orders, vectors)],
-            "printed_form_discrepancy": report,
-        }
-        _emit_json(payload, out)
-
-    elif args.command == "verify":
-        from . import verify  # only this subcommand pays for the oracle suites
-
-        results = verify.run_suite(args.suite, args.max_n)
-        failed = 0
-        for r in results:
-            status = "PASS" if r.ok else "FAIL"
-            out.write(f"{status}  {r.suite}/{r.name}: {r.detail}\n")
-            failed += not r.ok
-        out.write(f"{len(results) - failed}/{len(results)} checks passed\n")
-        return 2 if failed else 0
-
-    else:
-        raise CliError("missing subcommand (try --help)")
+    else:  # an oracle-backed command, or none
+        oracles, cli = _cli_oracles()
+        return oracles.run(args, out, cli)
 
     return 0
 
@@ -359,11 +261,13 @@ def _run(args, out) -> int:
 def run(argv, out=None) -> int:
     """Parse and execute; returns the process exit code."""
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     if hasattr(sys, "set_int_max_str_digits"):  # counts outgrow the 4300-digit default
         sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
+        args = parse(argv)
+        if args is None:
+            oracles, cli = _cli_oracles()
+            args = oracles.build_parser(cli).parse_args(argv)
         return _run(args, out)
     # InvalidPeakSetError and DyckFormatError are ValueErrors.
     except (CliError, ResourceLimitError, ValueError) as exc:

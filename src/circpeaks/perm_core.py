@@ -72,7 +72,6 @@ def enumerate_cp_class(n: int, s) -> list[Permutation]:
     target = tuple(sorted(set(int(v) for v in s)))
     if any(v < 1 or v > n for v in target):
         raise ValueError(f"set {target} is not a subset of [{n}]")
-    out = []
     return [Permutation(vals) for vals in permutations(range(1, n + 1))
             if _peaks(vals) == target]
 

@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from circpeaks import complex_poset, tables, verify
+from circpeaks import cli, cli_oracles, complex_poset, tables, verify
 from circpeaks.cli import (
     HILBERT_ORDER_CAP,
     LINEAR_N_CAP,
@@ -442,6 +443,22 @@ def test_cli_import_loads_no_dataclasses_inspect_or_verify():
 ORACLE_MODULES = ("fractions", "circpeaks.exact_algebra", "circpeaks.peak_sets",
                   "circpeaks.perm_core", "circpeaks.complex_poset", "circpeaks.chains_zeta",
                   "circpeaks.hvector", "circpeaks.hilbert_algebras", "circpeaks.verify")
+# What only a command line that the hand parser declines, or an oracle command, loads.
+ARGPARSE_MODULES = ("argparse", "gettext", "locale")
+
+
+def _loaded_after(argv, modules):
+    """The exit code of ``run(argv)`` in a fresh interpreter, then which of ``modules`` it loaded."""
+    # -S: no site-packages .pth file may import these on the package's behalf.
+    probe = ("import io, sys; from circpeaks import cli; "
+             f"code = cli.run({argv.split()!r}, io.StringIO()); "
+             f"print(code, *(m for m in {modules!r} if m in sys.modules))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
 
 
 @pytest.mark.parametrize("argv", [
@@ -450,18 +467,16 @@ ORACLE_MODULES = ("fractions", "circpeaks.exact_algebra", "circpeaks.peak_sets",
     "fvector --n 40 --format csv", "hilbert --n 40 --algebra A --format csv",
 ])
 def test_production_commands_load_only_the_integer_core(argv):
-    # Nor the record base class; the JSON forms do not load csv either.
-    forbidden = ORACLE_MODULES + ("circpeaks.record",) + (() if "csv" in argv else ("csv",))
-    # -S: no site-packages .pth file may import these on the package's behalf.
-    probe = ("import io, sys; from circpeaks import cli; "
-             f"code = cli.run({argv.split()!r}, io.StringIO()); "
-             f"print(code, *(m for m in {forbidden!r} if m in sys.modules))")
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", probe], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, cwd=ROOT,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0"]
+    # Nor the record base class, argparse or the oracle commands; the JSON
+    # forms do not load csv either.
+    forbidden = (ORACLE_MODULES + ARGPARSE_MODULES + ("circpeaks.record", "circpeaks.cli_oracles")
+                 + (() if "csv" in argv else ("csv",)))
+    assert _loaded_after(argv, forbidden) == ["0"]
+
+
+@pytest.mark.parametrize("argv", ["verify --suite series --max-n 8", "series --which P --order 5"])
+def test_well_formed_oracle_commands_load_no_argparse(argv):
+    assert _loaded_after(argv, ARGPARSE_MODULES) == ["0"]
 
 
 def test_poset_oracle_runs_up_to_its_cap_only():
@@ -503,3 +518,111 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["euler"] == 0
+
+
+def _python_m_cli(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "circpeaks.cli", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+
+
+def test_errors_of_oracle_commands_under_python_m():
+    # Under -m the entry module is __main__: an error raised by the oracle
+    # commands must be the CliError (or ResourceLimitError) that run catches.
+    proc = _python_m_cli("moebius", "--n", "5", "--set", "4")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: give --set twice: lower face then upper face\n"
+    proc = _python_m_cli("enum-cp", "--n", "11")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: exhaustive S_n enumeration capped at n <= 10 (got n=11)\n"
+
+
+def _workload_command_lines():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    lines = []
+    for name in workloads.WORKLOADS:
+        for seed in (1, 2, 3):
+            lines += [argv for argv in workloads.build(name, seed) if argv not in lines]
+    return lines
+
+
+README_EXAMPLES = [
+    ["stats", "--perm", "4,8,3,6,2,5,1,7"], ["enum-cp", "--n", "5", "--set", "4,5"],
+    ["witness", "--n", "6", "--set", "3,5"], ["dyck", "--n", "5", "--set", "4,5"],
+    ["faces", "--n", "7"], ["faces", "--n", "7", "--dim", "1"],
+    ["moebius", "--n", "5", "--set", "", "--set", "4,5"],
+    ["series", "--which", "P", "--order", "12"], ["verify", "--suite", "all", "--max-n", "8"],
+    ["fvector", "--n", "5", "--format", "csv"], ["hilbert", "--n", "5", "--algebra", "B"],
+]
+
+
+@pytest.mark.parametrize("argv", _workload_command_lines() + README_EXAMPLES, ids=" ".join)
+def test_hand_parser_agrees_with_argparse(argv):
+    parsed = cli.parse(argv)
+    assert parsed is not None
+    assert vars(parsed) == vars(cli_oracles.build_parser(cli).parse_args(argv))
+
+
+def _json(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+EULER_HELP = """usage: circpeaks euler [-h] --n N
+
+options:
+  -h, --help  show this help message and exit
+  --n N
+"""
+MOEBIUS_HELP = """usage: circpeaks moebius [-h] --n N [--set SET]
+
+options:
+  -h, --help  show this help message and exit
+  --n N
+  --set SET   give twice: lower then upper face
+"""
+COMMAND_CHOICES = ("'stats', 'enum-cp', 'witness', 'dyck', 'faces', 'fvector', 'hvector', "
+                   "'zeta', 'chains', 'moebius', 'euler', 'hilbert', 'series', 'verify'")
+
+# Command lines the hand parser leaves to argparse, with the exit code,
+# stdout and stderr of run; for help, the code of its SystemExit.
+FALLBACKS = [
+    (["euler", "-h"], 0, EULER_HELP, ""),
+    (["moebius", "--help"], 0, MOEBIUS_HELP, ""),
+    (["euler", "--n=5"], 0, _json({"euler": 0, "n": 5}), ""),
+    (["fvector", "--n", "5", "--form", "csv"], 0, "n,dim,count\n5,-1,1\n5,0,3\n5,1,2\n", ""),
+    (["hilbert", "--n", "5", "--alg", "A"], 0,
+     _json({"algebra": "A", "denominator_exponent": 3,
+            "dims": [1, 6, 15, 28, 45, 66, 91, 120, 153], "hilbert_polynomial": [1, 3, 2],
+            "n": 5, "numerator": [1, 3]}), ""),
+    (["euler", "--n", "5", "--n", "6"], 0, _json({"euler": -2, "n": 6}), ""),
+    (["euler", "--n", "-3"], 1, "", "error: --n must be >= 3\n"),
+    (["euler", "--n", "x"], 1, "", "error: argument --n: invalid int value: 'x'\n"),
+    (["hilbert", "--n", "5", "--algebra", "C"], 1, "",
+     "error: argument --algebra: invalid choice: 'C' (choose from 'A', 'B')\n"),
+    (["zeta", "--n", "5"], 1, "", "error: the following arguments are required: --i\n"),
+    (["euler", "--n", "5", "--format", "csv"], 1, "",
+     "error: unrecognized arguments: --format csv\n"),
+    (["euler", "--n", "5", "extra"], 1, "", "error: unrecognized arguments: extra\n"),
+    (["euler", "--", "--n", "5"], 1, "", "error: the following arguments are required: --n\n"),
+    ([], 1, "", "error: missing subcommand (try --help)\n"),
+    (["no-such-command"], 1, "",
+     f"error: argument command: invalid choice: 'no-such-command' (choose from {COMMAND_CHOICES})\n"),
+]
+
+
+@pytest.mark.parametrize("argv,code,stdout,stderr", FALLBACKS,
+                         ids=[" ".join(case[0]) or "(empty)" for case in FALLBACKS])
+def test_fallback_command_lines(capsys, monkeypatch, argv, code, stdout, stderr):
+    assert cli.parse(argv) is None
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    out = io.StringIO()
+    try:
+        got = run(argv, out)
+    except SystemExit as exc:  # help exits from inside argparse
+        got = exc.code
+    captured = capsys.readouterr()
+    assert (got, out.getvalue() + captured.out, captured.err) == (code, stdout, stderr)
