@@ -35,8 +35,7 @@ _DEFINED_IN = {
         "moebius_recursive_oracle", "verify_product_structure",
     ),
     "chains_zeta": (
-        "chain_count_formula", "chain_oracle", "f_polynomial_from_chains",
-        "multichain_oracle", "zeta_polynomial",
+        "chain_count_formula", "f_polynomial_from_chains", "zeta_polynomial",
     ),
     "hvector": (
         "h_dyck_oracle", "h_entry", "h_generating_series", "h_polynomial",
@@ -46,6 +45,7 @@ _DEFINED_IN = {
         "dim_a", "dim_b", "hilbert_polynomial_a", "hilbert_series_b",
         "numerator_a", "standard_monomial_oracle",
     ),
+    "poset_core": ("chain_oracle", "multichain_oracle"),
     "tables": (
         "POSET_CAP", "ClosedFormMismatchError", "InexactDivisionError",
         "NonIntegralError", "ResourceLimitError", "chain_counts",

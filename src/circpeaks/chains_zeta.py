@@ -8,9 +8,10 @@ which is their binomial inversion (Stanley, EC1 3.12).  Both are defined
 in circpeaks.tables, the integer core, and re-exported here.  The paper's
 multinomial composition sum, chain_count_formula, grows exponentially in
 n and is kept as an oracle only.  Both counts have exhaustive oracles,
-one level pass over the face poset's down-sets (complex_poset.down_sets)
-that counts every length at once, and the f-polynomial can be rebuilt
-from the chain counts alone.
+multichain_oracle and chain_oracle: one level pass over the face poset's
+down-sets that counts every length at once.  They are defined in
+circpeaks.poset_core, in integer arithmetic only, and re-exported here.
+The f-polynomial can be rebuilt from the chain counts alone.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 
-from .complex_poset import down_sets, face_tuples
 from .exact_algebra import ExactPoly, multinomial
+# Re-exported from the integer-only face poset, which defines them.
+from .poset_core import _poset_chain_counts, chain_oracle, multichain_oracle
 # Re-exported from the integer core, which defines them.
 from .tables import (
     chain_counts,
@@ -41,39 +43,6 @@ def zeta_polynomial(n: int) -> ExactPoly:
         for j in range(len(c) - 2, k - 1, -1):
             c[j] -= c[j + 1]
     return ExactPoly(c)
-
-
-def _poset_chain_counts(down: list[list[int]], length: int, strict: bool) -> list[int]:
-    """Tuples of k faces, each below the next (strictly if strict), for k = 0..length.
-
-    down is complex_poset.down_sets of the faces.  counts[j] is the number
-    of tuples of the current length ending at face j, summed over the
-    faces below face j; a strict sum leaves out js[0], face j itself.
-    Once every count is zero no longer tuple exists, so the list stops
-    after its first zero: a k past its end counts 0.  That never happens
-    for multichains, as every face is below itself.
-    """
-    out, counts = [1], [1] * len(down)
-    while len(out) <= length and out[-1]:
-        if len(out) > 1:
-            counts = [sum(counts[j] for j in js) - strict * counts[js[0]] for js in down]
-        out.append(sum(counts))
-    return out
-
-
-def multichain_oracle(n: int, length: int) -> int:
-    """Exhaustive count of weakly increasing length-tuples of faces."""
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    return _poset_chain_counts(down_sets(face_tuples(n)), length, False)[length]
-
-
-def chain_oracle(n: int, i: int) -> int:
-    """Exhaustive count of strictly increasing i-tuples of faces."""
-    if i < 0:
-        raise ValueError("i must be >= 0")
-    counts = _poset_chain_counts(down_sets(face_tuples(n)), i, True)
-    return counts[i] if i < len(counts) else 0
 
 
 def _compositions(total: int, mins: list[int]) -> Iterator[tuple[int, ...]]:

@@ -43,6 +43,12 @@ HILBERT_ORDER_CAP = 2000
 # subprocess.  Past this length zeta reports no oracle value, as past
 # POSET_CAP.  The strict-chain oracle of chains stops after D + 2 lengths.
 ZETA_ORACLE_LENGTH_CAP = 100
+# zeta(n, i) = sum_k p_{n,k-1} (i-1)^k has about D * (i-1).bit_length()
+# bits, D = floor((n-1)/2), and CPython renders an int in time quadratic
+# in its length.  As subprocesses, zeta --n 16000 --i 10**12 (~0.32M bits)
+# takes ~0.5 s and --i 2**130 + 1 (~1.05M bits, just under this cap)
+# ~2.8 s; past the cap zeta stops before computing.
+ZETA_BITS_CAP = 1 << 20
 # --n caps, one per growth class in n of the README table.  The f-vector
 # has D = floor((n-1)/2) entries of O(n) bits, so an O(D) command still
 # does O(n^2) bit operations: as subprocesses, fvector --n 16000 takes
@@ -154,7 +160,7 @@ def _emit_count(args, key: str, value: int, length: int, out) -> None:
     """
     found = None
     if args.n <= POSET_CAP and (key != "zeta" or length <= ZETA_ORACLE_LENGTH_CAP):
-        from .chains_zeta import chain_oracle, multichain_oracle
+        from .poset_core import chain_oracle, multichain_oracle
 
         found = (multichain_oracle if key == "zeta" else chain_oracle)(args.n, length)
     match = None if found is None else value == found
@@ -212,6 +218,11 @@ def _run(args, out) -> int:
     elif args.command == "zeta":
         _require_n(args, LINEAR_N_CAP)
         _require(args.i >= 2, "--i must be >= 2 (zeta counts i-1 element multichains)")
+        bits = tables.max_peak_count(args.n) * (args.i - 1).bit_length()
+        if bits > ZETA_BITS_CAP:
+            raise ResourceLimitError(
+                f"zeta --i capped at {ZETA_BITS_CAP} result bits, "
+                f"floor((n-1)/2) * bit_length(i-1) (got {bits})")
         _emit_count(args, "zeta", tables.zeta(args.n, args.i), args.i - 1, out)
 
     elif args.command == "chains":

@@ -8,6 +8,11 @@ argument and never import it: under ``python -m circpeaks.cli`` that
 module is ``__main__``, and importing ``circpeaks.cli`` would load a
 second copy with a second CliError.  argparse is imported only by
 ``build_parser``, so a well-formed verify or series line never loads it.
+
+Of the package this module imports only ``tables``; each command loads
+what it runs.  faces reads the integer-only face poset (``poset_core``),
+and series reads ``tables`` and the pinned ``PRINTED_FORM_REPORTS``, so
+neither loads rational arithmetic.
 """
 
 from __future__ import annotations
@@ -25,6 +30,33 @@ codes: 0 success, 1 validation/usage error, 2 verification failure.
 All numbers are emitted exactly, as integers; each payload is rendered
 in full before anything is written, so output is all or nothing.
 """
+
+
+# What series prints as its printed_form_discrepancy, for --which P and H:
+# complex_poset.printed_f_series_discrepancy() and
+# hvector.printed_h_series_discrepancy(), pinned because neither depends
+# on --order.  The checks series/printed-{f,h}-series-form of verify fail
+# if either computed report differs from its pinned copy.
+PRINTED_FORM_REPORTS = {
+    "P": {
+        "formula": "P(x,y) printed form (cross-multiplied)",
+        "first_mismatch_y_order": 4,
+        "lhs_coefficient": "x^3 + 2*x^2 + -1",
+        "rhs_coefficient": "-1*x",
+        "note": "printed denominator x-(x+1)y^2 should be x-(x+1)^2 y^2 and the "
+                "numerator factor x(x+2)-xC(y^2) should be (x+1)((x+1)-C(y^2)); "
+                "the shipped series uses the corrected form, which matches the "
+                "recurrence-generated polynomials on the whole tested range",
+    },
+    "H": {
+        "formula": "H(x,y) printed form (cross-multiplied)",
+        "first_mismatch_y_order": 4,
+        "lhs_coefficient": "x^3 + -1*x^2 + -1*x",
+        "rhs_coefficient": "-1*x + 1",
+        "note": "inherits the f-series misprint under x -> x-1; the shipped "
+                "series uses the corrected form (x-1) - x^2 y^2 denominator",
+    },
+}
 
 
 def build_parser(cli):
@@ -108,7 +140,7 @@ def run(args, out, cli) -> int:
                         "round_trip": list(back.elements)}, out)
 
     elif args.command == "faces":
-        from .complex_poset import face_tuples
+        from .poset_core import face_tuples
 
         cli._require(args.n >= 3, "--n must be >= 3")
         # JSON writes each face tuple as a list
@@ -140,21 +172,12 @@ def run(args, out, cli) -> int:
                 f"series --order capped at {cli.SERIES_ORDER_CAP} (got {args.order})")
         # The y^n coefficient is P_n(x) (H_n(x)): the f- (h-)vector, reversed.
         orders = range(3, args.order + 1)
-        if args.which == "P":
-            from .complex_poset import printed_f_series_discrepancy
-
-            vectors = [tables.face_table(n) for n in orders]
-            report = printed_f_series_discrepancy()
-        else:
-            from .hvector import printed_h_series_discrepancy
-
-            vectors = [tables.h_table(n) for n in orders]
-            report = printed_h_series_discrepancy()
+        table = tables.face_table if args.which == "P" else tables.h_table
         payload = {
             "which": args.which,
             "order": args.order,
-            "coefficients": [{"n": n, "poly": v[::-1]} for n, v in zip(orders, vectors)],
-            "printed_form_discrepancy": report,
+            "coefficients": [{"n": n, "poly": table(n)[::-1]} for n in orders],
+            "printed_form_discrepancy": PRINTED_FORM_REPORTS[args.which],
         }
         cli._emit_json(payload, out)
 

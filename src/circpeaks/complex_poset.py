@@ -9,21 +9,25 @@ circpeaks.tables, with the per-entry closed form face_count, the
 enumeration and the parity recurrence kept here as independent oracles.
 face_table(n), the integer f-vector, and the Euler characteristic are
 defined in circpeaks.tables and re-exported here; f_polynomial is its
-ExactPoly view.
+ExactPoly view.  The face enumeration face_tuples and down_sets, the one
+builder of the order relation of the face poset, are defined in the
+integer-only circpeaks.poset_core and re-exported here; faces wraps the
+tuples in PeakSet.
 Also here: the builders written in a, with P at a = x+1 and H = P(x-1)
 at a = x, of the parity-recurrence polynomials and of the corrected
 generating series, with the one cross-multiplied check of the printed
-forms; the Moebius function; down_sets, the one builder of the order
-relation of the face poset; and the product-structure check.
+forms; the Moebius function; and the product-structure check.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from itertools import combinations
 
 from .exact_algebra import ExactPoly, PolySeries, binomial, catalan_series
 from .peak_sets import PeakSet, is_valid
+# Re-exported from the integer-only face poset, which defines them.
+from .poset_core import _check_poset_cap, _mask, _submasks, down_sets, face_tuples
 # Re-exported from the integer core, which defines them.
 from .tables import (
     POSET_CAP,
@@ -39,33 +43,6 @@ from .tables import (
 # The y-order through which the printed P(x,y) and H(x,y) forms are
 # cross-multiplied against the f- and h-polynomials.
 PRINTED_FORM_ORDER = 12
-
-
-def _check_poset_cap(n: int) -> None:
-    if n > POSET_CAP:
-        raise ResourceLimitError(
-            f"exhaustive face/poset enumeration capped at n <= {POSET_CAP} (got n={n})"
-        )
-
-
-def face_tuples(n: int, dim: int | None = None) -> list[tuple[int, ...]]:
-    """The faces of one dimension (of every dimension if dim is None) as
-    ascending tuples, ordered by dimension, then lexicographically.
-
-    This is the one face enumerator: each candidate combination is tested
-    with is_valid.  faces wraps its tuples in PeakSet; the oracles read
-    the tuples directly.
-    """
-    top = max_peak_count(n) - 1
-    dims = range(-1, top + 1) if dim is None else [dim] if -1 <= dim <= top else []
-    out: list[tuple[int, ...]] = []
-    for d in dims:
-        if d == -1:
-            out.append(())
-        else:
-            _check_poset_cap(n)
-            out.extend(c for c in combinations(range(3, n + 1), d + 1) if is_valid(n, c))
-    return out
 
 
 def faces(n: int, dim: int) -> list[PeakSet]:
@@ -271,38 +248,6 @@ def _moebius_from(n: int, bottom: frozenset) -> Callable[[frozenset], int]:
         return values[upper]
 
     return mu
-
-
-def _mask(elements) -> int:
-    """The bitmask of a face: bit x is set iff x is an element."""
-    m = 0
-    for x in elements:
-        m |= 1 << x
-    return m
-
-
-def _submasks(mask: int) -> Iterator[int]:
-    """Every submask of mask, mask itself first and 0 last."""
-    sub = mask
-    while True:
-        yield sub
-        if not sub:
-            return
-        sub = (sub - 1) & mask
-
-
-def down_sets(faces) -> list[list[int]]:
-    """For each face of a face_tuples list, the indices of the faces it contains.
-
-    The face's own index comes first, so the faces strictly below it are
-    the rest of its list.  They are the submasks of its bitmask that are
-    faces, at most 2^D of them with D = floor((n-1)/2); each is looked up
-    in the face index.  That is O(m 2^D) lookups for the m faces, instead
-    of comparing all m^2 pairs.
-    """
-    masks = [_mask(c) for c in faces]
-    index = {m: j for j, m in enumerate(masks)}
-    return [[index[s] for s in _submasks(m) if s in index] for m in masks]
 
 
 def verify_product_structure(n: int) -> bool:

@@ -18,12 +18,11 @@ numerator_a returns that rational form N(x) / (1-x)^e as the plain pair
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from . import tables
-from .complex_poset import face_tuples
 from .exact_algebra import ExactPoly
+from .poset_core import _mask, down_sets, face_tuples
 # Re-exported from the integer core, which defines them.
 from .tables import (
     NonIntegralError,
@@ -98,7 +97,12 @@ def standard_monomial_oracle(n: int, algebra: str, degree: int) -> int:
     Faces are indexed in the fixed lexicographic-by-dimension order of
     face_tuples; a monomial survives iff every pair of distinct indices in
     its support is comparable (algebra A), with squarefreeness imposed on
-    top for algebra B.
+    top for algebra B.  The surviving monomials are the nondecreasing (A)
+    or increasing (B) index sequences of such faces, counted by a
+    depth-first search that extends a sequence only by a face comparable
+    to every face already in it.  comparable[j] has bit k set iff faces j
+    and k are comparable, so the faces that may extend a sequence are the
+    AND of the masks of its faces.
     """
     if algebra not in ("A", "B"):
         raise ValueError("algebra must be 'A' or 'B'")
@@ -110,24 +114,34 @@ def standard_monomial_oracle(n: int, algebra: str, degree: int) -> int:
         raise ResourceLimitError(
             f"monomial oracle capped at degree <= {MONOMIAL_DEGREE_CAP}"
         )
-    fs = [frozenset(c) for c in face_tuples(n)]
-    m = len(fs)
+    faces = face_tuples(n)
+    m = len(faces)
     work = comb(m + degree - 1, degree) if algebra == "A" else comb(m, degree)
     if work > _MONOMIAL_WORK_CAP:
         raise ResourceLimitError(
             f"monomial oracle would enumerate {work} candidates (cap {_MONOMIAL_WORK_CAP})"
         )
-    picker = combinations_with_replacement if algebra == "A" else combinations
-    count = 0
-    for idxs in picker(range(m), degree):
-        ok = True
-        for a, b in combinations(set(idxs), 2):
-            if not (fs[a] <= fs[b] or fs[b] <= fs[a]):
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    down = down_sets(faces)
+    comparable = [_mask(js) for js in down]  # the faces below each face, itself included
+    for j, js in enumerate(down):
+        for k in js:
+            comparable[k] |= 1 << j  # and the faces above it
+    repeat = algebra == "A"
+
+    def extend(allowed: int, left: int) -> int:
+        """Sequences of left more faces, each from allowed and ascending in index."""
+        if left == 1:
+            return allowed.bit_count()
+        total = 0
+        while allowed:
+            low = allowed & -allowed
+            rest = allowed ^ low  # the allowed faces past this one
+            j = low.bit_length() - 1
+            total += extend((allowed if repeat else rest) & comparable[j], left - 1)
+            allowed = rest
+        return total
+
+    return extend((1 << m) - 1, degree)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 from math import comb
 
 from .perm_core import Permutation, ResourceLimitError
+from .poset_core import _first_violation_sorted  # the criterion, on ascending tuples
 from .record import Record, set_field
 from .tables import max_peak_count  # re-exported from the integer core
 
@@ -76,14 +77,6 @@ class DyckPrefix(Record):
             if height < 0:
                 raise DyckFormatError(f"{letters!r} is not a left factor (dips below 0)")
         set_field(self, "letters", letters)
-
-
-def _first_violation_sorted(elems) -> tuple[int, int, int] | None:
-    """(j, i_j, 2j+1) for the smallest violating index of ascending elems, or None."""
-    for j, e in enumerate(elems, start=1):
-        if e < 2 * j + 1:
-            return j, e, 2 * j + 1
-    return None
 
 
 def is_valid(n: int, s: PeakSet | object) -> bool:

@@ -12,7 +12,8 @@ that re-export these names.  This module loads nothing of the package,
 no rational arithmetic and no oracle, so a command that prints only
 these numbers loads only this module and cli.
 complex_poset, chains_zeta, hvector, hilbert_algebras, exact_algebra,
-peak_sets and perm_core re-export these names and hold every oracle.
+peak_sets and perm_core re-export these names; they and the integer-only
+face poset, poset_core, hold every oracle.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from math import factorial
 
 from . import (
     chains_zeta,
+    cli_oracles,
     complex_poset,
     exact_algebra,
     hilbert_algebras,
@@ -436,24 +437,26 @@ def check_h_series(max_n: int) -> tuple[bool, str]:
     return True, "corrected H(x,y) matches h-polynomials, 3 <= n <= 20"
 
 
-def check_printed_f_form(max_n: int) -> tuple[bool, str]:
-    report = complex_poset.printed_f_series_discrepancy()
+def _check_printed_form(which: str, report: dict | None) -> tuple[bool, str]:
+    """The cross-multiplied report of the printed form, against what series prints."""
+    form = f"printed {which}(x,y) form"
+    if report != cli_oracles.PRINTED_FORM_REPORTS[which]:
+        return False, (f"series --which {which} prints a pinned {form} report "
+                       "that differs from the cross-multiplied one")
     if report is None:
-        return True, "printed P(x,y) form matches (no discrepancy)"
+        return True, f"{form} matches (no discrepancy)"
     return True, (
-        "printed P(x,y) form DISCREPANCY documented: first mismatch at "
+        f"{form} DISCREPANCY documented: first mismatch at "
         f"y^{report['first_mismatch_y_order']}; {report['note']}"
     )
+
+
+def check_printed_f_form(max_n: int) -> tuple[bool, str]:
+    return _check_printed_form("P", complex_poset.printed_f_series_discrepancy())
 
 
 def check_printed_h_form(max_n: int) -> tuple[bool, str]:
-    report = hvector.printed_h_series_discrepancy()
-    if report is None:
-        return True, "printed H(x,y) form matches (no discrepancy)"
-    return True, (
-        "printed H(x,y) form DISCREPANCY documented: first mismatch at "
-        f"y^{report['first_mismatch_y_order']}; {report['note']}"
-    )
+    return _check_printed_form("H", hvector.printed_h_series_discrepancy())
 
 
 # ---------------------------------------------------------------------------

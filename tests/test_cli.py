@@ -17,6 +17,7 @@ from circpeaks.cli import (
     LINEAR_N_CAP,
     QUADRATIC_N_CAP,
     SERIES_ORDER_CAP,
+    ZETA_BITS_CAP,
     ZETA_ORACLE_LENGTH_CAP,
     run,
 )
@@ -288,8 +289,8 @@ def test_series():
 
 
 def test_series_reports_printed_form_discrepancy_at_any_order():
-    # The first mismatch is at y^4, past a truncation at y^3; the check
-    # runs on its own 12 terms whatever --order is.
+    # The first mismatch is at y^4, past a truncation at y^3; the report
+    # does not depend on --order, and series prints it as pinned.
     for which in ("P", "H"):
         payload = invoke_json("series", "--which", which, "--order", "3")
         assert [row["n"] for row in payload["coefficients"]] == [3]
@@ -355,6 +356,24 @@ def test_n_cap(capsys, argv, cap):
         assert invoke(command, "--n", str(n), *rest) == (1, "")
         assert f"error: {command} --n capped at {cap} (got {n})" in capsys.readouterr().err
     assert time.perf_counter() - started < 0.5
+
+
+def test_zeta_i_cap(capsys):
+    # floor((n-1)/2) = 4096 at n = 8193, so the value has 4096 * 256 bits
+    # at i = 2**255 + 1, the largest i the cap admits.
+    assert ZETA_BITS_CAP == 4096 * 256
+    started = time.perf_counter()
+    for n, i, bits in ((8193, 2 ** 256 + 1, 4096 * 257),
+                       (LINEAR_N_CAP, 10 ** 300, 7999 * 997)):
+        assert invoke("zeta", "--n", str(n), "--i", str(i)) == (1, "")
+        assert (f"error: zeta --i capped at {ZETA_BITS_CAP} result bits, "
+                f"floor((n-1)/2) * bit_length(i-1) (got {bits})") in capsys.readouterr().err
+    assert time.perf_counter() - started < 0.5
+
+
+def test_zeta_i_cap_admits_the_cap(monkeypatch):
+    monkeypatch.setattr(tables, "zeta", lambda n, i: 0)  # the check alone, not the value
+    assert invoke_json("zeta", "--n", "8193", "--i", str(2 ** 255 + 1))["zeta"] == 0
 
 
 def test_n_caps_admit_the_cap(monkeypatch):
@@ -477,6 +496,22 @@ def test_production_commands_load_only_the_integer_core(argv):
 @pytest.mark.parametrize("argv", ["verify --suite series --max-n 8", "series --which P --order 5"])
 def test_well_formed_oracle_commands_load_no_argparse(argv):
     assert _loaded_after(argv, ARGPARSE_MODULES) == ["0"]
+
+
+# What a poset oracle, faces or series must not load: rational arithmetic
+# and the oracle modules that build on it.
+RATIONAL_STACK = ("fractions", "decimal", "circpeaks.exact_algebra",
+                  "circpeaks.complex_poset", "circpeaks.chains_zeta", "circpeaks.hvector",
+                  "circpeaks.peak_sets", "circpeaks.perm_core", "circpeaks.record")
+
+
+@pytest.mark.parametrize("argv,reads_poset", [
+    ("series --which P --order 12", False), ("series --which H --order 12", False),
+    ("zeta --n 13 --i 4", True), ("chains --n 14 --i 3", True), ("faces --n 10", True),
+])
+def test_poset_oracles_and_series_load_no_rational_arithmetic(argv, reads_poset):
+    loaded = _loaded_after(argv, RATIONAL_STACK + ("circpeaks.poset_core",))
+    assert loaded == ["0"] + ["circpeaks.poset_core"] * reads_poset
 
 
 def test_poset_oracle_runs_up_to_its_cap_only():

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from circpeaks import tables
 from circpeaks.chains_zeta import multichain_oracle
+from circpeaks.complex_poset import face_tuples
 from circpeaks.exact_algebra import ExactPoly, InexactDivisionError, NonIntegralError
 from circpeaks.hilbert_algebras import (
     MONOMIAL_DEGREE_CAP,
@@ -126,6 +128,24 @@ def test_monomial_oracle_caps():
         standard_monomial_oracle(5, "A", MONOMIAL_DEGREE_CAP + 1)
     with pytest.raises(ValueError):
         standard_monomial_oracle(5, "Q", 2)
+    with pytest.raises(ResourceLimitError, match="would enumerate"):
+        standard_monomial_oracle(14, "A", 3)
+
+
+def _surviving_monomials(n, algebra, degree):
+    """Every index multiset (set, for B) of the degree, kept iff its faces are pairwise comparable."""
+    fs = [frozenset(c) for c in face_tuples(n)]
+    pick = combinations_with_replacement if algebra == "A" else combinations
+    return sum(all(a <= b or b <= a for a, b in combinations([fs[j] for j in set(idxs)], 2))
+               for idxs in pick(range(len(fs)), degree))
+
+
+@pytest.mark.parametrize("algebra", ["A", "B"])
+@pytest.mark.parametrize("n", range(3, 7))
+def test_monomial_oracle_matches_a_plain_enumeration(n, algebra):
+    for degree in range(0, 5):
+        assert standard_monomial_oracle(n, algebra, degree) == \
+            _surviving_monomials(n, algebra, degree), degree
 
 
 @pytest.mark.parametrize("n", list(range(3, 41)) + [200, 489])

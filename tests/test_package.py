@@ -131,3 +131,33 @@ def test_the_integer_core_imports_no_rational_arithmetic_or_oracle():
     deferred = {node.module for node in ast.walk(ast.parse(source))
                 if isinstance(node, ast.ImportFrom)} - loaded
     assert deferred == set()
+
+
+# The names that moved into the integer-only face poset, under each module
+# that defined them.
+POSET_CORE_MOVED = {
+    "peak_sets": ("_first_violation_sorted",),
+    "complex_poset": ("_check_poset_cap", "_mask", "_submasks", "down_sets", "face_tuples"),
+    "chains_zeta": ("_poset_chain_counts", "chain_oracle", "multichain_oracle"),
+}
+
+
+@pytest.mark.parametrize("module,name", sorted((m, name) for m, names in POSET_CORE_MOVED.items()
+                                               for name in names))
+def test_poset_core_names_are_defined_once_and_re_exported(module, name):
+    poset_core = importlib.import_module("circpeaks.poset_core")
+    assert getattr(importlib.import_module(f"circpeaks.{module}"), name) is getattr(poset_core, name)
+    pattern = re.compile(rf"^\s*def {name}\b", re.M)
+    homes = [p.name for p in sorted((ROOT / "src" / "circpeaks").glob("*.py"))
+             if pattern.search(p.read_text())]
+    assert homes == ["poset_core.py"]
+
+
+def test_poset_core_imports_only_the_integer_core():
+    source = (ROOT / "src" / "circpeaks" / "poset_core.py").read_text()
+    tree = ast.parse(source)
+    assert not any(isinstance(node, ast.Import) for node in ast.walk(tree))
+    imported = {(node.level, node.module) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    assert imported == {(0, "__future__"), (0, "collections.abc"), (0, "itertools"),
+                        (1, "tables")}

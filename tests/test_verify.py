@@ -1,11 +1,14 @@
 """The verify registry: the memo of one run_suite call, and one test id
 per registry check, pinning its result line at --max-n 8."""
 
+import io
 from collections import Counter
 
 import pytest
 
-from circpeaks import chains_zeta, complex_poset, perm_core, verify
+from circpeaks import (
+    chains_zeta, cli, cli_oracles, complex_poset, hvector, perm_core, poset_core, verify,
+)
 from circpeaks.peak_sets import PeakSet, count_valid
 
 # (suite, name, detail) of every check of run_suite("all", 8).  A detail
@@ -139,9 +142,9 @@ def test_check_outside_run_suite_computes_afresh(monkeypatch):
 
 
 def test_downward_closure_catches_a_rejected_subface(monkeypatch):
-    real = complex_poset.is_valid
-    monkeypatch.setattr(complex_poset, "is_valid",
-                        lambda n, s: tuple(s) != (3,) and real(n, s))
+    real = poset_core._first_violation_sorted
+    monkeypatch.setattr(poset_core, "_first_violation_sorted",
+                        lambda elems: (1, 3, 3) if tuple(elems) == (3,) else real(elems))
     ok, detail = verify.check_downward_closure(8)
     assert not ok
     assert detail == "subset (3,) of face (3, 5) invalid at n=5"
@@ -152,12 +155,32 @@ def test_face_count_checks_read_the_run_face_list(monkeypatch):
     for n in range(3, 15):
         verify._valid_subsets(n)
     calls = []
-    real = complex_poset.is_valid
-    monkeypatch.setattr(complex_poset, "is_valid",
-                        lambda n, s: calls.append(n) or real(n, s))
+    real = poset_core._first_violation_sorted
+    monkeypatch.setattr(poset_core, "_first_violation_sorted",
+                        lambda elems: calls.append(elems) or real(elems))
     assert verify.check_face_counts(8)[0]
     assert verify.check_face_dyck_counts(8)[0]
     assert calls == []
+
+
+def test_pinned_printed_form_reports_are_the_computed_ones():
+    assert cli_oracles.PRINTED_FORM_REPORTS == {
+        "P": complex_poset.printed_f_series_discrepancy(),
+        "H": hvector.printed_h_series_discrepancy(),
+    }
+
+
+@pytest.mark.parametrize("which,name", [("P", "printed-f-series-form"),
+                                        ("H", "printed-h-series-form")])
+def test_a_tampered_pinned_report_fails_its_check(monkeypatch, which, name):
+    tampered = dict(cli_oracles.PRINTED_FORM_REPORTS[which], first_mismatch_y_order=5)
+    monkeypatch.setitem(cli_oracles.PRINTED_FORM_REPORTS, which, tampered)
+    results = {r.name: r for r in verify.run_suite("series", 8)}
+    assert [r.name for r in results.values() if not r.ok] == [name]
+    assert results[name].detail == (
+        f"series --which {which} prints a pinned printed {which}(x,y) form report "
+        "that differs from the cross-multiplied one")
+    assert cli.run(["verify", "--suite", "series"], io.StringIO()) == 2
 
 
 def _count_down_set_builds(monkeypatch):
