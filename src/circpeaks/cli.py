@@ -16,8 +16,10 @@ spelling, --help, ``--n=5``, an abbreviated, repeated or unknown flag or
 a bad value, goes to the argparse parser that ``cli_oracles`` builds from
 the same table, which prints the same help and errors.  ``cli_oracles``
 also runs the eight oracle-backed commands: stats, enum-cp, witness,
-dyck, faces, moebius, series and verify.  It is imported only then, and
-argparse only when a command line falls back.
+dyck, faces, moebius, series and verify.  It imports ``tables`` and this
+module, and is imported only then; argparse only when a command line
+falls back.  Every usage error is a ValueError, which ``run`` reports
+with exit code 1.
 """
 
 from __future__ import annotations
@@ -98,10 +100,6 @@ COMMANDS = {
 }
 
 
-class CliError(Exception):
-    """User-facing validation error; exits with code 1."""
-
-
 def parse(argv):
     """The arguments of ``<command> --flag value ...``, or None for argparse.
 
@@ -175,7 +173,7 @@ def _emit_count(args, key: str, value: int, length: int, out) -> None:
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _require_n(args, cap: int) -> None:
@@ -183,18 +181,6 @@ def _require_n(args, cap: int) -> None:
     _require(args.n >= 3, "--n must be >= 3")
     if args.n > cap:
         raise ResourceLimitError(f"{args.command} --n capped at {cap} (got {args.n})")
-
-
-def _cli_oracles():
-    """The oracle commands and the argparse parser, loaded on first need.
-
-    Under ``python -m`` this module runs as ``__main__``, so it is handed
-    over as itself: an import of circpeaks.cli there would load a second
-    copy, whose CliError ``run`` would not catch.
-    """
-    from . import cli_oracles
-
-    return cli_oracles, sys.modules[__name__]
 
 
 def _run(args, out) -> int:
@@ -263,8 +249,9 @@ def _run(args, out) -> int:
             _emit_json(payload, out)
 
     else:  # an oracle-backed command, or none
-        oracles, cli = _cli_oracles()
-        return oracles.run(args, out, cli)
+        from . import cli_oracles
+
+        return cli_oracles.run(args, out)
 
     return 0
 
@@ -277,11 +264,12 @@ def run(argv, out=None) -> int:
     try:
         args = parse(argv)
         if args is None:
-            oracles, cli = _cli_oracles()
-            args = oracles.build_parser(cli).parse_args(argv)
+            from . import cli_oracles
+
+            args = cli_oracles.build_parser().parse_args(argv)
         return _run(args, out)
-    # InvalidPeakSetError and DyckFormatError are ValueErrors.
-    except (CliError, ResourceLimitError, ValueError) as exc:
+    # Usage errors, InvalidPeakSetError and DyckFormatError are ValueErrors.
+    except (ResourceLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -291,4 +279,6 @@ def main() -> None:
 
 
 if __name__ == "__main__":
+    # cli_oracles imports circpeaks.cli: under -m, let that be this module.
+    sys.modules.setdefault("circpeaks.cli", sys.modules[__name__])
     main()

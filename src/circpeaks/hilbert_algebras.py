@@ -17,7 +17,6 @@ numerator_a returns that rational form N(x) / (1-x)^e as the plain pair
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from . import tables
@@ -163,20 +162,21 @@ def verify_series_recurrence_a(n: int) -> bool:
 
     Even n: Hilb_{n+1} = x Hilb'_n + Hilb_n.
     Odd n:  Hilb_{n+3} = x Hilb'_{n+2} + Hilb_{n+2} + (4n/(n+3)) x Hilb'_{n+1}
-            - (8n/(n+3)) x Hilb'_n - (4n/(n+3)) x^2 Hilb''_n.
+            - (8n/(n+3)) x Hilb'_n - (4n/(n+3)) x^2 Hilb''_n,
+    compared in integers after multiplying both sides by n+3.
     """
     if n % 2 == 0:
         lhs = _series(n + 1)
         rhs = [a + b for a, b in zip(_xd(_series(n)), _series(n))]
         return lhs == rhs
-    c = Fraction(4 * n, n + 3)
+    c = 4 * n
     s0, s1, s2 = _series(n), _series(n + 1), _series(n + 2)
     x2dd = [k * (k - 1) * v for k, v in enumerate(s0)]
     rhs = [
-        _xd(s2)[k] + s2[k] + c * _xd(s1)[k] - 2 * c * _xd(s0)[k] - c * x2dd[k]
+        (n + 3) * (_xd(s2)[k] + s2[k]) + c * _xd(s1)[k] - 2 * c * _xd(s0)[k] - c * x2dd[k]
         for k in range(SERIES_RECURRENCE_ORDER + 1)
     ]
-    return _series(n + 3) == rhs
+    return [(n + 3) * v for v in _series(n + 3)] == rhs
 
 
 def verify_numerator_recurrence_a(n: int) -> bool:
@@ -184,7 +184,9 @@ def verify_numerator_recurrence_a(n: int) -> bool:
 
     Even n: A_{n+1} = x(1-x) A'_n + [((n/2)-1) x + 1] A_n.
     Odd n:  the printed four-term relation with first and second
-    derivatives, multiplied through by (1-x) on the left.
+    derivatives, multiplied through by (1-x) on the left and by n+3, so
+    that its coefficients 4n/(n+3), 2n(n+1)/(n+3) and n(n+1)/(n+3) are
+    compared in integers.
     """
     x = ExactPoly.x()
     one = ExactPoly.constant(1)
@@ -196,14 +198,13 @@ def verify_numerator_recurrence_a(n: int) -> bool:
             ExactPoly((1, n // 2 - 1)) * a
         return lhs == rhs
     a0, a1, a2, a3 = (numerator_a(m)[0] for m in range(n, n + 4))
-    lhs = one_minus_x * a3
+    lhs = (one_minus_x * a3).scale(n + 3)
     rhs = (
-        x * one_minus_x * a2.derivative()
-        + ExactPoly((1, (n + 1) // 2)) * a2
-        + (x * one_minus_x * one_minus_x * a1.derivative()).scale(Fraction(4 * n, n + 3))
-        + (x * one_minus_x * a1).scale(Fraction(2 * n * (n + 1), n + 3))
-        - (x * one_minus_x * ExactPoly((2, n - 1)) * a0.derivative()).scale(Fraction(4 * n, n + 3))
-        - (x * ExactPoly((4, n - 1)) * a0).scale(Fraction(n * (n + 1), n + 3))
-        - (x * x * one_minus_x * one_minus_x * a0.derivative().derivative()).scale(Fraction(4 * n, n + 3))
+        (x * one_minus_x * a2.derivative() + ExactPoly((1, (n + 1) // 2)) * a2).scale(n + 3)
+        + (x * one_minus_x * one_minus_x * a1.derivative()).scale(4 * n)
+        + (x * one_minus_x * a1).scale(2 * n * (n + 1))
+        - (x * one_minus_x * ExactPoly((2, n - 1)) * a0.derivative()).scale(4 * n)
+        - (x * ExactPoly((4, n - 1)) * a0).scale(n * (n + 1))
+        - (x * x * one_minus_x * one_minus_x * a0.derivative().derivative()).scale(4 * n)
     )
     return lhs == rhs

@@ -1,11 +1,12 @@
-"""The integer core: the f-vector and every statistic read off it.
+"""The integer core: the f-vector, the h-vector and the statistics read off them.
 
 face_table(n) is the f-vector of the circular-peak complex P_n.  The
-h-vector, the reduced Euler characteristic, the zeta values, the strict
-chain counts (the graded dimensions of algebra B) and the graded
-dimensions and rational form of the Hilbert series of algebra A are
-computed here from it, in integer arithmetic, with every division exact
-or an error.  Its values are ints and tuples of ints: the cli alone
+reduced Euler characteristic, the zeta values, the strict chain counts
+(the graded dimensions of algebra B) and the graded dimensions and
+rational form of the Hilbert series of algebra A are computed here from
+it; the h-vector h_table(n) comes from its own closed form, by the ratio
+recurrence of C(floor(n/2)+i, floor(n/2)).  All of it is integer
+arithmetic, with every division exact or an error.  Its values are ints and tuples of ints: the cli alone
 shapes them into JSON or CSV rows, and the ExactPoly views
 (f_polynomial, h_polynomial, the Hilbert polynomial) live in the modules
 that re-export these names.  This module loads nothing of the package,

@@ -563,14 +563,32 @@ def _python_m_cli(*argv):
 
 
 def test_errors_of_oracle_commands_under_python_m():
-    # Under -m the entry module is __main__: an error raised by the oracle
-    # commands must be the CliError (or ResourceLimitError) that run catches.
+    # Under -m the entry module is __main__, and the oracle commands run in
+    # cli_oracles: their errors still reach run and exit 1 with one line.
     proc = _python_m_cli("moebius", "--n", "5", "--set", "4")
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == "error: give --set twice: lower face then upper face\n"
     proc = _python_m_cli("enum-cp", "--n", "11")
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == "error: exhaustive S_n enumeration capped at n <= 10 (got n=11)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    "series --which P --order 12", "verify --suite series --max-n 8", "fvector --n=5",
+])
+def test_python_m_imports_no_second_cli(argv):
+    # Under -m the running module is __main__; cli_oracles's import of
+    # circpeaks.cli must find it rather than compile cli.py again.
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "circpeaks.cli", *argv.split()],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "circpeaks.cli_oracles" in imported
+    assert "circpeaks.cli" not in imported
 
 
 def _workload_command_lines():
@@ -599,7 +617,7 @@ README_EXAMPLES = [
 def test_hand_parser_agrees_with_argparse(argv):
     parsed = cli.parse(argv)
     assert parsed is not None
-    assert vars(parsed) == vars(cli_oracles.build_parser(cli).parse_args(argv))
+    assert vars(parsed) == vars(cli_oracles.build_parser().parse_args(argv))
 
 
 def _json(payload):

@@ -3,7 +3,7 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from circpeaks import tables
+from circpeaks import hilbert_algebras, tables
 from circpeaks.chains_zeta import multichain_oracle
 from circpeaks.complex_poset import face_tuples
 from circpeaks.exact_algebra import ExactPoly, InexactDivisionError, NonIntegralError
@@ -121,6 +121,31 @@ def test_series_recurrence_a(n):
 @pytest.mark.parametrize("n", range(3, 13))
 def test_numerator_recurrence_a(n):
     assert verify_numerator_recurrence_a(n)
+
+
+def test_series_recurrence_check_is_live(monkeypatch):
+    # One A-series coefficient of n = 6 off by one: every identity that
+    # reads Hilb_6 fails, and n = 4, which reads Hilb_4 and Hilb_5, holds.
+    def bumped(n, order):
+        dims = list(tables.hilbert_series_a(n, order))
+        if n == 6:
+            dims[3] += 1
+        return tuple(dims)
+
+    monkeypatch.setattr(hilbert_algebras, "hilbert_series_a", bumped)
+    assert [verify_series_recurrence_a(n) for n in range(3, 7)] == [False, True, False, False]
+
+
+def test_numerator_recurrence_check_is_live(monkeypatch):
+    # The same for one numerator coefficient of n = 6.
+    true_numerator = hilbert_algebras.numerator_a
+
+    def bumped(n):
+        a, e = true_numerator(n)
+        return (a + ExactPoly((0, 0, 1)) if n == 6 else a), e
+
+    monkeypatch.setattr(hilbert_algebras, "numerator_a", bumped)
+    assert [verify_numerator_recurrence_a(n) for n in range(3, 7)] == [False, True, False, False]
 
 
 def test_monomial_oracle_caps():
