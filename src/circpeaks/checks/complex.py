@@ -1,0 +1,131 @@
+"""The complex suite: the face counts, recurrences, Moebius function,
+Euler characteristic and product structure of P_n against enumeration."""
+
+from __future__ import annotations
+
+from collections import Counter
+from itertools import combinations
+
+from .. import complex_poset, peak_sets
+from ..peak_sets import PeakSet
+from ..tables import POSET_CAP
+from ..verify import _down_sets, _valid_subsets
+
+
+def check_downward_closure(max_n: int) -> tuple[bool, str]:
+    top = min(POSET_CAP, max_n + 6)
+    for n in range(3, top + 1):
+        faces = _valid_subsets(n)
+        face_set = set(faces)
+        for s in faces:
+            for k in range(len(s)):
+                for t in combinations(s, k):
+                    if t not in face_set:
+                        return False, f"subset {t} of face {s} invalid at n={n}"
+    return True, f"every subset of a face is a face, n <= {top}"
+
+
+def check_vertices_and_dimension(max_n: int) -> tuple[bool, str]:
+    top = min(POSET_CAP, max_n + 6)
+    for n in range(3, top + 1):
+        for x in range(1, n + 1):
+            if peak_sets.is_valid(n, (x,)) != (3 <= x <= n):
+                return False, f"vertex criterion failed at n={n}, x={x}"
+        d = peak_sets.max_peak_count(n) - 1
+        if not complex_poset.faces(n, d) or complex_poset.faces(n, d + 1):
+            return False, f"dimension mismatch at n={n}"
+    return True, f"vertex set [3,n], dim = floor((n-1)/2)-1, n <= {top}"
+
+
+def check_face_counts(max_n: int) -> tuple[bool, str]:
+    top = min(POSET_CAP, max_n + 6)
+    for n in range(3, top + 1):
+        row = tuple(complex_poset.face_count(n, i)
+                    for i in range(-1, peak_sets.max_peak_count(n)))
+        sizes = Counter(len(s) for s in _valid_subsets(n))
+        for i, count in enumerate(row, start=-1):
+            if count != sizes[i + 1]:
+                return False, f"closed form != enumeration at n={n}, dim={i}"
+        if complex_poset.face_table(n) != row:
+            return False, f"face_table != face_count row at n={n}"
+    return True, f"face_count = |faces| for all dims, n <= {top}"
+
+
+def check_fvector_recurrence(max_n: int) -> tuple[bool, str]:
+    for n in range(3, 41):
+        if complex_poset.face_counts_by_recurrence(n) != complex_poset.face_table(n):
+            return False, f"recurrence row != closed form at n={n}"
+    return True, "f-vector recurrence = closed form, n <= 40"
+
+
+def check_fpoly_recurrence(max_n: int) -> tuple[bool, str]:
+    for n in range(3, 41):
+        if complex_poset.f_polynomial_by_recurrence(n) != complex_poset.f_polynomial(n):
+            return False, f"f-polynomial recurrence mismatch at n={n}"
+    return True, "f-polynomial recurrence = closed form, n <= 40"
+
+
+def check_face_dyck_counts(max_n: int) -> tuple[bool, str]:
+    top = min(POSET_CAP, max_n + 6)
+    for n in range(3, top + 1):
+        factors = peak_sets.enumerate_left_factors(n - 1)
+        sizes = Counter(len(s) for s in _valid_subsets(n))
+        for i in range(-1, peak_sets.max_peak_count(n)):
+            by_dyck = sum(1 for w in factors if w.count("D") == i + 1)
+            if sizes[i + 1] != by_dyck:
+                return False, f"Dyck count mismatch at n={n}, dim={i}"
+    return True, f"faces of dim i <-> left factors with i+1 D's, n <= {top}"
+
+
+def check_moebius(max_n: int) -> tuple[bool, str]:
+    top = min(10, max_n + 2)
+    for n in range(3, top + 1):
+        faces = [(s, PeakSet(n, s), frozenset(s)) for s in _valid_subsets(n)]
+        for s, lower, s_set in faces:
+            # the recursion's values mu(s, u) are shared by every upper face t
+            recursive = complex_poset._moebius_from(n, s_set)
+            for t, upper, t_set in faces:
+                if s_set <= t_set:
+                    if complex_poset.moebius(n, lower, upper) != recursive(t_set):
+                        return False, f"moebius mismatch at n={n}, {s}<{t}"
+    return True, f"(-1)^(|T|-|S|) = recursive Moebius on every interval, n <= {top}"
+
+
+def check_euler(max_n: int) -> tuple[bool, str]:
+    for n in range(3, 41):
+        f = complex_poset.face_counts_by_recurrence(n)
+        by_recurrence = sum((-1) ** (m + 1) * p for m, p in enumerate(f))
+        closed = complex_poset.euler_characteristic_closed_form(n)
+        if by_recurrence != closed:
+            return False, f"recurrence f-vector gives chi={by_recurrence} != closed form {closed} at n={n}"
+        if complex_poset.euler_characteristic(n) != closed:
+            return False, f"euler_characteristic != closed form at n={n}"
+        if n % 2 and by_recurrence != 0:
+            return False, f"nonzero chi at odd n={n}"
+    if complex_poset.euler_characteristic(4) != 1:
+        return False, "chi(P_4) != 1"
+    if complex_poset.euler_characteristic(6) != -2:
+        return False, "chi(P_6) != -2"
+    return True, "reduced Euler characteristic matches closed form, n <= 40"
+
+
+def check_product_structure(max_n: int) -> tuple[bool, str]:
+    top = min(13, max_n + 5)
+    for n in range(3, top + 1):
+        if not complex_poset._product_structure(n, _valid_subsets(n), _down_sets(n),
+                                                _valid_subsets(n + 1), _down_sets(n + 1)):
+            return False, f"product decomposition failed at n={n}"
+    return True, f"poset product decomposition holds, n <= {top}"
+
+
+CHECKS = [
+    ("downward-closure", check_downward_closure),
+    ("vertices-and-dimension", check_vertices_and_dimension),
+    ("face-count-closed-form", check_face_counts),
+    ("fvector-recurrence", check_fvector_recurrence),
+    ("fpolynomial-recurrence", check_fpoly_recurrence),
+    ("face-dyck-counts", check_face_dyck_counts),
+    ("moebius-closed-form", check_moebius),
+    ("euler-characteristic", check_euler),
+    ("product-structure", check_product_structure),
+]

@@ -1,0 +1,127 @@
+"""The hilbert suite: the Hilbert data of A and B against the monomial
+oracles and the series recurrences, and the nonvanishing criterion."""
+
+from __future__ import annotations
+
+import random
+from itertools import combinations
+
+from .. import exact_algebra, hilbert_algebras, peak_sets
+from ..verify import _valid_subsets
+
+
+def check_dim_a_oracle(max_n: int) -> tuple[bool, str]:
+    top = min(7, max_n)
+    for n in range(3, top + 1):
+        for i in range(0, 6):
+            if hilbert_algebras.dim_a(n, i) != \
+                    hilbert_algebras.standard_monomial_oracle(n, "A", i):
+                return False, f"dim_a mismatch at n={n}, degree={i}"
+    return True, f"dim_a = monomial oracle, n <= {top}, degree <= 5"
+
+
+def check_dim_b_oracle(max_n: int) -> tuple[bool, str]:
+    top = min(7, max_n)
+    for n in range(3, top + 1):
+        for i in range(0, peak_sets.max_peak_count(n) + 3):
+            if hilbert_algebras.dim_b(n, i) != \
+                    hilbert_algebras.standard_monomial_oracle(n, "B", i):
+                return False, f"dim_b mismatch at n={n}, degree={i}"
+    return True, f"dim_b = squarefree monomial oracle, n <= {top}, all degrees"
+
+
+def check_hilbert_polynomial(max_n: int) -> tuple[bool, str]:
+    for n in range(3, 13):
+        p = hilbert_algebras.hilbert_polynomial_a(n)
+        for i in range(1, 9):
+            if p.eval(i) != hilbert_algebras.dim_a(n, i):
+                return False, f"Hilbert polynomial mismatch at n={n}, i={i}"
+    return True, "Hilbert polynomial of A matches dims, n <= 12, i <= 8"
+
+
+def check_numerator_form(max_n: int) -> tuple[bool, str]:
+    for n in range(3, 13):
+        numerator, e = hilbert_algebras.numerator_a(n)
+        if e != (n + 1) // 2:
+            return False, f"unexpected exponent at n={n}"
+        if any(c.denominator != 1 for c in numerator.coeffs):
+            return False, f"non-integer numerator at n={n}"
+        # re-expand numerator/(1-x)^e to order 12
+        expanded = [
+            sum(numerator.coeff(j) *
+                exact_algebra.binomial(k - j + e - 1, e - 1)
+                for j in range(min(k, numerator.degree) + 1))
+            for k in range(13)
+        ]
+        if expanded != list(hilbert_algebras.hilbert_series_a(n, 12)):
+            return False, f"rational form does not reproduce the series at n={n}"
+    return True, "numerator/(1-x)^floor((n+1)/2) reproduces the A-series, n <= 12"
+
+
+def check_hilbert_initial(max_n: int) -> tuple[bool, str]:
+    if hilbert_algebras.hilbert_series_a(3, 12) != tuple(i + 1 for i in range(13)):
+        return False, "A-series at n=3 is not 1/(1-x)^2"
+    if hilbert_algebras.hilbert_series_a(4, 12) != tuple(2 * i + 1 for i in range(13)):
+        return False, "A-series at n=4 is not (1+x)/(1-x)^2"
+    return True, "initial A-series 1/(1-x)^2 and (1+x)/(1-x)^2 reproduced to order 12"
+
+
+def check_series_recurrences(max_n: int) -> tuple[bool, str]:
+    for n in range(4, 11, 2):
+        if not hilbert_algebras.verify_series_recurrence_a(n):
+            return False, f"even-n series recurrence failed at n={n}"
+    for n in range(3, 10, 2):
+        if not hilbert_algebras.verify_series_recurrence_a(n):
+            return False, f"odd-n derivative relation failed at n={n}"
+    return True, "A-series derivative recurrences hold as truncated identities, n <= 9/10"
+
+
+def check_numerator_recurrences(max_n: int) -> tuple[bool, str]:
+    for n in range(4, 11, 2):
+        if not hilbert_algebras.verify_numerator_recurrence_a(n):
+            return False, f"even-n numerator recurrence failed at n={n}"
+    for n in range(3, 10, 2):
+        if not hilbert_algebras.verify_numerator_recurrence_a(n):
+            return False, f"odd-n numerator relation failed at n={n}"
+    return True, "numerator recurrences hold exactly, n <= 9/10"
+
+
+def check_series_b(max_n: int) -> tuple[bool, str]:
+    for n in range(3, 13):
+        s = hilbert_algebras.hilbert_series_b(n)
+        if s.degree > peak_sets.max_peak_count(n) + 1:
+            return False, f"B-series degree too large at n={n}"
+        if s.coeff(1) != peak_sets.count_valid(n):
+            return False, f"B-series x^1 coefficient wrong at n={n}"
+    return True, "B-series degree bound and face count at x^1, n <= 12"
+
+
+def check_nonvanishing_criterion(max_n: int) -> tuple[bool, str]:
+    rng = random.Random(20240817)
+    for n in range(3, 7):
+        fs = [frozenset(s) for s in _valid_subsets(n)]
+        for _ in range(1000):
+            size = rng.randint(1, 4)
+            idxs = [rng.randrange(len(fs)) for _ in range(size)]
+            comparable = all(
+                fs[a] <= fs[b] or fs[b] <= fs[a]
+                for a, b in combinations(set(idxs), 2)
+            )
+            chain = sorted((fs[k] for k in idxs), key=lambda s: (len(s), sorted(s)))
+            sortable = all(a <= b for a, b in zip(chain, chain[1:]))
+            if comparable != sortable:
+                return False, f"nonvanishing criterion failed at n={n}, idxs={idxs}"
+    return True, "multichain <=> pairwise-comparable support, 1000 samples per n <= 6"
+
+
+CHECKS = [
+    ("dim-a-monomial-oracle", check_dim_a_oracle),
+    ("dim-b-monomial-oracle", check_dim_b_oracle),
+    ("hilbert-polynomial-a", check_hilbert_polynomial),
+    ("numerator-rational-form", check_numerator_form),
+    ("initial-a-series", check_hilbert_initial),
+    ("a-series-recurrences", check_series_recurrences),
+    ("numerator-recurrences", check_numerator_recurrences),
+    ("b-series-shape", check_series_b),
+    ("nonvanishing-criterion", check_nonvanishing_criterion),
+]

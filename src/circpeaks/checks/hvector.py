@@ -1,0 +1,57 @@
+"""The hvector suite: the h-vector closed form against recurrences,
+the shifted f-polynomial and the Dyck endpoint oracle."""
+
+from __future__ import annotations
+
+from .. import complex_poset, exact_algebra, hvector, peak_sets
+from ..exact_algebra import ExactPoly
+
+
+def check_h_consistency(max_n: int) -> tuple[bool, str]:
+    for n in range(3, 41):
+        shifted = exact_algebra.poly_shift(complex_poset.f_polynomial(n))
+        top = peak_sets.max_peak_count(n)
+        closed = tuple(hvector.h_entry(n, i) for i in range(top + 1))
+        from_poly = tuple(shifted.coeff(top - i) for i in range(top + 1))
+        if closed != from_poly:
+            return False, f"closed form != shifted f-polynomial at n={n}"
+        if hvector.h_table(n) != closed:
+            return False, f"h_table != h_entry row at n={n}"
+        if hvector.h_polynomial(n) != shifted:
+            return False, f"h_polynomial != shifted f-polynomial at n={n}"
+        if hvector.h_recurrence_table(n) != closed:
+            return False, f"recurrence != closed form at n={n}"
+        if hvector.h_polynomial_by_recurrence(n) != shifted:
+            return False, f"polynomial recurrence mismatch at n={n}"
+    return True, "h closed form = recurrence = P_n(x-1) coefficients, n <= 40"
+
+
+def check_h_dyck(max_n: int) -> tuple[bool, str]:
+    top = min(16, max_n + 8)
+    for n in range(3, top + 1):
+        for i in range(0, peak_sets.max_peak_count(n) + 1):
+            if hvector.h_entry(n, i) != hvector.h_dyck_oracle(n, i):
+                return False, f"Dyck endpoint count mismatch at n={n}, i={i}"
+    return True, f"h entries = left-factor endpoint counts, n <= {top}"
+
+
+def check_h_parity_shift(max_n: int) -> tuple[bool, str]:
+    for n in range(4, 21, 2):
+        if hvector.h_polynomial(n + 1) != ExactPoly.x() * hvector.h_polynomial(n):
+            return False, f"even-n shift failed at n={n}"
+    return True, "H_{n+1} = x H_n for even n <= 20"
+
+
+def check_h_sum(max_n: int) -> tuple[bool, str]:
+    for n in range(3, 41):
+        if hvector.h_polynomial(n).eval(1) != complex_poset.f_polynomial(n).eval(0):
+            return False, f"H_n(1) != P_n(0) at n={n}"
+    return True, "H_n(1) = P_n(0) (top face count), n <= 40"
+
+
+CHECKS = [
+    ("h-closed-recurrence-shift", check_h_consistency),
+    ("h-dyck-endpoint-oracle", check_h_dyck),
+    ("h-even-parity-shift", check_h_parity_shift),
+    ("h-sum-identity", check_h_sum),
+]

@@ -1,0 +1,55 @@
+"""The series suite: the corrected generating series against the
+f- and h-polynomials, and the printed forms against the pinned reports
+that the series command prints."""
+
+from __future__ import annotations
+
+from .. import cli_oracles, complex_poset, hvector
+
+
+def check_f_series(max_n: int) -> tuple[bool, str]:
+    series = complex_poset.f_generating_series(20)
+    if not series.coeffs[2].is_zero():
+        return False, "nonzero y^2 coefficient"
+    for n in range(3, 21):
+        if series.coeffs[n] != complex_poset.f_polynomial(n):
+            return False, f"series coefficient != f-polynomial at n={n}"
+    return True, "corrected P(x,y) matches f-polynomials, 3 <= n <= 20"
+
+
+def check_h_series(max_n: int) -> tuple[bool, str]:
+    series = hvector.h_generating_series(20)
+    for n in range(3, 21):
+        if series.coeffs[n] != hvector.h_polynomial(n):
+            return False, f"series coefficient != h-polynomial at n={n}"
+    return True, "corrected H(x,y) matches h-polynomials, 3 <= n <= 20"
+
+
+def _check_printed_form(which: str, report: dict | None) -> tuple[bool, str]:
+    """The cross-multiplied report of the printed form, against what series prints."""
+    form = f"printed {which}(x,y) form"
+    if report != cli_oracles.PRINTED_FORM_REPORTS[which]:
+        return False, (f"series --which {which} prints a pinned {form} report "
+                       "that differs from the cross-multiplied one")
+    if report is None:
+        return True, f"{form} matches (no discrepancy)"
+    return True, (
+        f"{form} DISCREPANCY documented: first mismatch at "
+        f"y^{report['first_mismatch_y_order']}; {report['note']}"
+    )
+
+
+def check_printed_f_form(max_n: int) -> tuple[bool, str]:
+    return _check_printed_form("P", complex_poset.printed_f_series_discrepancy())
+
+
+def check_printed_h_form(max_n: int) -> tuple[bool, str]:
+    return _check_printed_form("H", hvector.printed_h_series_discrepancy())
+
+
+CHECKS = [
+    ("f-series-coefficients", check_f_series),
+    ("h-series-coefficients", check_h_series),
+    ("printed-f-series-form", check_printed_f_form),
+    ("printed-h-series-form", check_printed_h_form),
+]

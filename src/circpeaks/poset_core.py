@@ -74,21 +74,22 @@ def _submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def down_sets(faces) -> list[list[int]]:
-    """For each face of a face_tuples list, the indices of the faces it contains.
+def down_sets(faces) -> list[tuple[int, ...]]:
+    """For each face of a face_tuples list, a tuple of the indices of the
+    faces it contains.
 
     The face's own index comes first, so the faces strictly below it are
-    the rest of its list.  They are the submasks of its bitmask that are
+    the rest of its tuple.  They are the submasks of its bitmask that are
     faces, at most 2^D of them with D = floor((n-1)/2); each is looked up
     in the face index.  That is O(m 2^D) lookups for the m faces, instead
     of comparing all m^2 pairs.
     """
     masks = [_mask(c) for c in faces]
     index = {m: j for j, m in enumerate(masks)}
-    return [[index[s] for s in _submasks(m) if s in index] for m in masks]
+    return [tuple([index[s] for s in _submasks(m) if s in index]) for m in masks]
 
 
-def _poset_chain_counts(down: list[list[int]], length: int, strict: bool) -> list[int]:
+def _poset_chain_counts(down: list[tuple[int, ...]], length: int, strict: bool) -> list[int]:
     """Tuples of k faces, each below the next (strictly if strict), for k = 0..length.
 
     down is down_sets of the faces.  counts[j] is the number of tuples of

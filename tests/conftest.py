@@ -1,6 +1,8 @@
 """One run of the oracle registry per test session.
 
-verify.SUITES is the one place where each oracle loop is written.
+The CHECKS lists of the suite modules of circpeaks.checks, which
+verify.SUITES maps by suite name, are the one place where each oracle
+loop is written.
 tests/test_verify.py gives every registry check its own test id; a unit
 test whose assertion a registry check makes over a range at least as wide
 names that check through ``covered_by`` instead of repeating its loop.

@@ -514,6 +514,20 @@ def test_poset_oracles_and_series_load_no_rational_arithmetic(argv, reads_poset)
     assert loaded == ["0"] + ["circpeaks.poset_core"] * reads_poset
 
 
+SUITE_MODULES = tuple(f"circpeaks.checks.{suite}" for suite in verify.SUITE_NAMES)
+
+
+@pytest.mark.parametrize("suite", verify.SUITE_NAMES)
+def test_verify_suite_loads_only_its_own_checks(suite):
+    # The suites of the S_n sweeps and subset scans load no rational arithmetic.
+    rational = ("fractions", "decimal", "circpeaks.exact_algebra", "circpeaks.complex_poset")
+    loaded = _loaded_after(f"verify --suite {suite} --max-n 8", SUITE_MODULES + rational)
+    assert loaded[0] == "0"
+    assert [m for m in loaded if m in SUITE_MODULES] == [f"circpeaks.checks.{suite}"]
+    if suite in ("perm", "peaksets"):
+        assert loaded == ["0", f"circpeaks.checks.{suite}"]
+
+
 def test_poset_oracle_runs_up_to_its_cap_only():
     for command, key in (("zeta", "zeta"), ("chains", "count")):
         payload = invoke_json(command, "--n", "14", "--i", "2")

@@ -1,5 +1,6 @@
-"""The verify registry: the memo of one run_suite call, and one test id
-per registry check, pinning its result line at --max-n 8."""
+"""The verify registry: the memo of one run_suite call, the suite lists
+that run_suite reads, and one test id per registry check, pinning its
+result line at --max-n 8."""
 
 import io
 from collections import Counter
@@ -9,6 +10,8 @@ import pytest
 from circpeaks import (
     chains_zeta, cli, cli_oracles, complex_poset, hvector, perm_core, poset_core, verify,
 )
+from circpeaks.checks import chains, perm
+from circpeaks.checks import complex as complex_checks
 from circpeaks.peak_sets import PeakSet, count_valid
 
 # (suite, name, detail) of every check of run_suite("all", 8).  A detail
@@ -136,8 +139,8 @@ def test_memo_lives_for_one_run_suite_call(monkeypatch):
 
 def test_check_outside_run_suite_computes_afresh(monkeypatch):
     calls = _count_cp_class_tables(monkeypatch)
-    assert verify.check_partition(8)[0]
-    assert verify.check_partition(8)[0]
+    assert perm.check_partition(8)[0]
+    assert perm.check_partition(8)[0]
     assert len(calls) == 16
 
 
@@ -145,7 +148,7 @@ def test_downward_closure_catches_a_rejected_subface(monkeypatch):
     real = poset_core._first_violation_sorted
     monkeypatch.setattr(poset_core, "_first_violation_sorted",
                         lambda elems: (1, 3, 3) if tuple(elems) == (3,) else real(elems))
-    ok, detail = verify.check_downward_closure(8)
+    ok, detail = complex_checks.check_downward_closure(8)
     assert not ok
     assert detail == "subset (3,) of face (3, 5) invalid at n=5"
 
@@ -158,8 +161,8 @@ def test_face_count_checks_read_the_run_face_list(monkeypatch):
     real = poset_core._first_violation_sorted
     monkeypatch.setattr(poset_core, "_first_violation_sorted",
                         lambda elems: calls.append(elems) or real(elems))
-    assert verify.check_face_counts(8)[0]
-    assert verify.check_face_dyck_counts(8)[0]
+    assert complex_checks.check_face_counts(8)[0]
+    assert complex_checks.check_face_dyck_counts(8)[0]
     assert calls == []
 
 
@@ -185,13 +188,13 @@ def test_a_tampered_pinned_report_fails_its_check(monkeypatch, which, name):
 
 def _count_down_set_builds(monkeypatch):
     builds = []
-    real = complex_poset.down_sets
+    real = poset_core.down_sets
 
     def counted(faces):
         builds.append(len(faces))  # |P_n| grows with n, so it names n
         return real(faces)
 
-    monkeypatch.setattr(complex_poset, "down_sets", counted)
+    monkeypatch.setattr(poset_core, "down_sets", counted)
     return builds
 
 
@@ -207,14 +210,14 @@ def test_chains_suite_builds_each_face_below_list_once(monkeypatch):
 def test_complex_suite_enumerates_each_poset_once(monkeypatch):
     builds = _count_down_set_builds(monkeypatch)
     enumerated = []
-    real = complex_poset.face_tuples
+    real = poset_core.face_tuples
 
     def counted(n, dim=None):
         if dim is None:
             enumerated.append(n)
         return real(n, dim)
 
-    monkeypatch.setattr(complex_poset, "face_tuples", counted)
+    monkeypatch.setattr(poset_core, "face_tuples", counted)
     results = verify.run_suite("complex", 8)
     assert all(r.ok for r in results)
     assert sorted(enumerated) == list(range(3, 15))
@@ -247,8 +250,8 @@ def test_chains_suite_evaluates_each_chain_formula_once(monkeypatch):
 
 def test_chain_checks_outside_run_suite_compute_afresh(monkeypatch):
     calls = _count_chain_formulas(monkeypatch)
-    assert verify.check_chain_formula_elements(8)[0]
-    assert verify.check_chain_formula_elements(8)[0]
+    assert chains.check_chain_formula_elements(8)[0]
+    assert chains.check_chain_formula_elements(8)[0]
     assert Counter(calls) == Counter(2 * [(n, 1) for n in range(3, 21)])
 
 
@@ -273,3 +276,24 @@ def test_registry_check(registry, suite, name, detail):
 def test_registry_lists_every_check():
     listed = [(suite, name) for suite, checks in verify.SUITES.items() for name, _ in checks]
     assert listed == [(suite, name) for suite, name, _ in EXPECTED_ALL_8]
+
+
+def test_run_suite_runs_the_registry_lists_in_place():
+    # A tracer wraps checks by assigning into these lists; run_suite must
+    # call what they hold.
+    checks = verify.SUITES["perm"]
+    name, real = checks[1]
+    calls = []
+
+    def counted(max_n):
+        calls.append(max_n)
+        return real(max_n)
+
+    checks[1] = (name, counted)
+    try:
+        results = verify.run_suite("perm", 8)
+    finally:
+        checks[1] = (name, real)
+    assert calls == [8]
+    assert all(r.ok for r in results)
+    assert verify.SUITES["perm"] is perm.CHECKS
