@@ -3,9 +3,10 @@
 ``python -m circpeaks.cli <command> --flag value ...`` (or the
 ``circpeaks`` script) prints one JSON payload, or CSV rows for the
 tabular commands.  Exit codes: 0 success, 1 validation/usage error,
-2 verification failure.  All numbers are emitted exactly, as integers;
-each payload is rendered in full before anything is written, so output
-is all or nothing.
+2 verification failure.  All numbers are emitted exactly, as integers.
+Each payload is rendered in full by ``render``, which this module imports
+only to emit, and then written in batches of about 64 KB: output is all
+or nothing, and no string the size of the whole document is built.
 
 Every process compiles this module, so it holds only what a well-formed
 command line of fvector, hvector, euler, zeta, chains or hilbert needs:
@@ -24,8 +25,7 @@ with exit code 1.
 
 from __future__ import annotations
 
-import io
-import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -37,7 +37,7 @@ from . import tables
 
 # series --order 500 takes ~0.5 s and prints ~5 MB; the output grows as order^3.
 SERIES_ORDER_CAP = 500
-# hilbert --algebra A --n 800 --order 2000 takes ~0.5 s and prints ~3 MB
+# hilbert --algebra A --n 800 --order 2000 takes ~0.4 s and prints ~3 MB
 # (--n 200: ~0.1 s); time and output grow as order * n.
 HILBERT_ORDER_CAP = 2000
 # zeta's poset oracle costs ~4 ms per multichain length at n = 14 and never
@@ -53,13 +53,15 @@ ZETA_ORACLE_LENGTH_CAP = 100
 ZETA_BITS_CAP = 1 << 20
 # --n caps, one per growth class in n of the README table.  The f-vector
 # has D = floor((n-1)/2) entries of O(n) bits, so an O(D) command still
-# does O(n^2) bit operations: as subprocesses, fvector --n 16000 takes
-# ~4.2 s and prints ~56 MB, hvector ~3.6 s, euler and zeta ~0.2 s,
-# witness and dyck ~0.1 s.
+# does O(n^2) bit operations, and printing them O(n^3), as CPython renders
+# an int in time quadratic in its length; render converts each entry once.
+# As subprocesses, fvector --n 16000 takes ~1.9 s, prints ~56 MB and
+# peaks at ~55 MB RSS, hvector ~1.5 s, ~49 MB and ~50 MB, euler and zeta
+# ~0.2 s, witness and dyck ~0.1 s.
 LINEAR_N_CAP = 16000  # fvector, hvector, euler, zeta, witness, dyck
 # O(D^2): D+1 (hilbert A: D+6) multichain counts.  chains --n 2000 takes
-# ~1.3 s, hilbert --algebra A --n 2000 ~1.8 s (~3.2 s and ~10 MB at
-# --order 2000).
+# ~0.8 s, hilbert --algebra A --n 2000 ~1.2 s (~2.0 s, ~10 MB of output and
+# ~29 MB peak RSS at --order 2000).
 QUADRATIC_N_CAP = 2000  # chains, hilbert
 
 # Every subcommand, in help order: (help, flags).  A flag is (name, type,
@@ -138,15 +140,15 @@ def parse(argv):
 
 
 def _emit_json(payload, out) -> None:
-    out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    from . import render
+
+    render.write(render.json_pieces(payload), out)
 
 
 def _emit_csv(rows, header, out) -> None:
-    import csv  # only the CSV forms load it
+    from . import render
 
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
-    out.write(buf.getvalue())
+    render.write(render.csv_pieces(rows, header), out)
 
 
 def _emit_count(args, key: str, value: int, length: int, out) -> None:
@@ -275,7 +277,16 @@ def run(argv, out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # The reader stopped early (``| head``).  Exit 1 without a traceback,
+        # and let the flush at exit write what is left to os.devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

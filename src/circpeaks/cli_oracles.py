@@ -7,8 +7,9 @@ run one of them, or when its hand parser declines a command line and
 ``build_parser``, so a well-formed verify or series line never loads it.
 
 Of the package this module imports ``tables`` and ``cli``, whose flag
-table, caps and output helpers it shares; each command loads what it
-runs.  faces reads the integer-only face poset (``poset_core``),
+table, caps and output helpers it shares: each payload is still rendered
+in full by ``render``, then written in batches.  Each command loads what
+it runs.  faces reads the integer-only face poset (``poset_core``),
 and series reads ``tables`` and the pinned ``PRINTED_FORM_REPORTS``, so
 neither loads rational arithmetic.
 """

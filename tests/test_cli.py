@@ -486,9 +486,10 @@ def _loaded_after(argv, modules):
     "fvector --n 40 --format csv", "hilbert --n 40 --algebra A --format csv",
 ])
 def test_production_commands_load_only_the_integer_core(argv):
-    # Nor the record base class, argparse or the oracle commands; the JSON
-    # forms do not load csv either.
-    forbidden = (ORACLE_MODULES + ARGPARSE_MODULES + ("circpeaks.record", "circpeaks.cli_oracles")
+    # Nor the record base class, argparse, the json package or the oracle
+    # commands; the JSON forms do not load csv either.
+    forbidden = (ORACLE_MODULES + ARGPARSE_MODULES
+                 + ("circpeaks.record", "circpeaks.cli_oracles", "json")
                  + (() if "csv" in argv else ("csv",)))
     assert _loaded_after(argv, forbidden) == ["0"]
 
@@ -574,6 +575,23 @@ def _python_m_cli(*argv):
         [sys.executable, "-m", "circpeaks.cli", *argv], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_reader_that_closes_early(unbuffered):
+    # fvector --n 3000 prints ≈1.5 MB, far more than a pipe holds: the
+    # writer is still writing when the reader goes.  Unbuffered, a write cut
+    # short by the closed pipe must not end in exit 0.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "circpeaks.cli", "fvector", "--n", "3000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONUNBUFFERED": unbuffered},
+    )
+    assert proc.stdout.read(5) == b'{\n  "'
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), stderr) == (1, b"")
 
 
 def test_errors_of_oracle_commands_under_python_m():
