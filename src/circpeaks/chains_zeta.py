@@ -11,13 +11,13 @@ n and is kept as an oracle only.  Both counts have exhaustive oracles,
 multichain_oracle and chain_oracle: one level pass over the face poset's
 down-sets that counts every length at once.  They are defined in
 circpeaks.poset_core, in integer arithmetic only, and re-exported here.
-The f-polynomial can be rebuilt from the chain counts alone.
+The f-polynomial can be rebuilt from the chain counts alone, in integers.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from fractions import Fraction
+from math import factorial
 
 from .exact_algebra import ExactPoly, multinomial
 # Re-exported from the integer-only face poset, which defines them.
@@ -83,20 +83,20 @@ def f_polynomial_from_chains(n: int) -> ExactPoly:
 
 
 def _f_polynomial_from_counts(n: int, count: Callable[[int, int], int]) -> ExactPoly:
-    """f_polynomial_from_chains with d_{n,i} read off count(n, i)."""
+    """f_polynomial_from_chains with d_{n,i} read off count(n, i).
+
+    Term i is scaled by top!/(i-2)!, and the sum divided by top! exactly."""
     top = max_peak_count(n)
+    scale = factorial(top)
     acc = ExactPoly(())
     for i in range(2, top + 3):
         d = count(n, i - 1)
         if d == 0:
             continue
-        term = ExactPoly.constant(d)
+        term = ExactPoly.constant(d * (scale // factorial(i - 2)))
         for j in range(1, i - 1):
             term = term * ExactPoly((1, -j))
-        fact = 1
-        for j in range(2, i - 1):
-            fact *= j
-        term = term.scale(Fraction(1, fact))
         shift = [0] * (top + 2 - i) + [1]
         acc = acc + term * ExactPoly(shift)
-    return acc
+    return ExactPoly(exact_quotient(c, scale, f"coefficient {k} of the f-polynomial of n={n}")
+                     for k, c in enumerate(acc.coeffs))

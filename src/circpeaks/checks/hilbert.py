@@ -44,7 +44,7 @@ def check_numerator_form(max_n: int) -> tuple[bool, str]:
         numerator, e = hilbert_algebras.numerator_a(n)
         if e != (n + 1) // 2:
             return False, f"unexpected exponent at n={n}"
-        if any(c.denominator != 1 for c in numerator.coeffs):
+        if any(type(c) is not int for c in numerator.coeffs):
             return False, f"non-integer numerator at n={n}"
         # re-expand numerator/(1-x)^e to order 12
         expanded = [

@@ -1,12 +1,12 @@
-"""Exact rational polynomial and truncated power-series arithmetic.
+"""Exact integer polynomial and truncated power-series arithmetic.
 
-A coefficient is an int whenever it is integral and a fractions.Fraction
-only when it is not, so integer data stays in integer arithmetic.  These
+Every coefficient is an int: ExactPoly is a polynomial in Z[x], and a
+division either is exact in Z[x] or raises InexactDivisionError.  These
 types serve the oracles, the printed-form checks and ExactPoly return
 values; production paths compute in integers and no floating point
 appears anywhere in the library.  Two value kinds live here:
 
-  ExactPoly   -- dense univariate polynomial over Q, coeffs low-to-high
+  ExactPoly   -- dense univariate polynomial over Z, coeffs low-to-high
   PolySeries  -- truncated power series in y whose coefficients are
                  ExactPoly values in x (the bivariate generating
                  functions are expanded exactly as PolySeries)
@@ -17,7 +17,6 @@ Combinatorial number helpers (binomial, Catalan, multinomial) are at the bottom.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from math import comb, factorial
 
 from .record import Record, set_field
@@ -30,42 +29,32 @@ from .tables import (
     exact_quotient,
 )
 
-Rational = int | Fraction
 
-
-def _exact(c) -> Rational:
-    """c as an int if it is integral, else as a Fraction (a float exactly)."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
-def _normalize(coeffs: Iterable) -> tuple[Rational, ...]:
-    out = [_exact(c) for c in coeffs]
+def _normalize(coeffs: Iterable) -> tuple[int, ...]:
+    out = [c if type(c) is int else as_integer(c, "an ExactPoly coefficient") for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
 
 
 class ExactPoly(Record):
-    """Dense univariate polynomial over Q; coeffs[k] is the x^k coefficient.
+    """Dense univariate polynomial over Z; coeffs[k] is the x^k coefficient.
 
-    Each coefficient is an int when it is integral and a Fraction only
-    when it is not; since 1 == Fraction(1) with equal hashes, equality,
-    hashing and str do not depend on how a polynomial was built.  The
-    zero polynomial has an empty coefficient tuple.  Instances are
-    immutable and all arithmetic is exact.
+    Every coefficient is an int: any other value goes through as_integer,
+    so an integral one (True, 2.0) becomes an int and any other raises
+    NonIntegralError.  The zero polynomial has an empty coefficient tuple.
+    Instances are immutable; arithmetic is exact, and a division that
+    leaves Z[x] raises InexactDivisionError.
     """
 
     __slots__ = ("coeffs",)
-    coeffs: tuple[int | Fraction, ...]
+    coeffs: tuple[int, ...]
 
-    def __init__(self, coeffs: Iterable[Rational] = ()):
+    def __init__(self, coeffs: Iterable[int] = ()):
         set_field(self, "coeffs", _normalize(coeffs))
 
     @staticmethod
-    def constant(c: Rational) -> "ExactPoly":
+    def constant(c: int) -> "ExactPoly":
         return ExactPoly((c,))
 
     @staticmethod
@@ -80,7 +69,7 @@ class ExactPoly(Record):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, k: int) -> Rational:
+    def coeff(self, k: int) -> int:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return 0
@@ -111,17 +100,17 @@ class ExactPoly(Record):
                 out[i + j] += a * b
         return ExactPoly(out)
 
-    def scale(self, c: Rational) -> "ExactPoly":
+    def scale(self, c: int) -> "ExactPoly":
         return ExactPoly(tuple(c * a for a in self.coeffs))
 
-    def eval(self, q: Rational) -> Rational:
-        """Exact Horner evaluation at a rational point; an int at an int point."""
+    def eval(self, q: int) -> int:
+        """Exact Horner evaluation; an int at an int point."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * q + c
         return acc
 
-    def compose_linear(self, a: Rational, b: Rational) -> "ExactPoly":
+    def compose_linear(self, a: int, b: int) -> "ExactPoly":
         """Return p(a*x + b), expanded exactly (Horner in the polynomial ring)."""
         lin = ExactPoly((b, a))
         acc = ExactPoly(())
@@ -130,7 +119,11 @@ class ExactPoly(Record):
         return acc
 
     def divmod(self, divisor: "ExactPoly") -> tuple["ExactPoly", "ExactPoly"]:
-        """Euclidean division; returns (quotient, remainder)."""
+        """Division with remainder in Z[x]; returns (quotient, remainder).
+
+        A step whose leading coefficient is not a multiple of the divisor's
+        raises InexactDivisionError; with a monic divisor (every x - 1 the
+        library divides by) none is."""
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
@@ -141,11 +134,10 @@ class ExactPoly(Record):
             return ExactPoly(()), ExactPoly(rem)
         quot = [0] * (len(rem) - dd)
         for k in range(len(rem) - 1, dd - 1, -1):
-            r = rem[k]
-            if type(r) is int and type(lead) is int and r % lead == 0:
-                c = r // lead
-            else:
-                c = Fraction(r) / lead  # never int / int, which is a float
+            c, r = divmod(rem[k], lead)
+            if r:
+                raise InexactDivisionError(
+                    f"dividing by {dv}: {rem[k]} is not a multiple of {lead}")
             if c != 0:
                 quot[k - dd] = c
                 for j in range(dd + 1):
@@ -211,7 +203,7 @@ class PolySeries:
         self.coeffs = cs
 
     @staticmethod
-    def from_rationals(vals: Sequence[Rational], order: int) -> "PolySeries":
+    def from_ints(vals: Sequence[int], order: int) -> "PolySeries":
         return PolySeries([ExactPoly.constant(v) for v in vals], order)
 
     def __add__(self, other: "PolySeries") -> "PolySeries":
@@ -240,7 +232,7 @@ class PolySeries:
 
     def divide(self, divisor: "PolySeries") -> "PolySeries":
         """Series division; divisor's y^0 coefficient must divide exactly
-        at every recursion step (it acts as a unit in Q(x)[[y]])."""
+        in Z[x] at every recursion step, or InexactDivisionError is raised."""
         order = min(self.order, divisor.order)
         lead = divisor.coeffs[0]
         if lead.is_zero():
@@ -292,7 +284,7 @@ def catalan_series(order: int) -> PolySeries:
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    return PolySeries.from_rationals([catalan_number(m) for m in range(order + 1)], order)
+    return PolySeries.from_ints([catalan_number(m) for m in range(order + 1)], order)
 
 
 def multinomial(parts: Sequence[int]) -> int:

@@ -9,6 +9,7 @@ length n-1.
 from __future__ import annotations
 
 from math import comb
+from operator import index
 
 from .perm_core import Permutation, ResourceLimitError
 from .poset_core import _first_violation_sorted  # the criterion, on ascending tuples
@@ -50,7 +51,7 @@ class PeakSet(Record):
     elements: tuple[int, ...]
 
     def __init__(self, n: int, elements=()):
-        elems = tuple(sorted(set(map(int, elements))))
+        elems = tuple(sorted(set(map(index, elements))))
         if n < 1:
             raise ValueError("ambient size must be >= 1")
         if elems and (elems[0] < 1 or elems[-1] > n):

@@ -12,6 +12,7 @@ the closed-form results; it is capped at n <= 10.
 from __future__ import annotations
 
 from itertools import permutations
+from operator import index
 
 from .record import Record, set_field
 from .tables import ResourceLimitError  # re-exported from the integer core
@@ -26,7 +27,7 @@ class Permutation(Record):
     values: tuple[int, ...]
 
     def __init__(self, values):
-        vals = tuple(map(int, values))
+        vals = tuple(map(index, values))
         n = len(vals)
         if sorted(vals) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of [{n}]: {vals}")
@@ -69,7 +70,7 @@ def enumerate_cp_class(n: int, s) -> list[Permutation]:
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_cap(n)
-    target = tuple(sorted(set(int(v) for v in s)))
+    target = tuple(sorted(set(map(index, s))))
     if any(v < 1 or v > n for v in target):
         raise ValueError(f"set {target} is not a subset of [{n}]")
     return [Permutation(vals) for vals in permutations(range(1, n + 1))

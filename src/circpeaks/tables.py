@@ -45,7 +45,8 @@ class ClosedFormMismatchError(ArithmeticError):
 
 
 def as_integer(value, what: str) -> int:
-    """``value`` (an exact rational) as an int; NonIntegralError names ``what`` if it is not one."""
+    """``value`` (any number with as_integer_ratio) as an int; NonIntegralError
+    names ``what`` if it is not one.  ExactPoly reads a non-int coefficient here."""
     num, den = value.as_integer_ratio()
     if den != 1:
         raise NonIntegralError(f"{what} is not an integer: {value}")
@@ -203,11 +204,11 @@ def _numerator_order(n: int) -> int:
 def rational_form_a(n: int, series: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """(N, e) with sum_k series[k] x^k = N(x) / (1-x)^e and e = floor((n+1)/2).
 
-    The tempting exponent floor(n/2) contradicts the n = 3 initial
-    condition 1/(1-x)^2.  N is the series differenced e times, through
-    degree _numerator_order(n), without its trailing zeros; its
-    coefficients past degree e+1 must vanish, or InexactDivisionError is
-    raised.
+    A is the face ring of a cone over the barycentric subdivision of P_n,
+    so its Krull dimension, e, is D + 1.  N is the series differenced e
+    times, through degree _numerator_order(n), without its trailing zeros;
+    its coefficients past degree e+1 must vanish, or InexactDivisionError
+    is raised.
     """
     exponent = (n + 1) // 2
     series = list(series)

@@ -518,13 +518,16 @@ def test_poset_oracles_and_series_load_no_rational_arithmetic(argv, reads_poset)
 SUITE_MODULES = tuple(f"circpeaks.checks.{suite}" for suite in verify.SUITE_NAMES)
 
 
-@pytest.mark.parametrize("suite", verify.SUITE_NAMES)
+@pytest.mark.parametrize("suite", (*verify.SUITE_NAMES, "all"))
 def test_verify_suite_loads_only_its_own_checks(suite):
-    # The suites of the S_n sweeps and subset scans load no rational arithmetic.
+    # No suite loads rational arithmetic, and the suites of the S_n sweeps
+    # and subset scans load no polynomial arithmetic either.
     rational = ("fractions", "decimal", "circpeaks.exact_algebra", "circpeaks.complex_poset")
     loaded = _loaded_after(f"verify --suite {suite} --max-n 8", SUITE_MODULES + rational)
     assert loaded[0] == "0"
-    assert [m for m in loaded if m in SUITE_MODULES] == [f"circpeaks.checks.{suite}"]
+    assert "fractions" not in loaded and "decimal" not in loaded
+    own = SUITE_MODULES if suite == "all" else (f"circpeaks.checks.{suite}",)
+    assert [m for m in loaded if m in SUITE_MODULES] == list(own)
     if suite in ("perm", "peaksets"):
         assert loaded == ["0", f"circpeaks.checks.{suite}"]
 

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circpeaks import exact_algebra
 from circpeaks.chains_zeta import zeta_polynomial
 from circpeaks.complex_poset import f_polynomial, f_polynomial_by_recurrence
 from circpeaks.exact_algebra import (
     ExactPoly,
     InexactDivisionError,
+    NonIntegralError,
     PolySeries,
     binomial,
     catalan_number,
@@ -21,10 +21,10 @@ from circpeaks.exact_algebra import (
 from circpeaks.hilbert_algebras import hilbert_polynomial_a, hilbert_series_b, numerator_a
 from circpeaks.hvector import h_polynomial, h_polynomial_by_recurrence
 
-rationals = st.fractions(
-    min_value=-10, max_value=10, max_denominator=7
-)
-polys = st.lists(rationals, min_size=0, max_size=31).map(ExactPoly)
+integers = st.integers(min_value=-10, max_value=10)
+polys = st.lists(integers, min_size=0, max_size=31).map(ExactPoly)
+non_integral = st.fractions(min_value=-10, max_value=10, max_denominator=7).filter(
+    lambda c: c.denominator != 1)
 
 
 def test_eval_examples():
@@ -34,11 +34,14 @@ def test_eval_examples():
     assert ExactPoly((2, 3, 1)).eval(-1) == 0
 
 
-def test_integral_coefficients_are_ints_and_others_fractions():
-    p = ExactPoly((1, Fraction(4, 2), Fraction(1, 3), True, Fraction(0), 0))
-    assert p.coeffs == (1, 2, Fraction(1, 3), 1)
-    assert [type(c) for c in p.coeffs] == [int, int, Fraction, int]
+def test_integral_coefficients_are_ints_and_others_raise():
+    p = ExactPoly((1, Fraction(4, 2), True, 2.0, Fraction(0), 0))
+    assert p.coeffs == (1, 2, 1, 2)
+    assert [type(c) for c in p.coeffs] == [int] * 4
     assert type(p.coeff(7)) is int
+    for c in (Fraction(1, 3), 0.5):
+        with pytest.raises(NonIntegralError, match="not an integer"):
+            ExactPoly((1, c))
 
 
 def test_int_built_and_fraction_built_polys_are_one_value():
@@ -58,35 +61,39 @@ def test_integer_arithmetic_stays_integer():
 
 
 def test_divmod_by_a_non_monic_integer_divisor_is_exact():
-    q, r = ExactPoly((1, 0, 1)).divmod(ExactPoly((1, 2)))
-    assert q.coeffs == (Fraction(-1, 4), Fraction(1, 2))
-    assert r.coeffs == (Fraction(5, 4),)
-    assert all(type(c) is Fraction for c in q.coeffs + r.coeffs)
-    assert q * ExactPoly((1, 2)) + r == ExactPoly((1, 0, 1))
+    # 4x^2 + 1 = (2x + 1)(2x - 1) + 2: every step divides by 2.
+    q, r = ExactPoly((1, 0, 4)).divmod(ExactPoly((1, 2)))
+    assert q.coeffs == (-1, 2) and r.coeffs == (2,)
+    assert q * ExactPoly((1, 2)) + r == ExactPoly((1, 0, 4))
+    # x^2 + 1 by 2x + 1: the first step would need 1/2.
+    with pytest.raises(InexactDivisionError, match="1 is not a multiple of 2"):
+        ExactPoly((1, 0, 1)).divmod(ExactPoly((1, 2)))
 
 
-def test_divmod_by_x_minus_one_stays_in_integers(monkeypatch):
+def test_divmod_by_x_minus_one_stays_in_integers():
     # x^4 + 2x^3 - 3x - 6 = (x - 1)(x^3 + 3x^2 + 3x) - 6
     p, d = ExactPoly((-6, -3, 0, 2, 1)), ExactPoly((-1, 1))
     expected = (ExactPoly((0, 3, 3, 1)), ExactPoly((-6,)))
-
-    def no_fraction(*args):
-        raise AssertionError("divmod built a Fraction for an exact integer step")
-
-    monkeypatch.setattr(exact_algebra, "Fraction", no_fraction)
     q, r = p.divmod(d)
     assert (q, r) == expected
     assert all(type(c) is int for c in q.coeffs + r.coeffs)
+    # 2x - 2 does not divide the leading x^4.
+    with pytest.raises(InexactDivisionError):
+        p.divmod(d.scale(2))
     for n in (3, 4, 9, 20):
         h = h_polynomial_by_recurrence(n)  # exact_div by x - 1 at every odd step
         assert all(type(c) is int for c in h.coeffs)
 
 
-def test_non_integral_inputs_are_unchanged():
-    assert ExactPoly((0.5,)).coeffs == (Fraction(1, 2),)
-    assert type(ExactPoly((0.5,)).coeffs[0]) is Fraction
-    value = ExactPoly((1, 1)).eval(Fraction(1, 2))
-    assert value == Fraction(3, 2) and type(value) is Fraction
+def test_non_integral_inputs_raise():
+    half, p = Fraction(1, 2), ExactPoly((1, 1))
+    for build in (lambda: ExactPoly((0.5,)), lambda: ExactPoly.constant(half),
+                  lambda: p.scale(half), lambda: p.compose_linear(1, half),
+                  lambda: PolySeries.from_ints([1, half], 3)):
+        with pytest.raises(NonIntegralError, match="not an integer"):
+            build()
+    # An evaluation point is not a coefficient.
+    assert p.eval(half) == Fraction(3, 2)
 
 
 @pytest.mark.parametrize("n", range(3, 61))
@@ -103,29 +110,44 @@ def test_shift_examples():
     assert poly_shift(ExactPoly((2, 3, 1))) == ExactPoly((0, 1, 1))
 
 
-@given(polys, polys, rationals)
+@given(polys, polys, integers, non_integral)
 @settings(max_examples=60, deadline=None)
-def test_eval_is_multiplicative(p, q, t):
+def test_eval_is_multiplicative(p, q, t, c):
     assert (p * q).eval(t) == p.eval(t) * q.eval(t)
+    assert type((p * q).eval(t)) is int
+    # A non-integral factor leaves Z[x].
+    with pytest.raises(NonIntegralError):
+        p * ExactPoly.constant(c)
 
 
-@given(polys)
+@given(polys, non_integral)
 @settings(max_examples=60, deadline=None)
-def test_shift_round_trip(p):
+def test_shift_round_trip(p, c):
     assert poly_shift(poly_shift_inverse(p)) == p
     assert poly_shift_inverse(poly_shift(p)) == p
+    # A shift by a non-integral amount leaves Z[x].
+    with pytest.raises(NonIntegralError):
+        p.compose_linear(1, c)
 
 
-@given(polys, polys)
+monic = st.lists(integers, max_size=6).map(lambda cs: ExactPoly(cs + [1]))
+
+
+@given(polys, monic, st.integers(min_value=2, max_value=5))
 @settings(max_examples=60, deadline=None)
-def test_divmod_reconstructs(p, d):
-    if d.is_zero():
-        with pytest.raises(ZeroDivisionError):
-            p.divmod(d)
-        return
+def test_divmod_reconstructs(p, d, lead):
+    with pytest.raises(ZeroDivisionError):
+        p.divmod(ExactPoly(()))
     q, r = p.divmod(d)
     assert q * d + r == p
-    assert r.degree < d.degree or r.is_zero()
+    assert r.degree < d.degree
+    # Pseudo-division: lead^m * p divides step by step by lead * d.
+    wide, m = d.scale(lead), max(p.degree - d.degree + 1, 0)
+    q, r = p.scale(lead ** m).divmod(wide)
+    assert q * wide + r == p.scale(lead ** m) and r.degree < d.degree
+    if p.degree >= d.degree and p.coeffs[-1] % lead:
+        with pytest.raises(InexactDivisionError):
+            p.divmod(wide)
 
 
 def test_exact_div_rejects_remainder():
@@ -148,11 +170,11 @@ def test_sqrt_identity_via_catalan():
     # (1 - 2y C(y))^2 = 1 - 4y exactly under truncation at order 20
     order = 20
     c = catalan_series(order)
-    one = PolySeries.from_rationals([1], order)
-    two_y_c = c.shift_y(1) * PolySeries.from_rationals([2], order)
+    one = PolySeries.from_ints([1], order)
+    two_y_c = c.shift_y(1) * PolySeries.from_ints([2], order)
     root = one - two_y_c
     square = root * root
-    expect = PolySeries.from_rationals([1, -4], order)
+    expect = PolySeries.from_ints([1, -4], order)
     assert all(square.coeffs[j] == expect.coeffs[j] for j in range(order + 1))
 
 

@@ -122,8 +122,11 @@ def test_each_moved_name_is_defined_once(name):
 
 
 def test_the_integer_core_imports_no_rational_arithmetic_or_oracle():
+    # No module of the package names rational arithmetic at all.
+    for path in sorted((ROOT / "src" / "circpeaks").rglob("*.py")):
+        text = path.read_text()
+        assert "fractions" not in text and "Fraction" not in text, path
     source = (ROOT / "src" / "circpeaks" / "tables.py").read_text()
-    assert "fractions" not in source and "Fraction" not in source
     loaded = {node.module for node in ast.parse(source).body
               if isinstance(node, ast.ImportFrom)}
     assert loaded == {"__future__", "collections.abc", "math"}

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -13,12 +14,23 @@ from circpeaks.perm_core import (
     cp_class_table,
     enumerate_cp_class,
 )
+from circpeaks.peak_sets import PeakSet
 
 
 def test_example_48362517():
     sigma = Permutation((4, 8, 3, 6, 2, 5, 1, 7))
     assert circular_peak_set(sigma) == (5, 6, 8)
     assert circular_descent_set(sigma) == (5, 6, 8)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Permutation((1.5, 2)),
+    lambda: PeakSet(10, (3.9, Fraction(11, 2))),
+    lambda: enumerate_cp_class(4, [3.5]),
+], ids=["Permutation", "PeakSet", "enumerate_cp_class"])
+def test_non_integral_entries_are_rejected_not_truncated(build):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        build()
 
 
 def test_identity_and_reversal():

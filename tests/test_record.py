@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from circpeaks import record
-from circpeaks.exact_algebra import ExactPoly
+from circpeaks.exact_algebra import ExactPoly, NonIntegralError
 from circpeaks.peak_sets import DyckPrefix, PeakSet
 from circpeaks.perm_core import Permutation
 from circpeaks.record import Record
@@ -78,10 +78,12 @@ def test_equality_hash_and_repr(name):
     assert tuple(getattr(a, f) for f in _fields(type(a))) == values
 
 
-def test_exact_poly_repr_keeps_a_non_integral_coefficient_a_fraction():
-    p = ExactPoly((Fraction(1, 2), 3, Fraction(4, 2)))
-    assert repr(p) == "ExactPoly(coeffs=(Fraction(1, 2), 3, 2))"
-    assert p == ExactPoly((Fraction(1, 2), Fraction(3), 2)) and hash(p) == hash(((Fraction(1, 2), 3, 2),))
+def test_exact_poly_repr_shows_int_coefficients():
+    p = ExactPoly((Fraction(4, 2), 3, True))
+    assert repr(p) == "ExactPoly(coeffs=(2, 3, 1))"
+    assert p == ExactPoly((2, 3, 1)) and hash(p) == hash(((2, 3, 1),))
+    with pytest.raises(NonIntegralError):
+        ExactPoly((Fraction(1, 2), 3))
 
 
 @pytest.mark.parametrize("name", NAMES)
