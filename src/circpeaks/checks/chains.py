@@ -4,13 +4,13 @@ chain oracles, and against one another."""
 from __future__ import annotations
 
 from .. import chains_zeta, complex_poset, exact_algebra, peak_sets
-from ..verify import PERM_DEFAULT, _chain_count_formula, _down_sets
+from ..verify import PERM_DEFAULT, _chain_count_formula, _valid_subsets
 
 
 def check_zeta_oracle(max_n: int) -> tuple[bool, str]:
     top = min(PERM_DEFAULT, max_n)
     for n in range(3, top + 1):
-        counts = chains_zeta._poset_chain_counts(_down_sets(n), 5, strict=False)
+        counts = chains_zeta._poset_chain_counts(_valid_subsets(n), 5, strict=False)
         for i in range(2, 7):
             if chains_zeta.zeta(n, i) != counts[i - 1]:
                 return False, f"zeta mismatch at n={n}, i={i}"
@@ -32,7 +32,7 @@ def check_zeta_recurrence(max_n: int) -> tuple[bool, str]:
 def check_chain_formula(max_n: int) -> tuple[bool, str]:
     top = min(12, max_n + 4)
     for n in range(3, top + 1):
-        counts = chains_zeta._poset_chain_counts(_down_sets(n), 4, strict=True)
+        counts = chains_zeta._poset_chain_counts(_valid_subsets(n), 4, strict=True)
         for i in range(1, 5):
             formula = _chain_count_formula(n, i)
             oracle = counts[i] if i < len(counts) else 0

@@ -9,7 +9,7 @@ from itertools import combinations
 from .. import complex_poset, peak_sets
 from ..peak_sets import PeakSet
 from ..tables import POSET_CAP
-from ..verify import _down_sets, _valid_subsets
+from ..verify import _valid_subsets
 
 
 def check_downward_closure(max_n: int) -> tuple[bool, str]:
@@ -112,8 +112,7 @@ def check_euler(max_n: int) -> tuple[bool, str]:
 def check_product_structure(max_n: int) -> tuple[bool, str]:
     top = min(13, max_n + 5)
     for n in range(3, top + 1):
-        if not complex_poset._product_structure(n, _valid_subsets(n), _down_sets(n),
-                                                _valid_subsets(n + 1), _down_sets(n + 1)):
+        if not complex_poset._product_structure(n, _valid_subsets(n), _valid_subsets(n + 1)):
             return False, f"product decomposition failed at n={n}"
     return True, f"poset product decomposition holds, n <= {top}"
 

@@ -40,10 +40,11 @@ SERIES_ORDER_CAP = 500
 # hilbert --algebra A --n 800 --order 2000 takes ~0.4 s and prints ~3 MB
 # (--n 200: ~0.1 s); time and output grow as order * n.
 HILBERT_ORDER_CAP = 2000
-# zeta's poset oracle costs ~4 ms per multichain length at n = 14 and never
-# stops early: zeta --n 14 --i 101 takes ~0.4 s in-process, ~0.5 s as a
-# subprocess.  Past this length zeta reports no oracle value, as past
-# POSET_CAP.  The strict-chain oracle of chains stops after D + 2 lengths.
+# zeta's poset oracle costs ~1-2 ms per multichain length at n = 14 and
+# never stops early: zeta --n 14 --i 101 takes ~0.1-0.2 s in-process, ~0.23 s
+# as a subprocess (Python 3.11, 2 cores).  Past this length zeta reports no
+# oracle value, as past POSET_CAP.  The strict-chain oracle of chains stops
+# after D + 2 lengths.
 ZETA_ORACLE_LENGTH_CAP = 100
 # zeta(n, i) = sum_k p_{n,k-1} (i-1)^k has about D * (i-1).bit_length()
 # bits, D = floor((n-1)/2), and CPython renders an int in time quadratic

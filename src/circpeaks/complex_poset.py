@@ -9,8 +9,7 @@ circpeaks.tables, with the per-entry closed form face_count, the
 enumeration and the parity recurrence kept here as independent oracles.
 face_table(n), the integer f-vector, and the Euler characteristic are
 defined in circpeaks.tables and re-exported here; f_polynomial is its
-ExactPoly view.  The face enumeration face_tuples and down_sets, the one
-builder of the order relation of the face poset, are defined in the
+ExactPoly view.  The face enumeration face_tuples is defined in the
 integer-only circpeaks.poset_core and re-exported here; faces wraps the
 tuples in PeakSet.
 Also here: the builders written in a, with P at a = x+1 and H = P(x-1)
@@ -27,7 +26,7 @@ from itertools import combinations
 from .exact_algebra import ExactPoly, PolySeries, binomial, catalan_series
 from .peak_sets import PeakSet, is_valid
 # Re-exported from the integer-only face poset, which defines them.
-from .poset_core import _check_poset_cap, _mask, _submasks, down_sets, face_tuples
+from .poset_core import _check_poset_cap, _faces_below, _mask, _submasks, face_tuples
 # Re-exported from the integer core, which defines them.
 from .tables import (
     POSET_CAP,
@@ -259,39 +258,39 @@ def verify_product_structure(n: int) -> bool:
     minus the slice (carrying n+1) over the top-dimensional faces.
     """
     _check_poset_cap(n + 1)
-    base, big = face_tuples(n), face_tuples(n + 1)
-    return _product_structure(n, base, down_sets(base), big, down_sets(big))
+    return _product_structure(n, face_tuples(n), face_tuples(n + 1))
 
 
-def _product_structure(n: int, base, base_down, big, big_down) -> bool:
-    """verify_product_structure on the faces of P_n, P_{n+1} and their down_sets.
+def _product_structure(n: int, base, big) -> bool:
+    """verify_product_structure on the face lists of P_n and P_{n+1}.
 
     Once the map is a bijection onto its target, "S <= S' iff image(S) <=
     image(S')" for all pairs is the same as: for each S', the image of the
-    down-set of S' is the down-set of image(S') in the target.  That reads
-    O(m 2^D) list entries, m = |P_{n+1}|, not the O(m^2) pairs.  The
-    pair (a, base[j]) of the product is coded as the int 2j + a - 1.
+    down-set of S' is the down-set of image(S') in the target.  Each side is
+    one submask walk of one face: O(m 2^D) lookups, m = |P_{n+1}|, in O(m)
+    of index dicts, not the O(m^2) pairs.  The pair (a, base[j]) of the
+    product is coded as the int 2j + a - 1.
     """
-    index = {T: j for j, T in enumerate(base)}
-    image = []
+    top = 1 << (n + 1)  # the bit of the element n + 1
+    base_index = {_mask(T): j for j, T in enumerate(base)}
+    image = {}  # the code of the image of each face S, keyed by its bitmask
     for S in big:
-        # faces are ascending tuples, so n+1 is the last element of a face holding it
-        a, T = (2, S[:-1]) if S and S[-1] == n + 1 else (1, S)
-        if T not in index:  # not a face of P_n, so outside the target
+        m = _mask(S)
+        j = base_index.get(m & ~top)
+        if j is None:  # not a face of P_n, so outside the target
             return False
-        image.append(2 * index[T] + a - 1)
+        image[m] = 2 * j + bool(m & top)
     target = set(range(2 * len(base)))
     if n % 2:
         target -= {2 * j + 1 for j, T in enumerate(base) if len(T) == max_peak_count(n)}
 
-    images = set(image)
-    if images != target or len(images) != len(big):
+    if set(image.values()) != target or len(image) != len(big):
         return False
-    # order isomorphism: S <= S' iff labels and bases are componentwise <=,
-    # checked as image(down-set of S') = down-set of image(S') in the target
-    for code, below in zip(image, big_down):
-        j2, b2 = divmod(code, 2)  # b = a - 1, the label's bit in the code
-        product_below = {2 * j + b for j in base_down[j2] for b in range(b2 + 1)}
-        if {image[k] for k in below} != product_below & target:
+    # order isomorphism: S <= S' iff labels and bases are componentwise <=, checked
+    # as image(down-set of S') = down-set of image(S') in the target; a - 1 = code & 1
+    for m, code in image.items():
+        product_below = {2 * j for j in _faces_below(m & ~top, base_index)}
+        product_below |= {c + (code & 1) for c in product_below}
+        if set(_faces_below(m, image)) != product_below & target:
             return False
     return True

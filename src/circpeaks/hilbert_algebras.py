@@ -12,7 +12,8 @@ core, and re-exported here (tables.hilbert_a_integers gives the
 dimensions, rational form and Hilbert polynomial of A as integer tuples
 from one build); the ExactPoly views and the oracles are defined here.
 numerator_a returns that rational form N(x) / (1-x)^e as the plain pair
-(N as an ExactPoly, e).
+(N as an ExactPoly, e).  Spanned by the multichains of faces, A is the face
+ring of a cone over the barycentric subdivision of P_n, so e = D + 1.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from math import comb
 
 from . import tables
 from .exact_algebra import ExactPoly
-from .poset_core import _mask, down_sets, face_tuples
+from .poset_core import _faces_below, _mask, face_tuples
 # Re-exported from the integer core, which defines them.
 from .tables import (
     NonIntegralError,
@@ -120,10 +121,10 @@ def standard_monomial_oracle(n: int, algebra: str, degree: int) -> int:
         raise ResourceLimitError(
             f"monomial oracle would enumerate {work} candidates (cap {_MONOMIAL_WORK_CAP})"
         )
-    down = down_sets(faces)
-    comparable = [_mask(js) for js in down]  # the faces below each face, itself included
-    for j, js in enumerate(down):
-        for k in js:
+    index = {_mask(c): j for j, c in enumerate(faces)}
+    comparable = [_mask(_faces_below(mask, index)) for mask in index]  # the faces below
+    for j, mask in enumerate(index):
+        for k in _faces_below(mask, index):
             comparable[k] |= 1 << j  # and the faces above it
     repeat = algebra == "A"
 

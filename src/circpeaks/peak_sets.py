@@ -51,6 +51,7 @@ class PeakSet(Record):
     elements: tuple[int, ...]
 
     def __init__(self, n: int, elements=()):
+        n = index(n)
         elems = tuple(sorted(set(map(index, elements))))
         if n < 1:
             raise ValueError("ambient size must be >= 1")
@@ -82,6 +83,7 @@ class DyckPrefix(Record):
 
 def is_valid(n: int, s: PeakSet | object) -> bool:
     """True iff i_j >= 2j+1 for every j, i.e. CP_n(s) is nonempty."""
+    n = index(n)
     elems = s.elements if isinstance(s, PeakSet) else sorted(set(s))
     if elems and elems[-1] > n:
         return False

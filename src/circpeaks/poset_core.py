@@ -2,14 +2,13 @@
 
 The faces of P_n are the sets {i_1 < ... < i_k} inside [3, n] with
 i_j >= 2j + 1 for every j.  face_tuples enumerates them as ascending
-tuples; down_sets turns them into bitmasks and lists, for each face, the
-faces below it; multichain_oracle and chain_oracle count the weak and
-strict chains of the poset by one integer DP over those lists.  Like
+tuples.  P_n is downward closed, so the faces below a face are the
+submasks of its bitmask: _faces_below walks them for one face, and the
+chain oracles multichain_oracle and chain_oracle run one subset-sum pass
+per length over all faces; no order table is stored.  Like
 circpeaks.tables, this module imports nothing of the package but tables,
 and no rational arithmetic, so zeta, chains and faces run their oracles
-on it alone.  peak_sets (the validity criterion), complex_poset (the
-enumeration and the down-sets) and chains_zeta (the chain oracles)
-re-export these names.
+on it alone; peak_sets, complex_poset and chains_zeta re-export its names.
 """
 
 from __future__ import annotations
@@ -74,36 +73,43 @@ def _submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def down_sets(faces) -> list[tuple[int, ...]]:
-    """For each face of a face_tuples list, a tuple of the indices of the
-    faces it contains.
-
-    The face's own index comes first, so the faces strictly below it are
-    the rest of its tuple.  They are the submasks of its bitmask that are
-    faces, at most 2^D of them with D = floor((n-1)/2); each is looked up
-    in the face index.  That is O(m 2^D) lookups for the m faces, instead
-    of comparing all m^2 pairs.
-    """
-    masks = [_mask(c) for c in faces]
-    index = {m: j for j, m in enumerate(masks)}
-    return [tuple([index[s] for s in _submasks(m) if s in index]) for m in masks]
+def _faces_below(mask: int, index: dict[int, int]) -> Iterator[int]:
+    """index[s] for each submask s of mask in index, a dict {face mask: value}."""
+    return (index[s] for s in _submasks(mask) if s in index)
 
 
-def _poset_chain_counts(down: list[tuple[int, ...]], length: int, strict: bool) -> list[int]:
+class NotDownwardClosedError(ValueError):
+    """Raised for a face list that lacks a subface of one of its faces."""
+
+
+def _poset_chain_counts(faces, length: int, strict: bool) -> list[int]:
     """Tuples of k faces, each below the next (strictly if strict), for k = 0..length.
 
-    down is down_sets of the faces.  counts[j] is the number of tuples of
-    the current length ending at face j, summed over the faces below face
-    j; a strict sum leaves out js[0], face j itself.  Once every count is
-    zero no longer tuple exists, so the list stops after its first zero:
-    a k past its end counts 0.  That never happens for multichains, as
-    every face is below itself.
+    faces is a downward closed face_tuples list.  g[m] counts the tuples of
+    the current length ending at face m.  One subset-sum pass (for each bit
+    in ascending order, g[m] += g[m ^ bit] for every face m holding it)
+    sums g over the faces below each face; a strict sum then subtracts the
+    face's own term.  Once every count is zero no longer tuple exists, so
+    the list stops after its first zero: a k past its end counts 0.  That
+    never happens for multichains, as every face is below itself.
     """
-    out, counts = [1], [1] * len(down)
+    g = dict.fromkeys(map(_mask, faces), 1)
+    for c in faces:
+        m = _mask(c)
+        for x in c:
+            if m ^ 1 << x not in g:
+                raise NotDownwardClosedError(f"face {c} lacks its subface without {x}")
+    passes = [(1 << b, [m for m in g if m >> b & 1]) for b in range(max(g, default=0).bit_length())]
+    out = [1]
     while len(out) <= length and out[-1]:
         if len(out) > 1:
-            counts = [sum(counts[j] for j in js) - strict * counts[js[0]] for js in down]
-        out.append(sum(counts))
+            own = dict(g) if strict else {}
+            for bit, holding in passes:
+                for m in holding:
+                    g[m] += g[m ^ bit]
+            for m, count in own.items():
+                g[m] -= count
+        out.append(sum(g.values()))
     return out
 
 
@@ -111,12 +117,12 @@ def multichain_oracle(n: int, length: int) -> int:
     """Exhaustive count of weakly increasing length-tuples of faces."""
     if length < 0:
         raise ValueError("length must be >= 0")
-    return _poset_chain_counts(down_sets(face_tuples(n)), length, False)[length]
+    return _poset_chain_counts(face_tuples(n), length, False)[length]
 
 
 def chain_oracle(n: int, i: int) -> int:
     """Exhaustive count of strictly increasing i-tuples of faces."""
     if i < 0:
         raise ValueError("i must be >= 0")
-    counts = _poset_chain_counts(down_sets(face_tuples(n)), i, True)
+    counts = _poset_chain_counts(face_tuples(n), i, True)
     return counts[i] if i < len(counts) else 0

@@ -14,10 +14,9 @@ reads; it is resolved on access (PEP 562) and imports every suite.
 
 Within one run_suite call, what several checks share is computed once
 and kept in a memo that the call discards when it ends:
-- the faces of P_n as ascending tuples (poset_core.face_tuples);
+- the faces of P_n as ascending tuples (poset_core.face_tuples), from
+  which the poset oracles walk the order (no order table is kept);
 - the CP class table of each S_n sweep (perm_core.cp_class_table);
-- the down-sets of P_n (poset_core.down_sets), which the chain oracles
-  and the product-structure check read;
 - each composition sum chain_count_formula(n, i).
 A check called outside run_suite computes all of these afresh.  The
 helpers below import their builders when called and look each one up on
@@ -72,13 +71,6 @@ def _cp_class_table(n: int) -> dict[tuple[int, ...], int]:
     from . import perm_core
 
     return _memoized(("cp_class_table", n), lambda: perm_core.cp_class_table(n))
-
-
-def _down_sets(n: int) -> list[tuple[int, ...]]:
-    """poset_core.down_sets of the faces of P_n, indexed as _valid_subsets(n)."""
-    from . import poset_core
-
-    return _memoized(("down_sets", n), lambda: poset_core.down_sets(_valid_subsets(n)))
 
 
 def _chain_count_formula(n: int, i: int) -> int:

@@ -1,9 +1,10 @@
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from circpeaks import chains_zeta, complex_poset, tables
+from circpeaks import chains_zeta, complex_poset, poset_core, tables
 from circpeaks.chains_zeta import (
     chain_count_formula,
     chain_counts,
@@ -22,6 +23,7 @@ from circpeaks.exact_algebra import (
 )
 from circpeaks.peak_sets import count_valid, max_peak_count
 from circpeaks.perm_core import ResourceLimitError
+from circpeaks.poset_core import NotDownwardClosedError
 
 
 def test_zeta_examples():
@@ -155,27 +157,69 @@ def test_chain_oracle_stops_when_counts_vanish():
     assert time.perf_counter() - started < 1.0
 
 
+def _all_pairs_chain_counts(n, length, strict):
+    """_poset_chain_counts by a DP over the order tested on every pair of faces."""
+    fs = [frozenset(s) for s in complex_poset.face_tuples(n)]
+    below = [[j for j, a in enumerate(fs) if (a < b if strict else a <= b)] for b in fs]
+    out, counts = [1], [1] * len(fs)
+    for _ in range(length):
+        if len(out) > 1:
+            counts = [sum(counts[j] for j in js) for js in below]
+        out.append(sum(counts))
+    return out
+
+
 @pytest.mark.parametrize("strict", [False, True])
 @pytest.mark.parametrize("n", range(3, 13))
 def test_faces_below_matches_all_pairs_reference(n, strict):
-    fs = [frozenset(s) for s in complex_poset.face_tuples(n)]
-    if strict:
-        reference = [[j for j, a in enumerate(fs) if a < b] for b in fs]
-    else:
-        reference = [[j for j, a in enumerate(fs) if a <= b] for b in fs]
-    down = complex_poset.down_sets(complex_poset.face_tuples(n))
-    assert [d[0] for d in down] == list(range(len(fs)))
-    assert [sorted(d[1:] if strict else d) for d in down] == reference
+    # The subset-sum pass against the pairwise order, past the last chain.
+    length = max_peak_count(n) + 3
+    counts = chains_zeta._poset_chain_counts(complex_poset.face_tuples(n), length, strict)
+    reference = _all_pairs_chain_counts(n, length, strict)
+    assert counts == reference[:len(counts)]
+    assert not any(reference[len(counts):])
 
 
 @pytest.mark.parametrize("n", [13, 14])
 def test_one_pass_chain_counts_at_the_poset_cap(n):
     # No registry check reaches these n.
-    down = complex_poset.down_sets(complex_poset.face_tuples(n))
-    multichains = chains_zeta._poset_chain_counts(down, 5, strict=False)
+    faces = complex_poset.face_tuples(n)
+    multichains = chains_zeta._poset_chain_counts(faces, 5, strict=False)
     assert multichains == [1] + [zeta(n, length + 1) for length in range(1, 6)]
-    chains = chains_zeta._poset_chain_counts(down, max_peak_count(n) + 10, strict=True)
+    chains = chains_zeta._poset_chain_counts(faces, max_peak_count(n) + 10, strict=True)
     assert chains == list(chain_counts(n)) + [0]
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("missing", [(), (5,), (3, 6)])
+def test_chain_counts_reject_a_face_list_missing_a_subface(missing, strict):
+    faces = [c for c in complex_poset.face_tuples(8) if c != missing]
+    with pytest.raises(NotDownwardClosedError, match=r"lacks its subface without"):
+        chains_zeta._poset_chain_counts(faces, 0, strict)
+
+
+def test_chain_oracles_reject_a_face_list_missing_a_subface(monkeypatch):
+    real = poset_core.face_tuples
+    monkeypatch.setattr(poset_core, "face_tuples", lambda n: [c for c in real(n) if c != (5,)])
+    for oracle in (multichain_oracle, chain_oracle):
+        with pytest.raises(NotDownwardClosedError, match=r"face \(3, 5\) lacks"):
+            oracle(8, 3)
+
+
+@pytest.mark.parametrize("oracle, bound_kb", [
+    (lambda: multichain_oracle(14, 6), 400),
+    (lambda: complex_poset.verify_product_structure(13), 850),
+], ids=["multichain_oracle-14-6", "verify_product_structure-13"])
+def test_poset_oracles_store_no_down_set_table(oracle, bound_kb):
+    # With stored down-set tables these peaked at 604 KB and 1103 KB (Python 3.11).
+    oracle()  # warm: the first call also allocates what it imports and caches
+    tracemalloc.start()
+    try:
+        oracle()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_kb * 1024
 
 
 def test_poset_cap():

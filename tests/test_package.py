@@ -140,7 +140,7 @@ def test_the_integer_core_imports_no_rational_arithmetic_or_oracle():
 # that defined them.
 POSET_CORE_MOVED = {
     "peak_sets": ("_first_violation_sorted",),
-    "complex_poset": ("_check_poset_cap", "_mask", "_submasks", "down_sets", "face_tuples"),
+    "complex_poset": ("_check_poset_cap", "_mask", "_submasks", "face_tuples"),
     "chains_zeta": ("_poset_chain_counts", "chain_oracle", "multichain_oracle"),
 }
 

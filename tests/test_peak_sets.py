@@ -27,6 +27,15 @@ def test_is_valid_examples():
     assert is_valid(7, (3, 5, 7))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: PeakSet(10.5, (3, 5)),
+    lambda: is_valid(10.5, (3, 5)),
+], ids=["PeakSet", "is_valid"])
+def test_non_integral_ambient_size_is_rejected(build):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        build()
+
+
 def test_max_peak_count():
     assert max_peak_count(3) == 1
     assert max_peak_count(5) == 2

@@ -186,29 +186,7 @@ def test_a_tampered_pinned_report_fails_its_check(monkeypatch, which, name):
     assert cli.run(["verify", "--suite", "series"], io.StringIO()) == 2
 
 
-def _count_down_set_builds(monkeypatch):
-    builds = []
-    real = poset_core.down_sets
-
-    def counted(faces):
-        builds.append(len(faces))  # |P_n| grows with n, so it names n
-        return real(faces)
-
-    monkeypatch.setattr(poset_core, "down_sets", counted)
-    return builds
-
-
-def test_chains_suite_builds_each_face_below_list_once(monkeypatch):
-    builds = _count_down_set_builds(monkeypatch)
-    results = verify.run_suite("chains", 8)
-    assert all(r.ok for r in results)
-    # chain-formula-vs-oracle (n <= 12) and zeta-vs-multichain-oracle (n <= 8)
-    # share the down-sets of each n
-    assert sorted(builds) == [count_valid(n) for n in range(3, 13)]
-
-
-def test_complex_suite_enumerates_each_poset_once(monkeypatch):
-    builds = _count_down_set_builds(monkeypatch)
+def _count_poset_enumerations(monkeypatch):
     enumerated = []
     real = poset_core.face_tuples
 
@@ -218,11 +196,25 @@ def test_complex_suite_enumerates_each_poset_once(monkeypatch):
         return real(n, dim)
 
     monkeypatch.setattr(poset_core, "face_tuples", counted)
+    return enumerated
+
+
+def test_chains_suite_builds_each_face_below_list_once(monkeypatch):
+    enumerated = _count_poset_enumerations(monkeypatch)
+    results = verify.run_suite("chains", 8)
+    assert all(r.ok for r in results)
+    # chain-formula-vs-oracle (n <= 12) and zeta-vs-multichain-oracle (n <= 8)
+    # share the face list of each n, from which each pass walks the order
+    assert sorted(enumerated) == list(range(3, 13))
+
+
+def test_complex_suite_enumerates_each_poset_once(monkeypatch):
+    enumerated = _count_poset_enumerations(monkeypatch)
     results = verify.run_suite("complex", 8)
     assert all(r.ok for r in results)
+    # product-structure reads the face lists of P_n and P_{n+1}, n <= 13,
+    # which the other checks share
     assert sorted(enumerated) == list(range(3, 15))
-    # product-structure reads the down-sets of P_n and P_{n+1}, n <= 13
-    assert sorted(builds) == [count_valid(n) for n in range(3, 15)]
 
 
 def _count_chain_formulas(monkeypatch):
