@@ -17,6 +17,7 @@ The f-polynomial can be rebuilt from the chain counts alone, in integers.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
+from itertools import combinations
 from math import factorial
 
 from .exact_algebra import ExactPoly, multinomial
@@ -46,13 +47,19 @@ def zeta_polynomial(n: int) -> ExactPoly:
 
 
 def _compositions(total: int, mins: list[int]) -> Iterator[tuple[int, ...]]:
-    if len(mins) == 1:
-        if total >= mins[0]:
-            yield (total,)
+    """Every tuple of len(mins) parts with sum total, each at least its min.
+
+    Stars and bars: k - 1 bars among spare + k - 1 slots, spare = total -
+    sum(mins), split the spare into k parts, so only the compositions
+    themselves are visited, in lexicographic order.
+    """
+    k = len(mins)
+    spare = total - sum(mins)
+    if spare < 0:
         return
-    for first in range(mins[0], total + 1):
-        for rest in _compositions(total - first, mins[1:]):
-            yield (first,) + rest
+    for bars in combinations(range(spare + k - 1), k - 1):
+        ends = (*bars, spare + k - 1)
+        yield tuple(e - s - 1 + m for s, e, m in zip((-1, *bars), ends, mins))
 
 
 def chain_count_formula(n: int, i: int) -> int:
@@ -61,9 +68,10 @@ def chain_count_formula(n: int, i: int) -> int:
     Sum over (d_1, ..., d_{i+1}) with sum = n, d_1 >= 0, middle parts >= 1
     and d_{i+1} >= n - floor((n-1)/2); the weight (2 d_{i+1} - n)/n is not
     clamped.  The integer sum of multinomial * (2 d_{i+1} - n) is divided
-    by n once, exactly, or NonIntegralError is raised.  Its cost grows
-    exponentially in n: production code uses chain_counts, and this sum is
-    the oracle it is checked against.
+    by n once, exactly, or NonIntegralError is raised.  It has C(D+1, i)
+    terms, D = floor((n-1)/2), so its cost over all i grows exponentially
+    in n: production code uses chain_counts, and this sum is the oracle it
+    is checked against.
     """
     if n < 3:
         raise ValueError("n must be >= 3")

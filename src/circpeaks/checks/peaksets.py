@@ -4,17 +4,16 @@ parity law of extension, against the enumerated faces."""
 from __future__ import annotations
 
 from .. import peak_sets
-from ..peak_sets import PeakSet
 from ..tables import POSET_CAP
-from ..verify import _valid_subsets
+from ..verify import _dyck_words, _valid_subsets
 
 
 def check_dyck_roundtrip(max_n: int) -> tuple[bool, str]:
     top = min(POSET_CAP, max_n + 6)
     for n in range(3, top + 1):
-        for s in _valid_subsets(n):
-            ps = PeakSet(n, s)
-            if peak_sets.from_dyck(n, peak_sets.to_dyck(ps)) != ps:
+        for s, word in zip(_valid_subsets(n), _dyck_words(n)):
+            back = peak_sets.from_dyck(n, word)
+            if (back.n, back.elements) != (n, s):
                 return False, f"round trip failed at n={n}, S={s}"
     return True, f"from_dyck(to_dyck(s)) = s exhaustively, n <= {top}"
 
@@ -22,9 +21,8 @@ def check_dyck_roundtrip(max_n: int) -> tuple[bool, str]:
 def check_dyck_bijection(max_n: int) -> tuple[bool, str]:
     top = min(POSET_CAP, max_n + 6)
     for n in range(3, top + 1):
-        words = {peak_sets.to_dyck(PeakSet(n, s)).letters for s in _valid_subsets(n)}
-        expected = set(peak_sets.enumerate_left_factors(n - 1))
-        if words != expected:
+        words = {w.letters for w in _dyck_words(n)}
+        if words != set(peak_sets.enumerate_left_factors(n - 1)):
             return False, f"images != left factors at n={n}"
     return True, f"bijection onto left factors of length n-1, n <= {top}"
 

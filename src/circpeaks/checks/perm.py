@@ -38,12 +38,13 @@ def check_peak_window(max_n: int) -> tuple[bool, str]:
     for n in range(1, top + 1):
         for vals in permutations(range(1, n + 1)):
             cp = perm_core._peaks(vals)
-            if n <= 2 and cp:
+            if not cp:
+                continue
+            if n <= 2:
                 return False, f"nonempty CP at n={n}"
-            if any(v < 3 or v > n for v in cp):
+            if min(cp) < 3 or max(cp) > n:
                 return False, f"CP value outside [3,n] for {vals}"
-            ends = {vals[0], vals[-1]} if n else set()
-            if set(cp) & ends:
+            if vals[0] in cp or vals[-1] in cp:
                 return False, f"end position contributed a peak for {vals}"
     return True, f"CP values lie in [3,n], interior positions only, n <= {top}"
 

@@ -4,7 +4,8 @@ that the series command prints."""
 
 from __future__ import annotations
 
-from .. import cli_oracles, complex_poset, hvector
+from .. import complex_poset, hvector
+from . import PRINTED_FORM_REPORTS
 
 
 def check_f_series(max_n: int) -> tuple[bool, str]:
@@ -28,7 +29,7 @@ def check_h_series(max_n: int) -> tuple[bool, str]:
 def _check_printed_form(which: str, report: dict | None) -> tuple[bool, str]:
     """The cross-multiplied report of the printed form, against what series prints."""
     form = f"printed {which}(x,y) form"
-    if report != cli_oracles.PRINTED_FORM_REPORTS[which]:
+    if report != PRINTED_FORM_REPORTS[which]:
         return False, (f"series --which {which} prints a pinned {form} report "
                        "that differs from the cross-multiplied one")
     if report is None:

@@ -16,11 +16,11 @@ which read their numbers off the integer core (``tables``).  Any other
 spelling, --help, ``--n=5``, an abbreviated, repeated or unknown flag or
 a bad value, goes to the argparse parser that ``cli_oracles`` builds from
 the same table, which prints the same help and errors.  ``cli_oracles``
-also runs the eight oracle-backed commands: stats, enum-cp, witness,
-dyck, faces, moebius, series and verify.  It imports ``tables`` and this
-module, and is imported only then; argparse only when a command line
-falls back.  Every usage error is a ValueError, which ``run`` reports
-with exit code 1.
+also runs seven oracle-backed commands: stats, enum-cp, witness, dyck,
+faces, moebius and series.  It imports ``tables`` and this module, and
+is imported only then; argparse only when a command line falls back.
+verify goes straight to ``circpeaks.verify``, which loads neither.
+Every usage error is a ValueError, which ``run`` reports with exit code 1.
 """
 
 from __future__ import annotations
@@ -250,6 +250,11 @@ def _run(args, out) -> int:
             else:
                 payload["series_polynomial"] = counts
             _emit_json(payload, out)
+
+    elif args.command == "verify":
+        from . import verify  # only this subcommand pays for the oracle suites
+
+        return verify.report(args.suite, args.max_n, out)
 
     else:  # an oracle-backed command, or none
         from . import cli_oracles

@@ -1,17 +1,18 @@
 """The oracle-backed subcommands and the argparse parser of circpeaks.cli.
 
-stats, enum-cp, witness, dyck, faces, moebius, series and verify run an
-oracle module or enumerate; ``circpeaks.cli`` imports this module only to
-run one of them, or when its hand parser declines a command line and
-``build_parser`` must parse it.  argparse is imported only by
-``build_parser``, so a well-formed verify or series line never loads it.
+stats, enum-cp, witness, dyck, faces, moebius and series run an oracle
+module or enumerate; ``circpeaks.cli`` imports this module only to run
+one of them, or when its hand parser declines a command line and
+``build_parser`` must parse it.  verify goes from ``cli`` straight to
+``circpeaks.verify``, so a well-formed verify line never loads this
+module, and argparse is imported only by ``build_parser``.
 
 Of the package this module imports ``tables`` and ``cli``, whose flag
 table, caps and output helpers it shares: each payload is still rendered
 in full by ``render``, then written in batches.  Each command loads what
 it runs.  faces reads the integer-only face poset (``poset_core``),
-and series reads ``tables`` and the pinned ``PRINTED_FORM_REPORTS``, so
-neither loads rational arithmetic.
+and series reads ``tables`` and the pinned ``PRINTED_FORM_REPORTS`` of
+``circpeaks.checks``, so neither loads rational arithmetic.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .cli import (
     _require,
     _require_n,
 )
+from .checks import PRINTED_FORM_REPORTS  # printed by series, checked by verify
 
 # The help text of the top-level parser; argparse reflows it.
 DESCRIPTION = """Command-line surface.
@@ -39,33 +41,6 @@ codes: 0 success, 1 validation/usage error, 2 verification failure.
 All numbers are emitted exactly, as integers; each payload is rendered
 in full before anything is written, so output is all or nothing.
 """
-
-
-# What series prints as its printed_form_discrepancy, for --which P and H:
-# complex_poset.printed_f_series_discrepancy() and
-# hvector.printed_h_series_discrepancy(), pinned because neither depends
-# on --order.  The checks series/printed-{f,h}-series-form of verify fail
-# if either computed report differs from its pinned copy.
-PRINTED_FORM_REPORTS = {
-    "P": {
-        "formula": "P(x,y) printed form (cross-multiplied)",
-        "first_mismatch_y_order": 4,
-        "lhs_coefficient": "x^3 + 2*x^2 + -1",
-        "rhs_coefficient": "-1*x",
-        "note": "printed denominator x-(x+1)y^2 should be x-(x+1)^2 y^2 and the "
-                "numerator factor x(x+2)-xC(y^2) should be (x+1)((x+1)-C(y^2)); "
-                "the shipped series uses the corrected form, which matches the "
-                "recurrence-generated polynomials on the whole tested range",
-    },
-    "H": {
-        "formula": "H(x,y) printed form (cross-multiplied)",
-        "first_mismatch_y_order": 4,
-        "lhs_coefficient": "x^3 + -1*x^2 + -1*x",
-        "rhs_coefficient": "-1*x + 1",
-        "note": "inherits the f-series misprint under x -> x-1; the shipped "
-                "series uses the corrected form (x-1) - x^2 y^2 denominator",
-    },
-}
 
 
 def build_parser():
@@ -184,18 +159,6 @@ def run(args, out) -> int:
             "printed_form_discrepancy": PRINTED_FORM_REPORTS[args.which],
         }
         _emit_json(payload, out)
-
-    elif args.command == "verify":
-        from . import verify  # only this subcommand pays for the oracle suites
-
-        results = verify.run_suite(args.suite, args.max_n)
-        failed = 0
-        for r in results:
-            status = "PASS" if r.ok else "FAIL"
-            out.write(f"{status}  {r.suite}/{r.name}: {r.detail}\n")
-            failed += not r.ok
-        out.write(f"{len(results) - failed}/{len(results)} checks passed\n")
-        return 2 if failed else 0
 
     else:
         raise ValueError("missing subcommand (try --help)")

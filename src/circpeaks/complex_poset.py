@@ -26,7 +26,7 @@ from itertools import combinations
 from .exact_algebra import ExactPoly, PolySeries, binomial, catalan_series
 from .peak_sets import PeakSet, is_valid
 # Re-exported from the integer-only face poset, which defines them.
-from .poset_core import _check_poset_cap, _faces_below, _mask, _submasks, face_tuples
+from .poset_core import _check_poset_cap, _mask, _submasks, face_tuples
 # Re-exported from the integer core, which defines them.
 from .tables import (
     POSET_CAP,
@@ -264,33 +264,60 @@ def verify_product_structure(n: int) -> bool:
 def _product_structure(n: int, base, big) -> bool:
     """verify_product_structure on the face lists of P_n and P_{n+1}.
 
-    Once the map is a bijection onto its target, "S <= S' iff image(S) <=
-    image(S')" for all pairs is the same as: for each S', the image of the
-    down-set of S' is the down-set of image(S') in the target.  Each side is
-    one submask walk of one face: O(m 2^D) lookups, m = |P_{n+1}|, in O(m)
-    of index dicts, not the O(m^2) pairs.  The pair (a, base[j]) of the
-    product is coded as the int 2j + a - 1.
+    Once the map is a bijection onto its target, it is an order
+    isomorphism iff it maps the lower covers of each face S onto the lower
+    covers of image(S) in the target.  In a finite poset x <= y iff a chain
+    of covers leads from x up to y, and a bijection that maps covers onto
+    covers, face by face, maps such chains both ways.  The lower covers of
+    S in P_{n+1} are the sets S minus {x}, x in S, as a downward closed
+    family holds every one-element removal of its faces; one that is not
+    listed fails the test.  In 2 x P_n the lower covers of (a, T) are
+    (a, T minus {x}), x in T, and (1, T) when a = 2.  The target is a
+    down-set of 2 x P_n, as the slice removed for odd n consists of maximal
+    elements (label 2 over a top-dimensional face), so its lower covers
+    are those of 2 x P_n.  The test makes O(m D) lookups, m = |P_{n+1}|,
+    D = floor((n-1)/2).
     """
     top = 1 << (n + 1)  # the bit of the element n + 1
     base_index = {_mask(T): j for j, T in enumerate(base)}
-    image = {}  # the code of the image of each face S, keyed by its bitmask
-    for S in big:
-        m = _mask(S)
-        j = base_index.get(m & ~top)
-        if j is None:  # not a face of P_n, so outside the target
-            return False
-        image[m] = 2 * j + bool(m & top)
-    target = set(range(2 * len(base)))
-    if n % 2:
-        target -= {2 * j + 1 for j, T in enumerate(base) if len(T) == max_peak_count(n)}
-
-    if set(image.values()) != target or len(image) != len(big):
+    masks = [_mask(S) for S in big]
+    image = _product_image(n, base_index, masks)
+    if image is None:
         return False
-    # order isomorphism: S <= S' iff labels and bases are componentwise <=, checked
-    # as image(down-set of S') = down-set of image(S') in the target; a - 1 = code & 1
-    for m, code in image.items():
-        product_below = {2 * j for j in _faces_below(m & ~top, base_index)}
-        product_below |= {c + (code & 1) for c in product_below}
-        if set(_faces_below(m, image)) != product_below & target:
+    for S, m in zip(big, masks):
+        below = {image.get(m ^ 1 << x) for x in S}
+        if None in below:  # a one-element removal of S is not listed
+            return False
+        code = image[m]
+        a = code & 1  # the label minus 1
+        covers = {2 * base_index[(m & ~top) ^ 1 << x] + a for x in S if x != n + 1}
+        if a:
+            covers.add(code - 1)  # (1, T) below (2, T)
+        if below != covers:
             return False
     return True
+
+
+def _product_image(n: int, base_index: dict[int, int], masks) -> dict[int, int] | None:
+    """The code of the image of each face of P_{n+1}, keyed by its bitmask.
+
+    masks are the bitmasks of the faces of P_{n+1}; base_index maps the
+    bitmask of each face of P_n to its index j, and the pair (a, base[j])
+    of the product is coded as the int 2j + a - 1.  None unless the map is
+    a bijection onto the target: 2 x P_n, less the label-2 slice over the
+    top-dimensional faces for odd n.
+    """
+    top = 1 << (n + 1)
+    image = {}
+    for m in masks:
+        j = base_index.get(m & ~top)
+        if j is None:  # not a face of P_n, so outside the target
+            return None
+        image[m] = 2 * j + bool(m & top)
+    target = set(range(2 * len(base_index)))
+    if n % 2:
+        d = max_peak_count(n)
+        target -= {2 * j + 1 for T, j in base_index.items() if T.bit_count() == d}
+    if set(image.values()) != target or len(image) != len(masks):
+        return None
+    return image

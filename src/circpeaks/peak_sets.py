@@ -126,9 +126,10 @@ def witness(n: int, s: PeakSet) -> Permutation:
 def to_dyck(s: PeakSet) -> DyckPrefix:
     """The length n-1 word with w_i = D iff i+1 in s."""
     _require_valid(s)
-    members = set(s.elements)
-    return DyckPrefix("".join("D" if i + 1 in members else "U"
-                              for i in range(1, s.n)))
+    word = bytearray(b"U" * (s.n - 1))
+    for e in s.elements:  # 3 <= e <= n, so w_{e-1} is a letter of the word
+        word[e - 2] = ord("D")
+    return DyckPrefix(word.decode())
 
 
 def from_dyck(n: int, w: DyckPrefix | str) -> PeakSet:
@@ -137,8 +138,8 @@ def from_dyck(n: int, w: DyckPrefix | str) -> PeakSet:
         w = DyckPrefix(w)
     if len(w.letters) != n - 1:
         raise DyckFormatError(f"word length {len(w.letters)} != n-1 = {n - 1}")
-    return PeakSet(n, (i + 1 for i, ch in enumerate(w.letters, start=1)
-                       if ch == "D"))
+    # w_i = D puts i+1 in the set, i = 1..n-1
+    return PeakSet(n, [i for i, ch in enumerate(w.letters, start=2) if ch == "D"])
 
 
 def count_valid(n: int) -> int:
@@ -175,5 +176,5 @@ def count_left_factors_to(length: int, height: int) -> int:
     """Brute-force count of left factors of a given length ending at height."""
     if height < 0 or (length - height) % 2:
         return 0
-    return sum(1 for w in enumerate_left_factors(length)
-               if w.count("U") - w.count("D") == height)
+    downs = (length - height) // 2  # the D's of a word ending at height
+    return sum(w.count("D") == downs for w in enumerate_left_factors(length))

@@ -44,7 +44,15 @@ class Permutation(Record):
 
 def _peaks(v: tuple[int, ...]) -> tuple[int, ...]:
     """Values v[i] with v[i-1] < v[i] > v[i+1], ascending."""
-    return tuple(sorted(v[i] for i in range(1, len(v) - 1) if v[i - 1] < v[i] > v[i + 1]))
+    peaks = []
+    if len(v) > 2:
+        a, b = v[0], v[1]
+        for c in v[2:]:  # the window (a, b, c) slides along v
+            if a < b > c:
+                peaks.append(b)
+            a, b = b, c
+        peaks.sort()
+    return tuple(peaks)
 
 
 def circular_peak_set(sigma: Permutation) -> tuple[int, ...]:
@@ -92,13 +100,14 @@ def cp_class_table(n: int) -> dict[tuple[int, ...], int]:
         raise ValueError("n must be >= 1")
     _check_cap(n)
     counts: dict[int, int] = {}
-    interior = range(1, n - 1)
     for vals in permutations(range(1, n + 1)):
         mask = 0
-        for i in interior:
-            v = vals[i]
-            if vals[i - 1] < v > vals[i + 1]:
-                mask |= 1 << v
+        if n > 2:
+            a, b = vals[0], vals[1]
+            for c in vals[2:]:  # the window (a, b, c) slides along vals
+                if a < b > c:
+                    mask |= 1 << b
+                a, b = b, c
         counts[mask] = counts.get(mask, 0) + 1
     return {tuple(v for v in range(3, n + 1) if mask >> v & 1): size
             for mask, size in counts.items()}

@@ -21,9 +21,11 @@ from .tables import POSET_CAP, ResourceLimitError, max_peak_count
 
 def _first_violation_sorted(elems) -> tuple[int, int, int] | None:
     """(j, i_j, 2j+1) for the smallest violating index of ascending elems, or None."""
-    for j, e in enumerate(elems, start=1):
-        if e < 2 * j + 1:
-            return j, e, 2 * j + 1
+    bound = 3  # 2j + 1 for the j-th element
+    for e in elems:
+        if e < bound:
+            return bound // 2, e, bound
+        bound += 2
     return None
 
 

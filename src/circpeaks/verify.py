@@ -16,6 +16,8 @@ Within one run_suite call, what several checks share is computed once
 and kept in a memo that the call discards when it ends:
 - the faces of P_n as ascending tuples (poset_core.face_tuples), from
   which the poset oracles walk the order (no order table is kept);
+- the Dyck word of each face (peak_sets.to_dyck), which the two Dyck
+  checks share;
 - the CP class table of each S_n sweep (perm_core.cp_class_table);
 - each composition sum chain_count_formula(n, i).
 A check called outside run_suite computes all of these afresh.  The
@@ -67,6 +69,14 @@ def _valid_subsets(n: int) -> tuple[tuple[int, ...], ...]:
     return _memoized(("valid_subsets", n), lambda: tuple(poset_core.face_tuples(n)))
 
 
+def _dyck_words(n: int) -> tuple:
+    """The to_dyck word of each face of P_n, in face_tuples order."""
+    from . import peak_sets
+
+    return _memoized(("dyck_words", n), lambda: tuple(
+        peak_sets.to_dyck(peak_sets.PeakSet(n, s)) for s in _valid_subsets(n)))
+
+
 def _cp_class_table(n: int) -> dict[tuple[int, ...], int]:
     from . import perm_core
 
@@ -102,3 +112,16 @@ def run_suite(suite: str, max_n: int = PERM_DEFAULT) -> list[CheckResult]:
     finally:
         _memo = None
     return results
+
+
+def report(suite: str, max_n: int, out) -> int:
+    """Run a suite as the verify subcommand does: one line per check, then
+    the tally; returns the exit code, 2 if any check failed."""
+    results = run_suite(suite, max_n)
+    failed = 0
+    for r in results:
+        status = "PASS" if r.ok else "FAIL"
+        out.write(f"{status}  {r.suite}/{r.name}: {r.detail}\n")
+        failed += not r.ok
+    out.write(f"{len(results) - failed}/{len(results)} checks passed\n")
+    return 2 if failed else 0

@@ -532,6 +532,15 @@ def test_verify_suite_loads_only_its_own_checks(suite):
         assert loaded == ["0", f"circpeaks.checks.{suite}"]
 
 
+@pytest.mark.parametrize("suite", verify.SUITE_NAMES)
+def test_verify_suite_loads_no_oracle_commands_or_argparse(suite):
+    # cli sends verify straight to verify.report: no suite compiles the
+    # oracle commands or the argparse parser.
+    loaded = _loaded_after(f"verify --suite {suite} --max-n 8",
+                           ("circpeaks.cli_oracles",) + ARGPARSE_MODULES)
+    assert loaded == ["0"]
+
+
 def test_poset_oracle_runs_up_to_its_cap_only():
     for command, key in (("zeta", "zeta"), ("chains", "count")):
         payload = invoke_json(command, "--n", "14", "--i", "2")
@@ -612,8 +621,10 @@ def test_errors_of_oracle_commands_under_python_m():
     "series --which P --order 12", "verify --suite series --max-n 8", "fvector --n=5",
 ])
 def test_python_m_imports_no_second_cli(argv):
-    # Under -m the running module is __main__; cli_oracles's import of
-    # circpeaks.cli must find it rather than compile cli.py again.
+    # Under -m the running module is __main__; no import of circpeaks.cli,
+    # by cli_oracles or by a module that verify loads, may compile cli.py
+    # again.  -X importtime lists a module imported by "from .m import
+    # name", not by "from . import m": verify's suites show exact_algebra.
     proc = subprocess.run(
         [sys.executable, "-S", "-X", "importtime", "-m", "circpeaks.cli", *argv.split()],
         capture_output=True, text=True,
@@ -622,7 +633,11 @@ def test_python_m_imports_no_second_cli(argv):
     assert proc.returncode == 0, proc.stderr
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:")]
-    assert "circpeaks.cli_oracles" in imported
+    if argv.startswith("verify"):
+        assert "circpeaks.exact_algebra" in imported
+        assert "circpeaks.cli_oracles" not in imported
+    else:
+        assert "circpeaks.cli_oracles" in imported
     assert "circpeaks.cli" not in imported
 
 

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from circpeaks import complex_poset, poset_core, tables
+from circpeaks import complex_poset, tables
 from circpeaks.cli import run
 from circpeaks.complex_poset import (
     euler_characteristic,
@@ -225,10 +225,23 @@ def test_product_structure_rejects_an_added_non_face(monkeypatch, n):
 
 
 def test_product_structure_order_test_is_live(monkeypatch):
-    # With only the face itself in each down-set, the image of the down-set
-    # of a face carrying n+1 misses the face below it in the product.
-    monkeypatch.setattr(poset_core, "_submasks", lambda mask: iter((mask,)))
+    # Swapping the images of the vertices (3,) and (4,) of P_5 keeps the map
+    # a bijection onto 2 x P_4, so only the cover test can see that the
+    # lower cover (3,) of (3, 5) now maps outside the lower covers of (2, {3}).
+    real = complex_poset._product_image
+    bijections = []
+
+    def swapped(n, base_index, masks):
+        image = real(n, base_index, masks)
+        a, b = complex_poset._mask((3,)), complex_poset._mask((4,))
+        image[a], image[b] = image[b], image[a]
+        bijections.append(set(image.values()) == set(real(n, base_index, masks).values()))
+        return image
+
+    assert verify_product_structure(4)
+    monkeypatch.setattr(complex_poset, "_product_image", swapped)
     assert not verify_product_structure(4)
+    assert bijections == [True]
 
 
 def test_caps():

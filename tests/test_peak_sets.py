@@ -76,6 +76,18 @@ def test_dyck_format_errors():
         to_dyck(PeakSet(6, (3, 4)))
 
 
+@pytest.mark.parametrize("letters,message", [
+    ("DX", "'DX' is not a left factor (dips below 0)"),
+    ("UXD", "letter 'X' is not U or D"),
+    ("UDD", "'UDD' is not a left factor (dips below 0)"),
+    ("UUX", "letter 'X' is not U or D"),
+])
+def test_dyck_format_error_names_the_first_offending_letter(letters, message):
+    with pytest.raises(DyckFormatError) as err:
+        DyckPrefix(letters)
+    assert str(err.value) == message
+
+
 def test_count_valid_values():
     assert count_valid(3) == 2
     assert count_valid(4) == 3

@@ -3,15 +3,18 @@ that run_suite reads, and one test id per registry check, pinning its
 result line at --max-n 8."""
 
 import io
+import random
 from collections import Counter
 
 import pytest
 
 from circpeaks import (
-    chains_zeta, cli, cli_oracles, complex_poset, hvector, perm_core, poset_core, verify,
+    chains_zeta, cli, cli_oracles, complex_poset, hvector, peak_sets, perm_core, poset_core,
+    verify,
 )
 from circpeaks.checks import chains, perm
 from circpeaks.checks import complex as complex_checks
+from circpeaks.checks import hilbert as hilbert_checks
 from circpeaks.peak_sets import PeakSet, count_valid
 
 # (suite, name, detail) of every check of run_suite("all", 8).  A detail
@@ -106,7 +109,7 @@ EXPECTED_ALL_8 = [
     ("hilbert", "b-series-shape",
      "B-series degree bound and face count at x^1, n <= 12"),
     ("hilbert", "nonvanishing-criterion",
-     "multichain <=> pairwise-comparable support, 1000 samples per n <= 6"),
+     "multichain <=> pairwise-comparable support, all 1257 multisets of 1-4 faces, n <= 6"),
 ]
 
 
@@ -151,6 +154,38 @@ def test_downward_closure_catches_a_rejected_subface(monkeypatch):
     ok, detail = complex_checks.check_downward_closure(8)
     assert not ok
     assert detail == "subset (3,) of face (3, 5) invalid at n=5"
+
+
+@pytest.mark.parametrize("n", [9, 14])
+def test_downward_closure_catches_a_dropped_face(monkeypatch, n):
+    # (3, 5) lies below (3, 5, 7) at n >= 7, so it is not maximal.
+    real = poset_core.face_tuples
+    monkeypatch.setattr(poset_core, "face_tuples", lambda k, dim=None: [
+        f for f in real(k, dim) if not (k == n and f == (3, 5))])
+    ok, detail = complex_checks.check_downward_closure(8)
+    assert not ok
+    assert detail == f"subset (3, 5) of face (3, 5, 7) invalid at n={n}"
+
+
+def test_dyck_round_trip_catches_a_dropped_element(monkeypatch):
+    real = peak_sets.from_dyck
+    monkeypatch.setattr(peak_sets, "from_dyck",
+                        lambda n, w: PeakSet(n, real(n, w).elements[:-1]))
+    results = {r.name: r for r in verify.run_suite("peaksets", 8)}
+    assert not results["dyck-round-trip"].ok
+    assert results["dyck-round-trip"].detail == "round trip failed at n=3, S=(3,)"
+
+
+def test_nonvanishing_enumeration_holds_every_seeded_draw():
+    # The draws of the sampled check that the enumeration replaced.
+    rng = random.Random(20240817)
+    for n in range(3, 7):
+        multisets = set(hilbert_checks._face_multisets(count_valid(n)))
+        assert len(multisets) == {3: 14, 4: 34, 5: 209, 6: 1000}[n]
+        for _ in range(1000):
+            size = rng.randint(1, 4)
+            idxs = [rng.randrange(count_valid(n)) for _ in range(size)]
+            assert tuple(sorted(idxs)) in multisets
 
 
 def test_face_count_checks_read_the_run_face_list(monkeypatch):
