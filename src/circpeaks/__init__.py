@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _DEFINED_IN = {
     "exact_algebra": (
         "ExactPoly", "binomial", "catalan_number", "catalan_series",
-        "multinomial", "poly_shift", "poly_shift_inverse",
+        "multinomial", "poly_shift",
     ),
     "perm_core": (
         "PERMUTATION_CAP", "Permutation", "circular_descent_set",
@@ -32,10 +32,9 @@ _DEFINED_IN = {
     "complex_poset": (
         "f_generating_series", "f_polynomial", "face_count",
         "face_counts_by_recurrence", "faces", "moebius",
-        "moebius_recursive_oracle", "verify_product_structure",
     ),
     "chains_zeta": (
-        "chain_count_formula", "f_polynomial_from_chains", "zeta_polynomial",
+        "chain_count_formula", "zeta_polynomial",
     ),
     "hvector": (
         "h_dyck_oracle", "h_entry", "h_generating_series", "h_polynomial",

@@ -11,7 +11,9 @@ n and is kept as an oracle only.  Both counts have exhaustive oracles,
 multichain_oracle and chain_oracle: one level pass over the face poset's
 down-sets that counts every length at once.  They are defined in
 circpeaks.poset_core, in integer arithmetic only, and re-exported here.
-The f-polynomial can be rebuilt from the chain counts alone, in integers.
+The f-polynomial can be rebuilt from the chain counts alone, in integers:
+_f_polynomial_from_counts, the kernel of the registry check
+chains/fpolynomial-from-chains.
 """
 
 from __future__ import annotations
@@ -82,17 +84,10 @@ def chain_count_formula(n: int, i: int) -> int:
     return exact_quotient(total, n, f"chain_count_formula({n}, {i})")
 
 
-def f_polynomial_from_chains(n: int) -> ExactPoly:
-    """Rebuild P_n(x) from the chain counts alone.
+def _f_polynomial_from_counts(n: int, count: Callable[[int, int], int]) -> ExactPoly:
+    """Rebuild P_n(x) from the chain counts d_{n,i} = count(n, i) alone.
 
     P_n(x) = sum_{i=2}^{D+2} x^(D+2-i)/(i-2)! * prod_{j=1}^{i-2}(1-jx) * d_{n,i-1}.
-    """
-    return _f_polynomial_from_counts(n, chain_count_formula)
-
-
-def _f_polynomial_from_counts(n: int, count: Callable[[int, int], int]) -> ExactPoly:
-    """f_polynomial_from_chains with d_{n,i} read off count(n, i).
-
     Term i is scaled by top!/(i-2)!, and the sum divided by top! exactly."""
     top = max_peak_count(n)
     scale = factorial(top)

@@ -40,7 +40,7 @@ def check_hilbert_polynomial(max_n: int) -> tuple[bool, str]:
 
 
 def check_numerator_form(max_n: int) -> tuple[bool, str]:
-    for n in range(3, 13):
+    for n in range(3, 15):
         numerator, e = hilbert_algebras.numerator_a(n)
         if e != (n + 1) // 2:
             return False, f"unexpected exponent at n={n}"
@@ -55,7 +55,7 @@ def check_numerator_form(max_n: int) -> tuple[bool, str]:
         ]
         if expanded != list(hilbert_algebras.hilbert_series_a(n, 12)):
             return False, f"rational form does not reproduce the series at n={n}"
-    return True, "numerator/(1-x)^floor((n+1)/2) reproduces the A-series, n <= 12"
+    return True, "numerator/(1-x)^floor((n+1)/2) reproduces the A-series, n <= 14"
 
 
 def check_hilbert_initial(max_n: int) -> tuple[bool, str]:
@@ -67,23 +67,23 @@ def check_hilbert_initial(max_n: int) -> tuple[bool, str]:
 
 
 def check_series_recurrences(max_n: int) -> tuple[bool, str]:
-    for n in range(4, 11, 2):
+    for n in range(4, 13, 2):
         if not hilbert_algebras.verify_series_recurrence_a(n):
             return False, f"even-n series recurrence failed at n={n}"
-    for n in range(3, 10, 2):
+    for n in range(3, 12, 2):
         if not hilbert_algebras.verify_series_recurrence_a(n):
             return False, f"odd-n derivative relation failed at n={n}"
-    return True, "A-series derivative recurrences hold as truncated identities, n <= 9/10"
+    return True, "A-series derivative recurrences hold as truncated identities, n <= 12"
 
 
 def check_numerator_recurrences(max_n: int) -> tuple[bool, str]:
-    for n in range(4, 11, 2):
+    for n in range(4, 13, 2):
         if not hilbert_algebras.verify_numerator_recurrence_a(n):
             return False, f"even-n numerator recurrence failed at n={n}"
-    for n in range(3, 10, 2):
+    for n in range(3, 12, 2):
         if not hilbert_algebras.verify_numerator_recurrence_a(n):
             return False, f"odd-n numerator relation failed at n={n}"
-    return True, "numerator recurrences hold exactly, n <= 9/10"
+    return True, "numerator recurrences hold exactly, n <= 12"
 
 
 def check_series_b(max_n: int) -> tuple[bool, str]:

@@ -15,7 +15,10 @@ tuples in PeakSet.
 Also here: the builders written in a, with P at a = x+1 and H = P(x-1)
 at a = x, of the parity-recurrence polynomials and of the corrected
 generating series, with the one cross-multiplied check of the printed
-forms; the Moebius function; and the product-structure check.
+forms; the Moebius function; and the kernels of two registry checks,
+the Moebius recursion _moebius_from (complex/moebius-closed-form) and
+the product decomposition _product_structure (complex/product-structure),
+which no public function wraps.
 """
 
 from __future__ import annotations
@@ -211,17 +214,6 @@ def _require_interval(n: int, s: PeakSet, t: PeakSet) -> None:
         raise ValueError(f"{s.elements} is not contained in {t.elements}")
 
 
-def moebius_recursive_oracle(n: int, s: PeakSet, t: PeakSet) -> int:
-    """Standard recursive Moebius computation over the face interval.
-
-    mu(s, u) = -sum of mu(s, v) over the faces s <= v < u.  Within one
-    call each set of the interval is validated once and each face's
-    value computed once; both are memoized by set.
-    """
-    _require_interval(n, s, t)
-    return _moebius_from(n, frozenset(s.elements))(frozenset(t.elements))
-
-
 def _moebius_from(n: int, bottom: frozenset) -> Callable[[frozenset], int]:
     """u -> mu(bottom, u) by the recursion, for faces u containing bottom.
 
@@ -249,20 +241,15 @@ def _moebius_from(n: int, bottom: frozenset) -> Callable[[frozenset], int]:
     return mu
 
 
-def verify_product_structure(n: int) -> bool:
-    """Check the product decomposition of the (n+1)-poset over the n-poset.
-
-    The candidate map sends a face S of the (n+1)-complex to
-    (2 if n+1 in S else 1, S minus {n+1}).  For even n it must be an order
-    isomorphism onto the full product 2 x P_n; for odd n, onto the product
-    minus the slice (carrying n+1) over the top-dimensional faces.
-    """
-    _check_poset_cap(n + 1)
-    return _product_structure(n, face_tuples(n), face_tuples(n + 1))
-
-
 def _product_structure(n: int, base, big) -> bool:
-    """verify_product_structure on the face lists of P_n and P_{n+1}.
+    """The product decomposition of P_{n+1} over P_n, on their face lists.
+
+    base and big list the faces of P_n and P_{n+1} as ascending tuples.
+    The candidate map sends a face S of P_{n+1} to (2 if n+1 in S else 1,
+    S minus {n+1}).  For even n it must be an order isomorphism onto the
+    full product 2 x P_n; for odd n, onto the product minus the slice
+    (label 2) over the top-dimensional faces.  The registry check
+    complex/product-structure runs it for n <= 13.
 
     Once the map is a bijection onto its target, it is an order
     isomorphism iff it maps the lower covers of each face S onto the lower

@@ -178,11 +178,6 @@ def poly_shift(p: ExactPoly) -> ExactPoly:
     return p.compose_linear(1, -1)
 
 
-def poly_shift_inverse(p: ExactPoly) -> ExactPoly:
-    """Return p(x + 1)."""
-    return p.compose_linear(1, 1)
-
-
 class PolySeries:
     """Truncated power series in y with ExactPoly (in x) coefficients.
 

@@ -18,9 +18,7 @@ from circpeaks.complex_poset import (
     face_tuples,
     faces,
     moebius,
-    moebius_recursive_oracle,
     printed_f_series_discrepancy,
-    verify_product_structure,
 )
 from circpeaks.exact_algebra import ClosedFormMismatchError, ExactPoly, NonIntegralError
 from circpeaks.peak_sets import PeakSet, count_valid, is_valid, max_peak_count
@@ -97,8 +95,9 @@ def test_moebius_examples():
     assert moebius(3, empty3, PeakSet(3, (3,))) == -1
     assert moebius(5, PeakSet(5, (4, 5)), PeakSet(5, (4, 5))) == 1
     assert moebius(5, PeakSet(5, ()), PeakSet(5, (4, 5))) == 1
-    assert moebius_recursive_oracle(3, empty3, PeakSet(3, (3,))) == -1
-    assert moebius_recursive_oracle(5, PeakSet(5, ()), PeakSet(5, (3, 5))) == 1
+    # the recursion that complex/moebius-closed-form checks moebius against
+    assert complex_poset._moebius_from(3, frozenset())(frozenset({3})) == -1
+    assert complex_poset._moebius_from(5, frozenset())(frozenset({3, 5})) == 1
 
 
 @pytest.mark.parametrize("n", range(3, 15))
@@ -131,8 +130,7 @@ def test_shared_moebius_recursion_matches_the_oracle(n):
         shared = complex_poset._moebius_from(n, s)  # one memo for every t
         for t in fs:
             if s <= t:
-                assert shared(t) == moebius_recursive_oracle(
-                    n, PeakSet(n, s), PeakSet(n, t))
+                assert shared(t) == complex_poset._moebius_from(n, s)(t)  # a fresh memo
 
 
 @pytest.mark.parametrize("n", [8, 10, 14])
@@ -143,11 +141,10 @@ def test_moebius_oracle_validates_each_set_of_the_interval_once(monkeypatch, n):
     monkeypatch.setattr(complex_poset, "is_valid",
                         lambda m, u: seen.append(tuple(sorted(getattr(u, "elements", u))))
                         or real(m, u))
-    value = moebius_recursive_oracle(n, bottom, top)
-    # After the entry check of both ends, every set of the interval but the
-    # top (all of them faces) is validated exactly once.
-    body = seen[2:]
-    assert len(body) == len(set(body)) == 2 ** len(top.elements) - 1
+    value = complex_poset._moebius_from(n, frozenset())(frozenset(top.elements))
+    # Every set of the interval but the top (all of them faces) is
+    # validated exactly once.
+    assert len(seen) == len(set(seen)) == 2 ** len(top.elements) - 1
     assert value == moebius(n, bottom, top)
 
 
@@ -180,10 +177,10 @@ def test_product_structure(n, covered_by):
     covered_by("complex", "product-structure", n)
 
 
-def _product_structure_all_pairs(n):
+def _product_structure_all_pairs(n, base_faces, big_faces):
     """The product-structure check with the order tested on every pair of faces."""
-    base = [frozenset(s) for s in complex_poset.face_tuples(n)]
-    big = [frozenset(s) for s in complex_poset.face_tuples(n + 1)]
+    base = [frozenset(s) for s in base_faces]
+    big = [frozenset(s) for s in big_faces]
     image = {S: (2 if n + 1 in S else 1, S - {n + 1}) for S in big}
     target = {(a, T) for a in (1, 2) for T in base}
     if n % 2:
@@ -196,32 +193,25 @@ def _product_structure_all_pairs(n):
 
 @pytest.mark.parametrize("n", range(3, 11))
 def test_product_structure_matches_all_pairs_reference(n):
-    assert verify_product_structure(n) == _product_structure_all_pairs(n)
-
-
-def _patch_faces_of(monkeypatch, m, edit):
-    # face_tuples is the one face enumerator: verify_product_structure and
-    # the all-pairs reference both read its tuples.
-    real = complex_poset.face_tuples
-    monkeypatch.setattr(complex_poset, "face_tuples",
-                        lambda k, dim=None: edit(real(k)) if (k, dim) == (m, None)
-                        else real(k, dim))
+    faces_of = (face_tuples(n), face_tuples(n + 1))
+    assert complex_poset._product_structure(n, *faces_of) \
+        == _product_structure_all_pairs(n, *faces_of)
 
 
 @pytest.mark.parametrize("n", [3, 4, 7, 8])
-def test_product_structure_rejects_a_missing_face(monkeypatch, n):
-    _patch_faces_of(monkeypatch, n + 1, lambda fs: fs[:-1])
-    assert not verify_product_structure(n)
-    assert not _product_structure_all_pairs(n)
+def test_product_structure_rejects_a_missing_face(n):
+    faces_of = (face_tuples(n), face_tuples(n + 1)[:-1])
+    assert not complex_poset._product_structure(n, *faces_of)
+    assert not _product_structure_all_pairs(n, *faces_of)
 
 
 @pytest.mark.parametrize("n", [3, 4, 7, 8])
-def test_product_structure_rejects_an_added_non_face(monkeypatch, n):
+def test_product_structure_rejects_an_added_non_face(n):
     non_face = PeakSet(n + 1, (3, 4))
     assert not is_valid(n + 1, non_face)
-    _patch_faces_of(monkeypatch, n + 1, lambda fs: fs + [non_face.elements])
-    assert not verify_product_structure(n)
-    assert not _product_structure_all_pairs(n)
+    faces_of = (face_tuples(n), face_tuples(n + 1) + [non_face.elements])
+    assert not complex_poset._product_structure(n, *faces_of)
+    assert not _product_structure_all_pairs(n, *faces_of)
 
 
 def test_product_structure_order_test_is_live(monkeypatch):
@@ -238,9 +228,10 @@ def test_product_structure_order_test_is_live(monkeypatch):
         bijections.append(set(image.values()) == set(real(n, base_index, masks).values()))
         return image
 
-    assert verify_product_structure(4)
+    faces_of = (face_tuples(4), face_tuples(5))
+    assert complex_poset._product_structure(4, *faces_of)
     monkeypatch.setattr(complex_poset, "_product_image", swapped)
-    assert not verify_product_structure(4)
+    assert not complex_poset._product_structure(4, *faces_of)
     assert bijections == [True]
 
 
@@ -248,7 +239,7 @@ def test_caps():
     with pytest.raises(ResourceLimitError):
         faces(15, 1)
     with pytest.raises(ResourceLimitError):
-        verify_product_structure(14)
+        face_tuples(15)  # so the product check stops at P_14 over P_13
 
 
 def test_face_table_serialization():

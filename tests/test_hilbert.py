@@ -85,19 +85,9 @@ def test_numerator_a_examples():
     assert numerator_a(3) == (ExactPoly((1,)), 2)
 
 
-def test_numerator_a_reproduces_series():
-    # expand numerator / (1-x)^e and compare against graded dimensions
-    order = 10
-    for n in range(3, 15):
-        numerator, exponent = numerator_a(n)
-        series = [0] * (order + 1)
-        for k, c in enumerate(numerator.coeffs):
-            if k <= order:
-                series[k] = c
-        for _ in range(exponent):
-            for k in range(1, order + 1):
-                series[k] += series[k - 1]
-        assert tuple(series) == tuple(hilbert_series_a(n, order))
+def test_numerator_a_reproduces_series(covered_by):
+    # numerator / (1-x)^e expanded against the graded dimensions, n <= 14
+    covered_by("hilbert", "numerator-rational-form", 14)
 
 
 def test_hilbert_series_b_examples():
@@ -114,13 +104,13 @@ def test_b_is_finite_dimensional():
 
 
 @pytest.mark.parametrize("n", range(3, 13))
-def test_series_recurrence_a(n):
-    assert verify_series_recurrence_a(n)
+def test_series_recurrence_a(n, covered_by):
+    covered_by("hilbert", "a-series-recurrences", n)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
-def test_numerator_recurrence_a(n):
-    assert verify_numerator_recurrence_a(n)
+def test_numerator_recurrence_a(n, covered_by):
+    covered_by("hilbert", "numerator-recurrences", n)
 
 
 def test_series_recurrence_check_is_live(monkeypatch):

@@ -99,13 +99,13 @@ EXPECTED_ALL_8 = [
     ("hilbert", "hilbert-polynomial-a",
      "Hilbert polynomial of A matches dims, n <= 12, i <= 8"),
     ("hilbert", "numerator-rational-form",
-     "numerator/(1-x)^floor((n+1)/2) reproduces the A-series, n <= 12"),
+     "numerator/(1-x)^floor((n+1)/2) reproduces the A-series, n <= 14"),
     ("hilbert", "initial-a-series",
      "initial A-series 1/(1-x)^2 and (1+x)/(1-x)^2 reproduced to order 12"),
     ("hilbert", "a-series-recurrences",
-     "A-series derivative recurrences hold as truncated identities, n <= 9/10"),
+     "A-series derivative recurrences hold as truncated identities, n <= 12"),
     ("hilbert", "numerator-recurrences",
-     "numerator recurrences hold exactly, n <= 9/10"),
+     "numerator recurrences hold exactly, n <= 12"),
     ("hilbert", "b-series-shape",
      "B-series degree bound and face count at x^1, n <= 12"),
     ("hilbert", "nonvanishing-criterion",
@@ -174,6 +174,16 @@ def test_dyck_round_trip_catches_a_dropped_element(monkeypatch):
     results = {r.name: r for r in verify.run_suite("peaksets", 8)}
     assert not results["dyck-round-trip"].ok
     assert results["dyck-round-trip"].detail == "round trip failed at n=3, S=(3,)"
+
+
+def test_euler_check_requires_an_int(monkeypatch):
+    # An Euler characteristic that equals the closed form but is not an int
+    # breaks the integer contract.
+    real = complex_poset.euler_characteristic
+    monkeypatch.setattr(complex_poset, "euler_characteristic", lambda n: float(real(n)))
+    ok, detail = complex_checks.check_euler(8)
+    assert not ok
+    assert detail == "euler_characteristic 0.0 != closed form at n=3"
 
 
 def test_nonvanishing_enumeration_holds_every_seeded_draw():
