@@ -8,9 +8,10 @@ which is their binomial inversion (Stanley, EC1 3.12).  Both are defined
 in circpeaks.tables, the integer core, and re-exported here.  The paper's
 multinomial composition sum, chain_count_formula, grows exponentially in
 n and is kept as an oracle only.  Both counts have exhaustive oracles,
-multichain_oracle and chain_oracle: one level pass over the face poset's
-down-sets that counts every length at once.  They are defined in
-circpeaks.poset_core, in integer arithmetic only, and re-exported here.
+multichain_oracle and chain_oracle: one subset-sum pass over the faces'
+bitmasks per chain length, with no down-set table stored.  They are
+defined in circpeaks.poset_core, in integer arithmetic only, and
+re-exported here.
 The f-polynomial can be rebuilt from the chain counts alone, in integers:
 _f_polynomial_from_counts, the kernel of the registry check
 chains/fpolynomial-from-chains.
@@ -24,7 +25,7 @@ from math import factorial
 
 from .exact_algebra import ExactPoly, multinomial
 # Re-exported from the integer-only face poset, which defines them.
-from .poset_core import _poset_chain_counts, chain_oracle, multichain_oracle
+from .poset_core import chain_oracle, multichain_oracle
 # Re-exported from the integer core, which defines them.
 from .tables import (
     chain_counts,

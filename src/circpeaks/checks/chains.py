@@ -4,13 +4,14 @@ chain oracles, and against one another."""
 from __future__ import annotations
 
 from .. import chains_zeta, complex_poset, exact_algebra, peak_sets
+from ..poset_core import _poset_chain_counts
 from ..verify import PERM_DEFAULT, _chain_count_formula, _valid_subsets
 
 
 def check_zeta_oracle(max_n: int) -> tuple[bool, str]:
     top = min(PERM_DEFAULT, max_n)
     for n in range(3, top + 1):
-        counts = chains_zeta._poset_chain_counts(_valid_subsets(n), 5, strict=False)
+        counts = _poset_chain_counts(_valid_subsets(n), 5, strict=False)
         for i in range(2, 7):
             if chains_zeta.zeta(n, i) != counts[i - 1]:
                 return False, f"zeta mismatch at n={n}, i={i}"
@@ -32,20 +33,24 @@ def check_zeta_recurrence(max_n: int) -> tuple[bool, str]:
 def check_chain_formula(max_n: int) -> tuple[bool, str]:
     top = min(12, max_n + 4)
     for n in range(3, top + 1):
-        counts = chains_zeta._poset_chain_counts(_valid_subsets(n), 4, strict=True)
-        for i in range(1, 5):
+        last = peak_sets.max_peak_count(n) + 3
+        counts = _poset_chain_counts(_valid_subsets(n), last, strict=True)
+        for i in range(1, last + 1):
             formula = _chain_count_formula(n, i)
             oracle = counts[i] if i < len(counts) else 0
             if formula != oracle:
                 return False, f"chain count mismatch at (n={n}, i={i}): formula {formula}, oracle {oracle}"
-    return True, f"multinomial chain formula = strict-chain oracle, n <= {top}, i <= 4"
+    return True, f"multinomial chain formula = strict-chain oracle, n <= {top}, i <= D+3"
 
 
 def check_chain_counts(max_n: int) -> tuple[bool, str]:
-    top = min(12, max_n + 4)
+    top = min(16, max_n + 8)
     for n in range(3, top + 1):
         counts = chains_zeta.chain_counts(n)
-        for i in range(1, peak_sets.max_peak_count(n) + 4):
+        d = peak_sets.max_peak_count(n)
+        if len(counts) != d + 2 or counts[0] != 1:
+            return False, f"chain_counts({n}) is not 1 followed by D+1 counts: {counts}"
+        for i in range(1, d + 4):
             fast = counts[i] if i < len(counts) else 0
             formula = _chain_count_formula(n, i)
             if fast != formula:

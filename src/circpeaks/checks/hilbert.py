@@ -11,7 +11,7 @@ from ..verify import _valid_subsets
 
 
 def check_dim_a_oracle(max_n: int) -> tuple[bool, str]:
-    top = min(7, max_n)
+    top = min(8, max_n)
     for n in range(3, top + 1):
         for i in range(0, 6):
             if hilbert_algebras.dim_a(n, i) != \
@@ -21,7 +21,7 @@ def check_dim_a_oracle(max_n: int) -> tuple[bool, str]:
 
 
 def check_dim_b_oracle(max_n: int) -> tuple[bool, str]:
-    top = min(7, max_n)
+    top = min(8, max_n)
     for n in range(3, top + 1):
         for i in range(0, peak_sets.max_peak_count(n) + 3):
             if hilbert_algebras.dim_b(n, i) != \
@@ -31,12 +31,12 @@ def check_dim_b_oracle(max_n: int) -> tuple[bool, str]:
 
 
 def check_hilbert_polynomial(max_n: int) -> tuple[bool, str]:
-    for n in range(3, 13):
+    for n in range(3, 21):
         p = hilbert_algebras.hilbert_polynomial_a(n)
-        for i in range(1, 9):
+        for i in range(0, 9):
             if p.eval(i) != hilbert_algebras.dim_a(n, i):
                 return False, f"Hilbert polynomial mismatch at n={n}, i={i}"
-    return True, "Hilbert polynomial of A matches dims, n <= 12, i <= 8"
+    return True, "Hilbert polynomial of A matches dims, n <= 20, 0 <= i <= 8"
 
 
 def check_numerator_form(max_n: int) -> tuple[bool, str]:
@@ -87,13 +87,14 @@ def check_numerator_recurrences(max_n: int) -> tuple[bool, str]:
 
 
 def check_series_b(max_n: int) -> tuple[bool, str]:
-    for n in range(3, 13):
+    for n in range(3, 15):
         s = hilbert_algebras.hilbert_series_b(n)
-        if s.degree > peak_sets.max_peak_count(n) + 1:
+        top = peak_sets.max_peak_count(n)
+        if s.degree > top + 1 or hilbert_algebras.dim_b(n, top + 2) != 0:
             return False, f"B-series degree too large at n={n}"
         if s.coeff(1) != peak_sets.count_valid(n):
             return False, f"B-series x^1 coefficient wrong at n={n}"
-    return True, "B-series degree bound and face count at x^1, n <= 12"
+    return True, "B-series degree <= D+1, dim_b(n, D+2) = 0 and face count at x^1, n <= 14"
 
 
 def _face_multisets(count: int) -> list[tuple[int, ...]]:

@@ -29,11 +29,10 @@ from itertools import combinations
 from .exact_algebra import ExactPoly, PolySeries, binomial, catalan_series
 from .peak_sets import PeakSet, is_valid
 # Re-exported from the integer-only face poset, which defines them.
-from .poset_core import _check_poset_cap, _mask, _submasks, face_tuples
+from .poset_core import _mask, face_tuples
 # Re-exported from the integer core, which defines them.
 from .tables import (
     POSET_CAP,
-    ResourceLimitError,
     euler_characteristic,
     euler_characteristic_closed_form,
     exact_quotient,

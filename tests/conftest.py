@@ -28,7 +28,9 @@ def covered_by(registry):
     def check(suite, name, n):
         result = registry[(suite, name)]
         assert result.ok, f"{suite}/{name}: {result.detail}"
-        top = int(re.search(r"n <= (\d+)", result.detail).group(1))
+        stated = re.search(r"n <= (\d+)", result.detail)
+        assert stated, f"{suite}/{name} states no n <= K range: {result.detail!r}"
+        top = int(stated.group(1))
         assert n <= top, f"{suite}/{name} covers n <= {top}, not n = {n}"
 
     return check

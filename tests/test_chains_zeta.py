@@ -23,7 +23,7 @@ from circpeaks.exact_algebra import (
 )
 from circpeaks.peak_sets import count_valid, max_peak_count
 from circpeaks.perm_core import ResourceLimitError
-from circpeaks.poset_core import NotDownwardClosedError
+from circpeaks.poset_core import NotDownwardClosedError, _poset_chain_counts
 
 
 def test_zeta_examples():
@@ -119,22 +119,15 @@ def test_f_polynomial_from_chains(n, covered_by):
 
 
 @pytest.mark.parametrize("n", range(3, 17))
-def test_chain_counts_match_composition_sum(n):
-    top = max_peak_count(n)
-    counts = chain_counts(n)
-    assert len(counts) == top + 2
-    assert counts[0] == 1
-    for i in range(1, top + 2):
-        assert counts[i] == chain_count_formula(n, i)
-    for i in range(top + 2, top + 4):
-        assert chain_count_formula(n, i) == 0
+def test_chain_counts_match_composition_sum(n, covered_by):
+    covered_by("chains", "chain-counts-vs-composition-sum", n)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
-def test_chain_counts_match_oracle(n):
-    counts = chain_counts(n)
-    for i in range(0, max_peak_count(n) + 4):
-        assert (counts[i] if i < len(counts) else 0) == chain_oracle(n, i)
+def test_chain_counts_match_oracle(n, covered_by):
+    # chain_counts = composition sum = strict-chain oracle, i <= D+3
+    covered_by("chains", "chain-counts-vs-composition-sum", n)
+    covered_by("chains", "chain-formula-vs-oracle", n)
 
 
 @pytest.mark.parametrize("n", [200, 1000])
@@ -174,7 +167,7 @@ def _all_pairs_chain_counts(n, length, strict):
 def test_faces_below_matches_all_pairs_reference(n, strict):
     # The subset-sum pass against the pairwise order, past the last chain.
     length = max_peak_count(n) + 3
-    counts = chains_zeta._poset_chain_counts(complex_poset.face_tuples(n), length, strict)
+    counts = _poset_chain_counts(complex_poset.face_tuples(n), length, strict)
     reference = _all_pairs_chain_counts(n, length, strict)
     assert counts == reference[:len(counts)]
     assert not any(reference[len(counts):])
@@ -184,9 +177,9 @@ def test_faces_below_matches_all_pairs_reference(n, strict):
 def test_one_pass_chain_counts_at_the_poset_cap(n):
     # No registry check reaches these n.
     faces = complex_poset.face_tuples(n)
-    multichains = chains_zeta._poset_chain_counts(faces, 5, strict=False)
+    multichains = _poset_chain_counts(faces, 5, strict=False)
     assert multichains == [1] + [zeta(n, length + 1) for length in range(1, 6)]
-    chains = chains_zeta._poset_chain_counts(faces, max_peak_count(n) + 10, strict=True)
+    chains = _poset_chain_counts(faces, max_peak_count(n) + 10, strict=True)
     assert chains == list(chain_counts(n)) + [0]
 
 
@@ -195,7 +188,7 @@ def test_one_pass_chain_counts_at_the_poset_cap(n):
 def test_chain_counts_reject_a_face_list_missing_a_subface(missing, strict):
     faces = [c for c in complex_poset.face_tuples(8) if c != missing]
     with pytest.raises(NotDownwardClosedError, match=r"lacks its subface without"):
-        chains_zeta._poset_chain_counts(faces, 0, strict)
+        _poset_chain_counts(faces, 0, strict)
 
 
 def test_chain_oracles_reject_a_face_list_missing_a_subface(monkeypatch):

@@ -21,7 +21,7 @@ from circpeaks.complex_poset import (
     printed_f_series_discrepancy,
 )
 from circpeaks.exact_algebra import ClosedFormMismatchError, ExactPoly, NonIntegralError
-from circpeaks.peak_sets import PeakSet, count_valid, is_valid, max_peak_count
+from circpeaks.peak_sets import PeakSet, is_valid, max_peak_count
 from circpeaks.perm_core import ResourceLimitError
 
 
@@ -47,10 +47,8 @@ def test_face_table_and_recurrence():
 
 
 @pytest.mark.parametrize("n", range(3, 15))
-def test_face_count_matches_enumeration(n):
-    for dim in range(-1, max_peak_count(n) + 1):
-        assert face_count(n, dim) == len(faces(n, dim))
-    assert sum(face_count(n, i) for i in range(-1, max_peak_count(n))) == count_valid(n)
+def test_face_count_matches_enumeration(n, covered_by):
+    covered_by("complex", "face-count-closed-form", n)
 
 
 @pytest.mark.parametrize("n", range(3, 15))

@@ -4,13 +4,11 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from circpeaks import hilbert_algebras, tables
-from circpeaks.chains_zeta import multichain_oracle
 from circpeaks.complex_poset import face_tuples
 from circpeaks.exact_algebra import ExactPoly, InexactDivisionError, NonIntegralError
 from circpeaks.hilbert_algebras import (
     MONOMIAL_DEGREE_CAP,
     dim_a,
-    dim_b,
     hilbert_polynomial_a,
     hilbert_series_a,
     hilbert_series_b,
@@ -19,7 +17,7 @@ from circpeaks.hilbert_algebras import (
     verify_numerator_recurrence_a,
     verify_series_recurrence_a,
 )
-from circpeaks.peak_sets import count_valid, max_peak_count
+from circpeaks.peak_sets import count_valid
 from circpeaks.perm_core import ResourceLimitError
 
 
@@ -45,10 +43,9 @@ def test_numerator_a_rejects_nonterminating_series(monkeypatch):
         numerator_a(5)
 
 
-def test_dim_a_counts_multichains():
-    for n in range(3, 9):
-        for i in range(0, 6):
-            assert dim_a(n, i) == multichain_oracle(n, i)
+def test_dim_a_counts_multichains(covered_by):
+    # the monomial oracle counts the multisets of pairwise comparable faces
+    covered_by("hilbert", "dim-a-monomial-oracle", 8)
 
 
 def test_dim_a_degree_one_counts_faces():
@@ -57,22 +54,17 @@ def test_dim_a_degree_one_counts_faces():
 
 
 @pytest.mark.parametrize("n", range(3, 9))
-def test_dim_a_matches_monomial_oracle(n):
-    for d in range(0, 4):
-        assert dim_a(n, d) == standard_monomial_oracle(n, "A", d)
+def test_dim_a_matches_monomial_oracle(n, covered_by):
+    covered_by("hilbert", "dim-a-monomial-oracle", n)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
-def test_dim_b_matches_monomial_oracle(n):
-    for d in range(0, 5):
-        assert dim_b(n, d) == standard_monomial_oracle(n, "B", d)
+def test_dim_b_matches_monomial_oracle(n, covered_by):
+    covered_by("hilbert", "dim-b-monomial-oracle", n)
 
 
-def test_hilbert_polynomial_a_agrees_with_dims():
-    for n in range(3, 21):
-        hp = hilbert_polynomial_a(n)
-        for i in range(0, 8):
-            assert hp.eval(i) == dim_a(n, i)
+def test_hilbert_polynomial_a_agrees_with_dims(covered_by):
+    covered_by("hilbert", "hilbert-polynomial-a", 20)
 
 
 def test_hilbert_polynomial_a_examples():
@@ -96,11 +88,8 @@ def test_hilbert_series_b_examples():
     assert hilbert_series_b(4) == ExactPoly((1, 3, 2))
 
 
-def test_b_is_finite_dimensional():
-    for n in range(3, 15):
-        top = max_peak_count(n)
-        assert dim_b(n, top + 2) == 0
-        assert hilbert_series_b(n).degree <= top + 1
+def test_b_is_finite_dimensional(covered_by):
+    covered_by("hilbert", "b-series-shape", 14)
 
 
 @pytest.mark.parametrize("n", range(3, 13))

@@ -30,11 +30,6 @@ def test_h_polynomial_examples():
     assert h_polynomial(6) == ExactPoly((2, 2, 1))
 
 
-def test_h_polynomial_is_shifted_f_polynomial():
-    for n in range(3, 41):
-        assert h_polynomial(n).compose_linear(1, 1) == f_polynomial(n)
-
-
 @pytest.mark.parametrize("n", [*range(3, 61), 101, 200])
 def test_h_polynomial_matches_shifted_f_polynomial(n):
     assert h_polynomial(n) == poly_shift(f_polynomial(n))
@@ -62,10 +57,6 @@ def test_h_entry_rejects_inexact_division(monkeypatch):
     monkeypatch.setattr(hvector, "binomial", lambda n, k: 1)
     with pytest.raises(NonIntegralError, match=r"h_entry\(8, 1\)"):
         h_entry(8, 1)
-
-
-def test_h_recurrence_table(covered_by):
-    covered_by("hvector", "h-closed-recurrence-shift", 30)
 
 
 def test_h_odd_top_entry_vanishes():

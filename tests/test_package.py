@@ -145,11 +145,21 @@ POSET_CORE_MOVED = {
 }
 
 
+# The moved names that their old module no longer imports: nothing reads
+# them there.
+NOT_RE_EXPORTED = {("complex_poset", "_check_poset_cap"), ("complex_poset", "_submasks"),
+                   ("chains_zeta", "_poset_chain_counts")}
+
+
 @pytest.mark.parametrize("module,name", sorted((m, name) for m, names in POSET_CORE_MOVED.items()
                                                for name in names))
 def test_poset_core_names_are_defined_once_and_re_exported(module, name):
-    poset_core = importlib.import_module("circpeaks.poset_core")
-    assert getattr(importlib.import_module(f"circpeaks.{module}"), name) is getattr(poset_core, name)
+    old_home = importlib.import_module(f"circpeaks.{module}")
+    if (module, name) in NOT_RE_EXPORTED:
+        assert not hasattr(old_home, name)
+    else:
+        poset_core = importlib.import_module("circpeaks.poset_core")
+        assert getattr(old_home, name) is getattr(poset_core, name)
     pattern = re.compile(rf"^\s*def {name}\b", re.M)
     homes = [p.name for p in sorted((ROOT / "src" / "circpeaks").glob("*.py"))
              if pattern.search(p.read_text())]

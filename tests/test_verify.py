@@ -41,7 +41,7 @@ EXPECTED_ALL_8 = [
     ("complex", "vertices-and-dimension",
      "vertex set [3,n], dim = floor((n-1)/2)-1, n <= 14"),
     ("complex", "face-count-closed-form",
-     "face_count = |faces| for all dims, n <= 14"),
+     "face_count = |faces| for all dims and 0 past the top, n <= 14"),
     ("complex", "fvector-recurrence",
      "f-vector recurrence = closed form, n <= 40"),
     ("complex", "fpolynomial-recurrence",
@@ -59,9 +59,9 @@ EXPECTED_ALL_8 = [
     ("chains", "zeta-recurrence",
      "zeta recurrence with parity correction, n <= 12, i <= 6"),
     ("chains", "chain-formula-vs-oracle",
-     "multinomial chain formula = strict-chain oracle, n <= 12, i <= 4"),
+     "multinomial chain formula = strict-chain oracle, n <= 12, i <= D+3"),
     ("chains", "chain-counts-vs-composition-sum",
-     "binomial-inversion chain counts = composition sum, n <= 12, i <= D+3"),
+     "binomial-inversion chain counts = composition sum, n <= 16, i <= D+3"),
     ("chains", "chain-formula-element-count",
      "chain formula at i=1 counts the faces, n <= 20"),
     ("chains", "zeta-from-chain-counts",
@@ -93,11 +93,11 @@ EXPECTED_ALL_8 = [
      "inherits the f-series misprint under x -> x-1; the shipped series uses "
      "the corrected form (x-1) - x^2 y^2 denominator"),
     ("hilbert", "dim-a-monomial-oracle",
-     "dim_a = monomial oracle, n <= 7, degree <= 5"),
+     "dim_a = monomial oracle, n <= 8, degree <= 5"),
     ("hilbert", "dim-b-monomial-oracle",
-     "dim_b = squarefree monomial oracle, n <= 7, all degrees"),
+     "dim_b = squarefree monomial oracle, n <= 8, all degrees"),
     ("hilbert", "hilbert-polynomial-a",
-     "Hilbert polynomial of A matches dims, n <= 12, i <= 8"),
+     "Hilbert polynomial of A matches dims, n <= 20, 0 <= i <= 8"),
     ("hilbert", "numerator-rational-form",
      "numerator/(1-x)^floor((n+1)/2) reproduces the A-series, n <= 14"),
     ("hilbert", "initial-a-series",
@@ -107,7 +107,7 @@ EXPECTED_ALL_8 = [
     ("hilbert", "numerator-recurrences",
      "numerator recurrences hold exactly, n <= 12"),
     ("hilbert", "b-series-shape",
-     "B-series degree bound and face count at x^1, n <= 12"),
+     "B-series degree <= D+1, dim_b(n, D+2) = 0 and face count at x^1, n <= 14"),
     ("hilbert", "nonvanishing-criterion",
      "multichain <=> pairwise-comparable support, all 1257 multisets of 1-4 faces, n <= 6"),
 ]
@@ -279,8 +279,8 @@ def test_chains_suite_evaluates_each_chain_formula_once(monkeypatch):
     results = verify.run_suite("chains", 8)
     assert all(r.ok for r in results)
     assert set(Counter(calls).values()) == {1}
-    # n <= 12 at i <= D+3 (chain-counts-vs-composition-sum), and i = 1 up to n = 20
-    assert set(calls) == ({(n, i) for n in range(3, 13)
+    # n <= 16 at i <= D+3 (chain-counts-vs-composition-sum), and i = 1 up to n = 20
+    assert set(calls) == ({(n, i) for n in range(3, 17)
                            for i in range(1, (n - 1) // 2 + 4)}
                           | {(n, 1) for n in range(3, 21)})
 
@@ -308,6 +308,12 @@ def test_registry_check(registry, suite, name, detail):
     result = registry[(suite, name)]
     assert result.ok, result.detail
     assert result.detail == detail
+
+
+def test_covered_by_names_a_check_that_states_no_n_range(covered_by):
+    with pytest.raises(AssertionError, match=r"series/printed-f-series-form states no n <= K "
+                                             r"range: 'printed P\(x,y\) form DISCREPANCY"):
+        covered_by("series", "printed-f-series-form", 3)
 
 
 def test_registry_lists_every_check():
