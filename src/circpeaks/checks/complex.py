@@ -8,6 +8,7 @@ from itertools import combinations
 
 from .. import complex_poset, peak_sets
 from ..peak_sets import PeakSet
+from ..poset_core import _mask, _moebius_from
 from ..tables import POSET_CAP
 from ..verify import _valid_subsets
 
@@ -81,13 +82,14 @@ def check_face_dyck_counts(max_n: int) -> tuple[bool, str]:
 def check_moebius(max_n: int) -> tuple[bool, str]:
     top = min(10, max_n + 2)
     for n in range(3, top + 1):
-        faces = [(s, PeakSet(n, s), frozenset(s)) for s in _valid_subsets(n)]
-        for s, lower, s_set in faces:
+        faces = [(s, PeakSet(n, s), _mask(s)) for s in _valid_subsets(n)]
+        masks = {m for _, _, m in faces}
+        for s, lower, s_mask in faces:
             # the recursion's values mu(s, u) are shared by every upper face t
-            recursive = complex_poset._moebius_from(n, s_set)
-            for t, upper, t_set in faces:
-                if s_set <= t_set:
-                    if complex_poset.moebius(n, lower, upper) != recursive(t_set):
+            recursive = _moebius_from(masks, s_mask)
+            for t, upper, t_mask in faces:
+                if s_mask & t_mask == s_mask:
+                    if complex_poset.moebius(n, lower, upper) != recursive(t_mask):
                         return False, f"moebius mismatch at n={n}, {s}<{t}"
     return True, f"(-1)^(|T|-|S|) = recursive Moebius on every interval, n <= {top}"
 

@@ -32,8 +32,7 @@ def _check_printed_form(which: str, report: dict | None) -> tuple[bool, str]:
     if report != PRINTED_FORM_REPORTS[which]:
         return False, (f"series --which {which} prints a pinned {form} report "
                        "that differs from the cross-multiplied one")
-    if report is None:
-        return True, f"{form} matches (no discrepancy)"
+    # Both pinned reports are discrepancies, so a report that matches is one.
     return True, (
         f"{form} DISCREPANCY documented: first mismatch at "
         f"y^{report['first_mismatch_y_order']}; {report['note']}"

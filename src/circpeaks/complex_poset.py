@@ -15,16 +15,15 @@ tuples in PeakSet.
 Also here: the builders written in a, with P at a = x+1 and H = P(x-1)
 at a = x, of the parity-recurrence polynomials and of the corrected
 generating series, with the one cross-multiplied check of the printed
-forms; the Moebius function; and the kernels of two registry checks,
-the Moebius recursion _moebius_from (complex/moebius-closed-form) and
-the product decomposition _product_structure (complex/product-structure),
-which no public function wraps.
+forms; the Moebius function, whose recursion oracle _moebius_from
+(complex/moebius-closed-form) is defined in poset_core; and the kernel of
+the registry check complex/product-structure, _product_structure, which
+no public function wraps.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from itertools import combinations
 
 from .exact_algebra import ExactPoly, PolySeries, binomial, catalan_series
 from .peak_sets import PeakSet, is_valid
@@ -211,33 +210,6 @@ def _require_interval(n: int, s: PeakSet, t: PeakSet) -> None:
             raise ValueError(f"{u.elements} is not a face of the complex for n={n}")
     if not set(s.elements).issubset(t.elements):
         raise ValueError(f"{s.elements} is not contained in {t.elements}")
-
-
-def _moebius_from(n: int, bottom: frozenset) -> Callable[[frozenset], int]:
-    """u -> mu(bottom, u) by the recursion, for faces u containing bottom.
-
-    The returned function memoizes, by set, which sets are faces and the
-    value of each face it has evaluated, so the calls for every upper face
-    over one bottom share them.  It does not check its argument.
-    """
-    values = {bottom: 1}  # mu(bottom, u) of each face u evaluated so far
-    is_face: dict[frozenset, bool] = {}
-
-    def mu(upper: frozenset) -> int:
-        if upper not in values:
-            total = 0
-            between = sorted(upper - bottom)
-            for k in range(len(between)):
-                for extra in combinations(between, k):
-                    u = bottom.union(extra)
-                    if u not in is_face:
-                        is_face[u] = is_valid(n, u)
-                    if is_face[u]:
-                        total += mu(u)
-            values[upper] = -total
-        return values[upper]
-
-    return mu
 
 
 def _product_structure(n: int, base, big) -> bool:

@@ -91,9 +91,6 @@ def is_valid(n: int, s: PeakSet | object) -> bool:
 
 
 def _require_valid(s: PeakSet) -> None:
-    if s.elements and s.elements[-1] > s.n:
-        raise InvalidPeakSetError(s.n, s.elements, len(s.elements),
-                                  s.elements[-1], s.n + 1)
     v = _first_violation_sorted(s.elements)
     if v is not None:
         raise InvalidPeakSetError(s.n, s.elements, *v)

@@ -3,17 +3,19 @@
 The faces of P_n are the sets {i_1 < ... < i_k} inside [3, n] with
 i_j >= 2j + 1 for every j.  face_tuples enumerates them as ascending
 tuples.  P_n is downward closed, so the faces below a face are the
-submasks of its bitmask: _faces_below walks them for one face, and the
-chain oracles multichain_oracle and chain_oracle run one subset-sum pass
-per length over all faces; no order table is stored.  Like
-circpeaks.tables, this module imports nothing of the package but tables,
-and no rational arithmetic, so zeta, chains and faces run their oracles
-on it alone; peak_sets, complex_poset and chains_zeta re-export its names.
+submasks of its bitmask: _faces_below walks them for one face, the
+Moebius recursion _moebius_from (complex/moebius-closed-form) sums over
+the submasks between two faces, and the chain oracles multichain_oracle
+and chain_oracle run one subset-sum pass per length over all faces; no
+order table is stored.  Like circpeaks.tables, this module imports
+nothing of the package but tables, and no rational arithmetic, so zeta,
+chains and faces run their oracles on it alone; peak_sets, complex_poset
+and chains_zeta re-export most of its names.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from itertools import combinations
 
 from .tables import POSET_CAP, ResourceLimitError, max_peak_count
@@ -73,6 +75,27 @@ def _submasks(mask: int) -> Iterator[int]:
         if not sub:
             return
         sub = (sub - 1) & mask
+
+
+def _moebius_from(faces, bottom: int) -> Callable[[int], int]:
+    """u -> mu(bottom, u) by the recursion, for face bitmasks u over bottom.
+
+    faces is any container of face bitmasks.  mu(bottom, u) is minus the
+    sum of mu(bottom, bottom | s) over the proper submasks s of u ^ bottom
+    with bottom | s in faces.  The returned function memoizes the value of
+    each face it has evaluated, so the calls for every upper face over one
+    bottom share them.  It does not check its argument.
+    """
+    values = {bottom: 1}  # mu(bottom, u) of each face u evaluated so far
+
+    def mu(upper: int) -> int:
+        if upper not in values:
+            between = _submasks(upper ^ bottom)
+            next(between)  # upper itself
+            values[upper] = -sum(mu(bottom | s) for s in between if bottom | s in faces)
+        return values[upper]
+
+    return mu
 
 
 def _faces_below(mask: int, index: dict[int, int]) -> Iterator[int]:

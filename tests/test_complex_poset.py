@@ -23,6 +23,7 @@ from circpeaks.complex_poset import (
 from circpeaks.exact_algebra import ClosedFormMismatchError, ExactPoly, NonIntegralError
 from circpeaks.peak_sets import PeakSet, is_valid, max_peak_count
 from circpeaks.perm_core import ResourceLimitError
+from circpeaks.poset_core import _mask, _moebius_from
 
 
 def test_faces_examples():
@@ -94,8 +95,12 @@ def test_moebius_examples():
     assert moebius(5, PeakSet(5, (4, 5)), PeakSet(5, (4, 5))) == 1
     assert moebius(5, PeakSet(5, ()), PeakSet(5, (4, 5))) == 1
     # the recursion that complex/moebius-closed-form checks moebius against
-    assert complex_poset._moebius_from(3, frozenset())(frozenset({3})) == -1
-    assert complex_poset._moebius_from(5, frozenset())(frozenset({3, 5})) == 1
+    assert _moebius_from(_face_masks(3), 0)(_mask((3,))) == -1
+    assert _moebius_from(_face_masks(5), 0)(_mask((3, 5))) == 1
+
+
+def _face_masks(n):
+    return {_mask(c) for c in face_tuples(n)}
 
 
 @pytest.mark.parametrize("n", range(3, 15))
@@ -123,27 +128,38 @@ def test_moebius_matches_recursive_oracle(n, covered_by):
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_shared_moebius_recursion_matches_the_oracle(n):
-    fs = [frozenset(c) for c in face_tuples(n)]
-    for s in fs:
-        shared = complex_poset._moebius_from(n, s)  # one memo for every t
-        for t in fs:
-            if s <= t:
-                assert shared(t) == complex_poset._moebius_from(n, s)(t)  # a fresh memo
+    masks = _face_masks(n)
+    for s in masks:
+        shared = _moebius_from(masks, s)  # one memo for every t
+        for t in masks:
+            if s & t == s:
+                assert shared(t) == _moebius_from(masks, s)(t)  # a fresh memo
 
 
 @pytest.mark.parametrize("n", [8, 10, 14])
-def test_moebius_oracle_validates_each_set_of_the_interval_once(monkeypatch, n):
+def test_moebius_oracle_validates_each_set_of_the_interval_once(n):
     bottom, top = PeakSet(n, ()), faces(n, max_peak_count(n) - 1)[-1]
-    real = complex_poset.is_valid
-    seen = []
-    monkeypatch.setattr(complex_poset, "is_valid",
-                        lambda m, u: seen.append(tuple(sorted(getattr(u, "elements", u))))
-                        or real(m, u))
-    value = complex_poset._moebius_from(n, frozenset())(frozenset(top.elements))
-    # Every set of the interval but the top (all of them faces) is
-    # validated exactly once.
-    assert len(seen) == len(set(seen)) == 2 ** len(top.elements) - 1
+    asked = []
+
+    class CountingSet(set):
+        def __contains__(self, m):
+            asked.append(m)
+            return super().__contains__(m)
+
+    value = _moebius_from(CountingSet(_face_masks(n)), 0)(_mask(top.elements))
+    # Each evaluated set (every set of the interval but the bottom, all of
+    # them faces) asks once for each of its proper subsets.
+    k = len(top.elements)
+    assert len(asked) == 3 ** k - 2 ** k
+    assert len(set(asked)) == 2 ** k - 1
     assert value == moebius(n, bottom, top)
+
+
+def test_moebius_oracle_reads_the_face_container():
+    masks = _face_masks(5)
+    assert _moebius_from(masks, 0)(_mask((3, 5))) == 1
+    # without the face {3}, [{}, {3,5}] is the chain {} < {5} < {3,5}
+    assert _moebius_from(masks - {_mask((3,))}, 0)(_mask((3, 5))) == 0
 
 
 def test_euler_characteristic():

@@ -25,6 +25,9 @@ def test_is_valid_examples():
     assert is_valid(9, ())
     assert not is_valid(5, (3, 4, 5))
     assert is_valid(7, (3, 5, 7))
+    # (3, 7) meets the criterion, but 7 is not inside [5]
+    assert not is_valid(5, (3, 7))
+    assert not is_valid(5, PeakSet(9, (3, 7)))
 
 
 @pytest.mark.parametrize("build", [
@@ -54,6 +57,12 @@ def test_witness_rejects_invalid_with_diagnostics():
     assert err.value.j == 2
     assert err.value.element == 4
     assert err.value.bound == 5
+
+
+def test_witness_rebases_a_set_of_another_ambient_size():
+    # (3, 9) is a face at n = 9, but 9 is not inside [7]
+    with pytest.raises(ValueError, match=r"not inside \[7\]"):
+        witness(7, PeakSet(9, (3, 9)))
 
 
 def test_dyck_examples():

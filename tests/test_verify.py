@@ -140,6 +140,19 @@ def test_memo_lives_for_one_run_suite_call(monkeypatch):
     assert sorted(calls) == sorted(2 * list(range(1, 9)))
 
 
+def test_a_check_that_raises_fails_and_the_run_goes_on(monkeypatch):
+    def crashes(max_n):
+        raise ValueError("no such face")
+
+    monkeypatch.setattr(verify, "_checks", lambda suite: [
+        ("crashes", crashes), ("after", lambda max_n: (True, f"ran to {max_n}"))])
+    out = io.StringIO()
+    assert verify.report("perm", 8, out) == 2
+    assert out.getvalue() == ("FAIL  perm/crashes: raised ValueError: no such face\n"
+                              "PASS  perm/after: ran to 8\n"
+                              "1/2 checks passed\n")
+
+
 def test_check_outside_run_suite_computes_afresh(monkeypatch):
     calls = _count_cp_class_tables(monkeypatch)
     assert perm.check_partition(8)[0]
