@@ -7,6 +7,7 @@ from collections import Counter
 from itertools import combinations
 
 from .. import complex_poset, peak_sets
+from ..exact_algebra import ExactPoly
 from ..peak_sets import PeakSet
 from ..poset_core import _mask, _moebius_from
 from ..tables import POSET_CAP
@@ -55,16 +56,20 @@ def check_face_counts(max_n: int) -> tuple[bool, str]:
 
 
 def check_fvector_recurrence(max_n: int) -> tuple[bool, str]:
-    for n in range(3, 41):
-        if complex_poset.face_counts_by_recurrence(n) != complex_poset.face_table(n):
+    for n, row in zip(range(3, 41), complex_poset._face_count_walk()):
+        if row != complex_poset.face_table(n):
             return False, f"recurrence row != closed form at n={n}"
+    if complex_poset.face_counts_by_recurrence(40) != row:
+        return False, "face_counts_by_recurrence(40) != the walk's row"
     return True, "f-vector recurrence = closed form, n <= 40"
 
 
 def check_fpoly_recurrence(max_n: int) -> tuple[bool, str]:
-    for n in range(3, 41):
-        if complex_poset.f_polynomial_by_recurrence(n) != complex_poset.f_polynomial(n):
+    for n, p in zip(range(3, 41), complex_poset._polynomial_walk(ExactPoly((1, 1)))):
+        if p != complex_poset.f_polynomial(n):
             return False, f"f-polynomial recurrence mismatch at n={n}"
+    if complex_poset.f_polynomial_by_recurrence(40) != p:
+        return False, "f_polynomial_by_recurrence(40) != the walk's polynomial"
     return True, "f-polynomial recurrence = closed form, n <= 40"
 
 
@@ -95,8 +100,7 @@ def check_moebius(max_n: int) -> tuple[bool, str]:
 
 
 def check_euler(max_n: int) -> tuple[bool, str]:
-    for n in range(3, 41):
-        f = complex_poset.face_counts_by_recurrence(n)
+    for n, f in zip(range(3, 41), complex_poset._face_count_walk()):
         by_recurrence = sum((-1) ** (m + 1) * p for m, p in enumerate(f))
         closed = complex_poset.euler_characteristic_closed_form(n)
         if by_recurrence != closed:

@@ -8,7 +8,9 @@ from ..exact_algebra import ExactPoly
 
 
 def check_h_consistency(max_n: int) -> tuple[bool, str]:
-    for n in range(3, 41):
+    walks = zip(range(3, 61), hvector._h_recurrence_walk(),
+                complex_poset._polynomial_walk(ExactPoly.x()))
+    for n, row, poly in walks:
         shifted = exact_algebra.poly_shift(complex_poset.f_polynomial(n))
         top = peak_sets.max_peak_count(n)
         closed = tuple(hvector.h_entry(n, i) for i in range(top + 1))
@@ -19,11 +21,13 @@ def check_h_consistency(max_n: int) -> tuple[bool, str]:
             return False, f"h_table != h_entry row at n={n}"
         if hvector.h_polynomial(n) != shifted:
             return False, f"h_polynomial != shifted f-polynomial at n={n}"
-        if hvector.h_recurrence_table(n) != closed:
+        if row != closed:
             return False, f"recurrence != closed form at n={n}"
-        if hvector.h_polynomial_by_recurrence(n) != shifted:
+        if poly != shifted:
             return False, f"polynomial recurrence mismatch at n={n}"
-    return True, "h closed form = recurrence = P_n(x-1) coefficients, n <= 40"
+    if hvector.h_recurrence_table(60) != row or hvector.h_polynomial_by_recurrence(60) != poly:
+        return False, "a public h walker at n=60 != its walk's value"
+    return True, "h closed form = recurrence = P_n(x-1) coefficients, n <= 60"
 
 
 def check_h_dyck(max_n: int) -> tuple[bool, str]:

@@ -7,6 +7,8 @@ Faces of dimension i are the realizable sets of size i+1; the closed form
 is the production path, evaluated by exact integer division in
 circpeaks.tables, with the per-entry closed form face_count, the
 enumeration and the parity recurrence kept here as independent oracles.
+Each recurrence is one walk that yields every n from 3 up; its per-n
+oracle returns the walk's last value, and a check reads one walk once.
 face_table(n), the integer f-vector, and the Euler characteristic are
 defined in circpeaks.tables and re-exported here; f_polynomial is its
 ExactPoly view.  The face enumeration face_tuples is defined in the
@@ -23,7 +25,8 @@ no public function wraps.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from itertools import count, islice
 
 from .exact_algebra import ExactPoly, PolySeries, binomial, catalan_series
 from .peak_sets import PeakSet, is_valid
@@ -68,19 +71,25 @@ def face_counts_by_recurrence(n: int) -> tuple[int, ...]:
     Even m:  p_{m+1,i} = p_{m,i-1} + p_{m,i} for interior i, with the
     boundary rows p_{m+1,-1} = p_{m,-1} and p_{m+1,m/2-1} = p_{m,m/2-2};
     odd m:   p_{m+1,i} = p_{m,i-1} + p_{m,i} throughout.
-    Initial row (p_{3,-1}, p_{3,0}) = (1, 1).
+    Initial row (p_{3,-1}, p_{3,0}) = (1, 1).  The last row of one walk,
+    _face_count_walk, which yields every n from 3 up and is read once per check.
     """
+    return _walk_at(_face_count_walk(), n)
+
+
+def _walk_at(walk: Iterator, n: int):
+    """The value at n of a walk that yields its value at every n from 3 up."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    row = [1, 1]  # indices -1, 0
-    for m in range(3, n):
-        def p(i: int) -> int:
-            return row[i + 1] if -1 <= i <= len(row) - 2 else 0
-        top = (m + 1 - 1) // 2 - 1  # top dimension of the (m+1)-complex
-        row = [p(-1)] + [p(i - 1) + p(i) for i in range(0, top + 1)] \
-            if m % 2 else \
-            [p(-1)] + [p(i - 1) + p(i) for i in range(0, top)] + [p(top - 1)]
-    return tuple(row)
+    return next(islice(walk, n - 3, None))
+
+
+def _face_count_walk() -> Iterator[tuple[int, ...]]:
+    row = (1, 1)
+    for m in count(3):
+        yield row
+        sums = tuple(a + b for a, b in zip(row, row[1:]))
+        row = (row[0], *sums) if m % 2 else (row[0], *sums, row[-1])
 
 
 def f_polynomial(n: int) -> ExactPoly:
@@ -92,29 +101,28 @@ def f_polynomial_by_recurrence(n: int) -> ExactPoly:
     """P_n(x) from the parity recurrence (test oracle).
 
     Even m: P_{m+1} = (1+x)P_m; odd m: x P_{m+1} = (1+x)P_m - 2/(m+1) C(m-1,(m-1)/2),
-    the latter solved by exact division by x.
+    the latter solved by exact division by x.  This is the last value of
+    _polynomial_walk at a = 1+x; complex/fpolynomial-recurrence reads it once.
     """
-    return _polynomial_by_recurrence(ExactPoly((1, 1)), n)
+    return _walk_at(_polynomial_walk(ExactPoly((1, 1))), n)
 
 
-def _polynomial_by_recurrence(a: ExactPoly, n: int) -> ExactPoly:
-    """The parity recurrence in a, from p = a at n = 3.
+def _polynomial_walk(a: ExactPoly) -> Iterator[ExactPoly]:
+    """The parity recurrence in a, yielding p at every n from p = a at n = 3.
 
     Even m: p <- a p; odd m: p <- (a p - c_m) / (a - 1), divided exactly,
     with c_m = 2/(m+1) C(m-1,(m-1)/2).  a = 1+x gives P_n; a = x gives
     H_n = P_n(x-1).
     """
-    if n < 3:
-        raise ValueError("n must be >= 3")
     p, a_minus_one = a, a - ExactPoly.constant(1)
-    for m in range(3, n):
+    for m in count(3):
+        yield p
         if m % 2 == 0:
             p = a * p
         else:
             c = exact_quotient(2 * binomial(m - 1, (m - 1) // 2), m + 1,
                                f"the Catalan term 2/(m+1) C(m-1,(m-1)/2) at m={m}")
             p = (a * p - ExactPoly.constant(c)).exact_div(a_minus_one)
-    return p
 
 
 def _corrected_series(a: ExactPoly, order_n: int) -> PolySeries:

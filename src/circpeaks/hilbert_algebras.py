@@ -172,11 +172,9 @@ def verify_series_recurrence_a(n: int) -> bool:
         return lhs == rhs
     c = 4 * n
     s0, s1, s2 = _series(n), _series(n + 1), _series(n + 2)
-    x2dd = [k * (k - 1) * v for k, v in enumerate(s0)]
-    rhs = [
-        (n + 3) * (_xd(s2)[k] + s2[k]) + c * _xd(s1)[k] - 2 * c * _xd(s0)[k] - c * x2dd[k]
-        for k in range(SERIES_RECURRENCE_ORDER + 1)
-    ]
+    d0, d1, d2 = _xd(s0), _xd(s1), _xd(s2)
+    rhs = [(n + 3) * (d2[k] + s2[k]) + c * (d1[k] - 2 * d0[k] - k * (k - 1) * s0[k])
+           for k in range(SERIES_RECURRENCE_ORDER + 1)]
     return [(n + 3) * v for v in _series(n + 3)] == rhs
 
 

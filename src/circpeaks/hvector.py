@@ -8,12 +8,16 @@ which also counts Dyck-path left factors ending at a shifted endpoint, and
 satisfy a parity recurrence with Catalan boundary terms.  H_n is read off
 these integer entries, h_table(n), which is defined in circpeaks.tables,
 the integer core, and re-exported here; the per-entry closed form
-h_entry and the shift P_n(x-1) are its oracles.
+h_entry and the shift P_n(x-1) are its oracles.  Each recurrence is one
+walk that yields its value at every n from 3 up, as in complex_poset.
 """
 
 from __future__ import annotations
 
-from .complex_poset import _corrected_series, _polynomial_by_recurrence, _printed_series_discrepancy
+from collections.abc import Iterator
+from itertools import accumulate, count
+
+from .complex_poset import _corrected_series, _polynomial_walk, _printed_series_discrepancy, _walk_at
 from .exact_algebra import (
     ExactPoly,
     PolySeries,
@@ -39,9 +43,10 @@ def h_polynomial_by_recurrence(n: int) -> ExactPoly:
     """H_n(x) from the parity recurrence (test oracle).
 
     Even m: H_{m+1} = x H_m; odd m: (x-1) H_{m+1} = x H_m - 2/(m+1) C(m-1,(m-1)/2),
-    the latter solved by exact division by (x-1).
+    the latter solved by exact division by (x-1).  This is the last value
+    of _polynomial_walk at a = x; hvector/h-closed-recurrence-shift reads it once.
     """
-    return _polynomial_by_recurrence(ExactPoly.x(), n)
+    return _walk_at(_polynomial_walk(ExactPoly.x()), n)
 
 
 def h_entry(n: int, i: int) -> int:
@@ -60,22 +65,18 @@ def h_recurrence_table(n: int) -> tuple[int, ...]:
 
     h_{m+1,0} = h_{m,0}; h_{m+1,i} = h_{m,i} + eps(m) h_{m+1,i-1} for
     1 <= i <= floor(m/2) - 1; h_{m+1,floor(m/2)} = eps(m) c_{floor(m/2)};
-    initial row (h_{3,0}, h_{3,1}) = (1, 0).
+    initial row (h_{3,0}, h_{3,1}) = (1, 0).  The last row of one walk,
+    _h_recurrence_walk, which yields every n from 3 up and is read once per check.
     """
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    row = [1, 0]
-    for m in range(3, n):
-        def h(i: int) -> int:
-            return row[i] if 0 <= i < len(row) else 0
-        eps = epsilon_odd(m)
-        top = m // 2
-        new = [h(0)]
-        for i in range(1, top):
-            new.append(h(i) + eps * new[i - 1])
-        new.append(eps * catalan_number(top))
-        row = new
-    return tuple(row)
+    return _walk_at(_h_recurrence_walk(), n)
+
+
+def _h_recurrence_walk() -> Iterator[tuple[int, ...]]:
+    row = (1, 0)
+    for m in count(3):
+        yield row
+        eps, top = epsilon_odd(m), m // 2
+        row = (*accumulate(row[:top], lambda prev, h: h + eps * prev), eps * catalan_number(top))
 
 
 def h_generating_series(order_n: int) -> PolySeries:

@@ -31,12 +31,15 @@ def test_h_polynomial_examples():
 
 
 @pytest.mark.parametrize("n", [*range(3, 61), 101, 200])
-def test_h_polynomial_matches_shifted_f_polynomial(n):
-    assert h_polynomial(n) == poly_shift(f_polynomial(n))
+def test_h_polynomial_matches_shifted_f_polynomial(n, covered_by):
+    if n <= 60:
+        covered_by("hvector", "h-closed-recurrence-shift", n)
+    else:  # past the registry's range, until the cap suite of ROADMAP item 3
+        assert h_polynomial(n) == poly_shift(f_polynomial(n))
 
 
 def test_h_polynomial_recurrence(covered_by):
-    covered_by("hvector", "h-closed-recurrence-shift", 40)
+    covered_by("hvector", "h-closed-recurrence-shift", 60)
 
 
 def test_h_entry_examples():

@@ -15,6 +15,7 @@ from circpeaks import (
 from circpeaks.checks import chains, perm
 from circpeaks.checks import complex as complex_checks
 from circpeaks.checks import hilbert as hilbert_checks
+from circpeaks.exact_algebra import ExactPoly
 from circpeaks.peak_sets import PeakSet, count_valid
 
 # (suite, name, detail) of every check of run_suite("all", 8).  A detail
@@ -71,7 +72,7 @@ EXPECTED_ALL_8 = [
     ("chains", "zeta-polynomial-eval",
      "zeta polynomial evaluates to zeta, n <= 12, i <= 6"),
     ("hvector", "h-closed-recurrence-shift",
-     "h closed form = recurrence = P_n(x-1) coefficients, n <= 40"),
+     "h closed form = recurrence = P_n(x-1) coefficients, n <= 60"),
     ("hvector", "h-dyck-endpoint-oracle",
      "h entries = left-factor endpoint counts, n <= 16"),
     ("hvector", "h-even-parity-shift",
@@ -273,6 +274,26 @@ def test_complex_suite_enumerates_each_poset_once(monkeypatch):
     # product-structure reads the face lists of P_n and P_{n+1}, n <= 13,
     # which the other checks share
     assert sorted(enumerated) == list(range(3, 15))
+
+
+@pytest.mark.parametrize("suite, name, top", [("complex", "fpolynomial-recurrence", 40),
+                                              ("hvector", "h-closed-recurrence-shift", 60)])
+def test_recurrence_checks_walk_the_recurrence_once(monkeypatch, suite, name, top):
+    # The polynomial recurrence divides once per odd step, (top - 2) // 2
+    # times in one walk from n = 3 to top; a walk restarted at n = 3 for
+    # every n divides O(top^2) times.
+    divisions = []
+    real = ExactPoly.exact_div
+
+    def counted(self, divisor):
+        divisions.append(divisor)
+        return real(self, divisor)
+
+    monkeypatch.setattr(ExactPoly, "exact_div", counted)
+    results = verify.run_suite(suite, 8)
+    assert all(r.ok for r in results)
+    assert [r.detail for r in results if r.name == name][0].endswith(f"n <= {top}")
+    assert len(divisions) <= top
 
 
 def _count_chain_formulas(monkeypatch):
