@@ -1,10 +1,10 @@
 """The oracle suites of circpeaks.verify, one module per suite.
 
-Each module holds its suite's check_* functions and CHECKS, the ordered
-list of (name, fn) pairs that run_suite runs, and imports only the
-library modules that its checks test.  A check takes max_n and returns
-(ok, detail); detail states the range covered, or the first
-counterexample.
+Each module holds its suite's check_* functions, imports only the
+library modules that its checks test, and declares its checks through
+verify._registry.  A check takes the range of n that run_suite hands it
+(None for a check with no declared range) and returns (ok, detail);
+detail says what held, or names the first counterexample.
 
 This package module also pins what the series command prints, so that
 the command and the series suite read one copy and neither loads the

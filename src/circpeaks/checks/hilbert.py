@@ -7,40 +7,38 @@ from itertools import combinations, combinations_with_replacement
 
 from .. import exact_algebra, hilbert_algebras, peak_sets
 from ..poset_core import _mask
-from ..verify import _valid_subsets
+from ..verify import _registry, _valid_subsets
 
 
-def check_dim_a_oracle(max_n: int) -> tuple[bool, str]:
-    top = min(8, max_n)
-    for n in range(3, top + 1):
+def check_dim_a_oracle(ns: range) -> tuple[bool, str]:
+    for n in ns:
         for i in range(0, 6):
             if hilbert_algebras.dim_a(n, i) != \
                     hilbert_algebras.standard_monomial_oracle(n, "A", i):
                 return False, f"dim_a mismatch at n={n}, degree={i}"
-    return True, f"dim_a = monomial oracle, n <= {top}, degree <= 5"
+    return True, "dim_a = monomial oracle, degree <= 5"
 
 
-def check_dim_b_oracle(max_n: int) -> tuple[bool, str]:
-    top = min(8, max_n)
-    for n in range(3, top + 1):
+def check_dim_b_oracle(ns: range) -> tuple[bool, str]:
+    for n in ns:
         for i in range(0, peak_sets.max_peak_count(n) + 3):
             if hilbert_algebras.dim_b(n, i) != \
                     hilbert_algebras.standard_monomial_oracle(n, "B", i):
                 return False, f"dim_b mismatch at n={n}, degree={i}"
-    return True, f"dim_b = squarefree monomial oracle, n <= {top}, all degrees"
+    return True, "dim_b = squarefree monomial oracle, all degrees"
 
 
-def check_hilbert_polynomial(max_n: int) -> tuple[bool, str]:
-    for n in range(3, 21):
+def check_hilbert_polynomial(ns: range) -> tuple[bool, str]:
+    for n in ns:
         p = hilbert_algebras.hilbert_polynomial_a(n)
         for i in range(0, 9):
             if p.eval(i) != hilbert_algebras.dim_a(n, i):
                 return False, f"Hilbert polynomial mismatch at n={n}, i={i}"
-    return True, "Hilbert polynomial of A matches dims, n <= 20, 0 <= i <= 8"
+    return True, "Hilbert polynomial of A matches dims, 0 <= i <= 8"
 
 
-def check_numerator_form(max_n: int) -> tuple[bool, str]:
-    for n in range(3, 15):
+def check_numerator_form(ns: range) -> tuple[bool, str]:
+    for n in ns:
         numerator, e = hilbert_algebras.numerator_a(n)
         if e != (n + 1) // 2:
             return False, f"unexpected exponent at n={n}"
@@ -55,46 +53,42 @@ def check_numerator_form(max_n: int) -> tuple[bool, str]:
         ]
         if expanded != list(hilbert_algebras.hilbert_series_a(n, 12)):
             return False, f"rational form does not reproduce the series at n={n}"
-    return True, "numerator/(1-x)^floor((n+1)/2) reproduces the A-series, n <= 14"
+    return True, "numerator/(1-x)^floor((n+1)/2) reproduces the A-series"
 
 
-def check_hilbert_initial(max_n: int) -> tuple[bool, str]:
-    if hilbert_algebras.hilbert_series_a(3, 12) != tuple(i + 1 for i in range(13)):
-        return False, "A-series at n=3 is not 1/(1-x)^2"
-    if hilbert_algebras.hilbert_series_a(4, 12) != tuple(2 * i + 1 for i in range(13)):
-        return False, "A-series at n=4 is not (1+x)/(1-x)^2"
-    return True, "initial A-series 1/(1-x)^2 and (1+x)/(1-x)^2 reproduced to order 12"
+def check_hilbert_initial(ns: range) -> tuple[bool, str]:
+    # the coefficient of x^i in 1/(1-x)^2 (n = 3) and (1+x)/(1-x)^2 (n = 4) is (n-2)i + 1
+    for n, form in zip(ns, ("1/(1-x)^2", "(1+x)/(1-x)^2")):
+        if hilbert_algebras.hilbert_series_a(n, 12) != tuple((n - 2) * i + 1 for i in range(13)):
+            return False, f"A-series at n={n} is not {form}"
+    return True, "initial A-series 1/(1-x)^2 (n=3) and (1+x)/(1-x)^2 (n=4) reproduced to order 12"
 
 
-def check_series_recurrences(max_n: int) -> tuple[bool, str]:
-    for n in range(4, 13, 2):
+def check_series_recurrences(ns: range) -> tuple[bool, str]:
+    for n in ns:
         if not hilbert_algebras.verify_series_recurrence_a(n):
-            return False, f"even-n series recurrence failed at n={n}"
-    for n in range(3, 12, 2):
-        if not hilbert_algebras.verify_series_recurrence_a(n):
-            return False, f"odd-n derivative relation failed at n={n}"
-    return True, "A-series derivative recurrences hold as truncated identities, n <= 12"
+            relation = "odd-n derivative relation" if n % 2 else "even-n series recurrence"
+            return False, f"{relation} failed at n={n}"
+    return True, "A-series derivative recurrences hold as truncated identities"
 
 
-def check_numerator_recurrences(max_n: int) -> tuple[bool, str]:
-    for n in range(4, 13, 2):
+def check_numerator_recurrences(ns: range) -> tuple[bool, str]:
+    for n in ns:
         if not hilbert_algebras.verify_numerator_recurrence_a(n):
-            return False, f"even-n numerator recurrence failed at n={n}"
-    for n in range(3, 12, 2):
-        if not hilbert_algebras.verify_numerator_recurrence_a(n):
-            return False, f"odd-n numerator relation failed at n={n}"
-    return True, "numerator recurrences hold exactly, n <= 12"
+            relation = "odd-n numerator relation" if n % 2 else "even-n numerator recurrence"
+            return False, f"{relation} failed at n={n}"
+    return True, "numerator recurrences hold exactly"
 
 
-def check_series_b(max_n: int) -> tuple[bool, str]:
-    for n in range(3, 15):
+def check_series_b(ns: range) -> tuple[bool, str]:
+    for n in ns:
         s = hilbert_algebras.hilbert_series_b(n)
         top = peak_sets.max_peak_count(n)
         if s.degree > top + 1 or hilbert_algebras.dim_b(n, top + 2) != 0:
             return False, f"B-series degree too large at n={n}"
         if s.coeff(1) != peak_sets.count_valid(n):
             return False, f"B-series x^1 coefficient wrong at n={n}"
-    return True, "B-series degree <= D+1, dim_b(n, D+2) = 0 and face count at x^1, n <= 14"
+    return True, "B-series degree <= D+1, dim_b(n, D+2) = 0 and face count at x^1"
 
 
 def _face_multisets(count: int) -> list[tuple[int, ...]]:
@@ -102,9 +96,9 @@ def _face_multisets(count: int) -> list[tuple[int, ...]]:
     return [c for size in range(1, 5) for c in combinations_with_replacement(range(count), size)]
 
 
-def check_nonvanishing_criterion(max_n: int) -> tuple[bool, str]:
+def check_nonvanishing_criterion(ns: range) -> tuple[bool, str]:
     total = 0
-    for n in range(3, 7):
+    for n in ns:
         masks = [_mask(s) for s in _valid_subsets(n)]
         multisets = _face_multisets(len(masks))
         total += len(multisets)
@@ -117,18 +111,17 @@ def check_nonvanishing_criterion(max_n: int) -> tuple[bool, str]:
             sortable = all(a & b == a for a, b in zip(chain, chain[1:]))
             if comparable != sortable:
                 return False, f"nonvanishing criterion failed at n={n}, idxs={list(idxs)}"
-    return True, (f"multichain <=> pairwise-comparable support, "
-                  f"all {total} multisets of 1-4 faces, n <= 6")
+    return True, f"multichain <=> pairwise-comparable support, all {total} multisets of 1-4 faces"
 
 
-CHECKS = [
-    ("dim-a-monomial-oracle", check_dim_a_oracle),
-    ("dim-b-monomial-oracle", check_dim_b_oracle),
-    ("hilbert-polynomial-a", check_hilbert_polynomial),
-    ("numerator-rational-form", check_numerator_form),
-    ("initial-a-series", check_hilbert_initial),
-    ("a-series-recurrences", check_series_recurrences),
-    ("numerator-recurrences", check_numerator_recurrences),
-    ("b-series-shape", check_series_b),
-    ("nonvanishing-criterion", check_nonvanishing_criterion),
-]
+CHECKS, RANGES = _registry([
+    ("dim-a-monomial-oracle", check_dim_a_oracle, 3, 8),
+    ("dim-b-monomial-oracle", check_dim_b_oracle, 3, 8),
+    ("hilbert-polynomial-a", check_hilbert_polynomial, 3, 20),
+    ("numerator-rational-form", check_numerator_form, 3, 14),
+    ("initial-a-series", check_hilbert_initial, 3, 4),
+    ("a-series-recurrences", check_series_recurrences, 3, 12),
+    ("numerator-recurrences", check_numerator_recurrences, 3, 12),
+    ("b-series-shape", check_series_b, 3, 14),
+    ("nonvanishing-criterion", check_nonvanishing_criterion, 3, 6),
+])

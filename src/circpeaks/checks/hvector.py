@@ -5,10 +5,11 @@ from __future__ import annotations
 
 from .. import complex_poset, exact_algebra, hvector, peak_sets
 from ..exact_algebra import ExactPoly
+from ..verify import _registry
 
 
-def check_h_consistency(max_n: int) -> tuple[bool, str]:
-    walks = zip(range(3, 61), hvector._h_recurrence_walk(),
+def check_h_consistency(ns: range) -> tuple[bool, str]:
+    walks = zip(ns, hvector._h_recurrence_walk(),
                 complex_poset._polynomial_walk(ExactPoly.x()))
     for n, row, poly in walks:
         shifted = exact_algebra.poly_shift(complex_poset.f_polynomial(n))
@@ -25,37 +26,36 @@ def check_h_consistency(max_n: int) -> tuple[bool, str]:
             return False, f"recurrence != closed form at n={n}"
         if poly != shifted:
             return False, f"polynomial recurrence mismatch at n={n}"
-    if hvector.h_recurrence_table(60) != row or hvector.h_polynomial_by_recurrence(60) != poly:
-        return False, "a public h walker at n=60 != its walk's value"
-    return True, "h closed form = recurrence = P_n(x-1) coefficients, n <= 60"
+    if hvector.h_recurrence_table(n) != row or hvector.h_polynomial_by_recurrence(n) != poly:
+        return False, f"a public h walker at n={n} != its walk's value"
+    return True, "h closed form = recurrence = P_n(x-1) coefficients"
 
 
-def check_h_dyck(max_n: int) -> tuple[bool, str]:
-    top = min(16, max_n + 8)
-    for n in range(3, top + 1):
+def check_h_dyck(ns: range) -> tuple[bool, str]:
+    for n in ns:
         for i in range(0, peak_sets.max_peak_count(n) + 1):
             if hvector.h_entry(n, i) != hvector.h_dyck_oracle(n, i):
                 return False, f"Dyck endpoint count mismatch at n={n}, i={i}"
-    return True, f"h entries = left-factor endpoint counts, n <= {top}"
+    return True, "h entries = left-factor endpoint counts"
 
 
-def check_h_parity_shift(max_n: int) -> tuple[bool, str]:
-    for n in range(4, 21, 2):
+def check_h_parity_shift(ns: range) -> tuple[bool, str]:
+    for n in ns[::2]:  # ns starts at an even n
         if hvector.h_polynomial(n + 1) != ExactPoly.x() * hvector.h_polynomial(n):
             return False, f"even-n shift failed at n={n}"
-    return True, "H_{n+1} = x H_n for even n <= 20"
+    return True, "H_{n+1} = x H_n for even n"
 
 
-def check_h_sum(max_n: int) -> tuple[bool, str]:
-    for n in range(3, 41):
+def check_h_sum(ns: range) -> tuple[bool, str]:
+    for n in ns:
         if hvector.h_polynomial(n).eval(1) != complex_poset.f_polynomial(n).eval(0):
             return False, f"H_n(1) != P_n(0) at n={n}"
-    return True, "H_n(1) = P_n(0) (top face count), n <= 40"
+    return True, "H_n(1) = P_n(0) (top face count)"
 
 
-CHECKS = [
-    ("h-closed-recurrence-shift", check_h_consistency),
-    ("h-dyck-endpoint-oracle", check_h_dyck),
-    ("h-even-parity-shift", check_h_parity_shift),
-    ("h-sum-identity", check_h_sum),
-]
+CHECKS, RANGES = _registry([
+    ("h-closed-recurrence-shift", check_h_consistency, 3, 60),
+    ("h-dyck-endpoint-oracle", check_h_dyck, 3, 16),
+    ("h-even-parity-shift", check_h_parity_shift, 4, 20),
+    ("h-sum-identity", check_h_sum, 3, 40),
+])

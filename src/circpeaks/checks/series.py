@@ -5,25 +5,26 @@ that the series command prints."""
 from __future__ import annotations
 
 from .. import complex_poset, hvector
+from ..verify import _registry
 from . import PRINTED_FORM_REPORTS
 
 
-def check_f_series(max_n: int) -> tuple[bool, str]:
-    series = complex_poset.f_generating_series(20)
+def check_f_series(ns: range) -> tuple[bool, str]:
+    series = complex_poset.f_generating_series(ns[-1])
     if not series.coeffs[2].is_zero():
         return False, "nonzero y^2 coefficient"
-    for n in range(3, 21):
+    for n in ns:
         if series.coeffs[n] != complex_poset.f_polynomial(n):
             return False, f"series coefficient != f-polynomial at n={n}"
-    return True, "corrected P(x,y) matches f-polynomials, 3 <= n <= 20"
+    return True, "corrected P(x,y) matches f-polynomials"
 
 
-def check_h_series(max_n: int) -> tuple[bool, str]:
-    series = hvector.h_generating_series(20)
-    for n in range(3, 21):
+def check_h_series(ns: range) -> tuple[bool, str]:
+    series = hvector.h_generating_series(ns[-1])
+    for n in ns:
         if series.coeffs[n] != hvector.h_polynomial(n):
             return False, f"series coefficient != h-polynomial at n={n}"
-    return True, "corrected H(x,y) matches h-polynomials, 3 <= n <= 20"
+    return True, "corrected H(x,y) matches h-polynomials"
 
 
 def _check_printed_form(which: str, report: dict | None) -> tuple[bool, str]:
@@ -39,17 +40,17 @@ def _check_printed_form(which: str, report: dict | None) -> tuple[bool, str]:
     )
 
 
-def check_printed_f_form(max_n: int) -> tuple[bool, str]:
+def check_printed_f_form(_ns: None) -> tuple[bool, str]:
     return _check_printed_form("P", complex_poset.printed_f_series_discrepancy())
 
 
-def check_printed_h_form(max_n: int) -> tuple[bool, str]:
+def check_printed_h_form(_ns: None) -> tuple[bool, str]:
     return _check_printed_form("H", hvector.printed_h_series_discrepancy())
 
 
-CHECKS = [
-    ("f-series-coefficients", check_f_series),
-    ("h-series-coefficients", check_h_series),
+CHECKS, RANGES = _registry([
+    ("f-series-coefficients", check_f_series, 3, 20),
+    ("h-series-coefficients", check_h_series, 3, 20),
     ("printed-f-series-form", check_printed_f_form),
     ("printed-h-series-form", check_printed_h_form),
-]
+])

@@ -6,11 +6,13 @@ enumeration, monomial enumeration, series cross-multiplication).  One
 result line per check; all comparisons are bit-exact.
 
 Each suite is one module of circpeaks.checks, holding its check_*
-functions and their (name, fn) list CHECKS, and importing only the
-library modules it checks.  run_suite imports a suite's module on first
-use, so `verify --suite S` compiles S's checks alone.  SUITES maps each
-suite name to its CHECKS list, the same list objects that run_suite
-reads; it is resolved on access (PEP 562) and imports every suite.
+functions and importing only the library modules it checks.  It declares
+them through _registry: CHECKS, the (name, fn) list, and RANGES, the n
+range of each check at --max-n DEFAULT_MAX_N and its cap.  run_suite
+imports a suite's module on first use, so `verify --suite S` compiles
+S's checks alone.  SUITES maps each suite name to its CHECKS list, the
+same list objects that run_suite reads; it is resolved on access
+(PEP 562) and imports every suite.
 
 Within one run_suite call, what several checks share is computed once
 and kept in a memo that the call discards when it ends:
@@ -30,22 +32,35 @@ from __future__ import annotations
 from collections import namedtuple
 from importlib import import_module
 
-PERM_DEFAULT = 8
+DEFAULT_MAX_N = 8
 MIN_MAX_N = 3  # the complex starts at n = 3; below it some checks cover no n
 SUITE_NAMES = ("perm", "peaksets", "complex", "chains", "hvector", "series", "hilbert")
 
 
-CheckResult = namedtuple("CheckResult", "suite name ok detail")
+# first and last: the ends of the range of n the check ran over, or None.
+CheckResult = namedtuple("CheckResult", "suite name ok detail first last")
 
 
-def _checks(suite: str) -> list:
-    """The CHECKS list of one suite, importing its module on first use."""
-    return import_module(f"{__package__}.checks.{suite}").CHECKS
+def _registry(entries) -> tuple[list, dict]:
+    """CHECKS and RANGES of a suite, from one (name, fn[, first, top[, cap]])
+    entry per check, in run order: at --max-n DEFAULT_MAX_N the check runs
+    over first <= n <= top, and at no --max-n past cap, which defaults to top."""
+    checks, ranges = [], {}
+    for name, fn, *span in entries:
+        checks.append((name, fn))
+        if span:
+            ranges[name] = (*span, span[1]) if len(span) == 2 else tuple(span)
+    return checks, ranges
+
+
+def _suite(suite: str):
+    """The module of one suite, imported on first use."""
+    return import_module(f"{__package__}.checks.{suite}")
 
 
 def __getattr__(name):
     if name == "SUITES":
-        return {suite: _checks(suite) for suite in SUITE_NAMES}
+        return {suite: _suite(suite).CHECKS for suite in SUITE_NAMES}
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -90,7 +105,7 @@ def _chain_count_formula(n: int, i: int) -> int:
                      lambda: chains_zeta.chain_count_formula(n, i))
 
 
-def run_suite(suite: str, max_n: int = PERM_DEFAULT) -> list[CheckResult]:
+def run_suite(suite: str, max_n: int = DEFAULT_MAX_N) -> list[CheckResult]:
     """Run one named suite (or 'all'); returns one result per check."""
     if max_n < MIN_MAX_N:
         raise ValueError(f"max_n must be >= {MIN_MAX_N} (got {max_n})")
@@ -103,12 +118,18 @@ def run_suite(suite: str, max_n: int = PERM_DEFAULT) -> list[CheckResult]:
     results = []
     try:
         for s in names:
-            for name, fn in _checks(s):
+            module = _suite(s)
+            for name, fn in module.CHECKS:
+                first = last = ns = None
+                if name in module.RANGES:  # last moves with max_n, within [first, cap]
+                    first, top, cap = module.RANGES[name]
+                    last = max(first, min(top + max_n - DEFAULT_MAX_N, cap))
+                    ns = range(first, last + 1)
                 try:
-                    ok, detail = fn(max_n)
+                    ok, detail = fn(ns)
                 except Exception as exc:  # a crash is a failure, not an abort
                     ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-                results.append(CheckResult(s, name, ok, detail))
+                results.append(CheckResult(s, name, ok, detail, first, last))
     finally:
         _memo = None
     return results
@@ -121,7 +142,8 @@ def report(suite: str, max_n: int, out) -> int:
     failed = 0
     for r in results:
         status = "PASS" if r.ok else "FAIL"
-        out.write(f"{status}  {r.suite}/{r.name}: {r.detail}\n")
+        span = "" if r.first is None else f" [{r.first} <= n <= {r.last}]"
+        out.write(f"{status}  {r.suite}/{r.name}: {r.detail}{span}\n")
         failed += not r.ok
     out.write(f"{len(results) - failed}/{len(results)} checks passed\n")
     return 2 if failed else 0

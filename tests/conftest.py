@@ -8,8 +8,6 @@ test whose assertion a registry check makes over a range at least as wide
 names that check through ``covered_by`` instead of repeating its loop.
 """
 
-import re
-
 import pytest
 
 from circpeaks import verify
@@ -23,14 +21,13 @@ def registry():
 
 @pytest.fixture
 def covered_by(registry):
-    """Assert that registry check suite/name passed and that its range reaches n."""
+    """Assert that registry check suite/name passed and that its range of n holds n."""
 
     def check(suite, name, n):
         result = registry[(suite, name)]
         assert result.ok, f"{suite}/{name}: {result.detail}"
-        stated = re.search(r"n <= (\d+)", result.detail)
-        assert stated, f"{suite}/{name} states no n <= K range: {result.detail!r}"
-        top = int(stated.group(1))
-        assert n <= top, f"{suite}/{name} covers n <= {top}, not n = {n}"
+        assert result.last is not None, f"{suite}/{name} declares no n range"
+        assert result.first <= n <= result.last, \
+            f"{suite}/{name} covers {result.first} <= n <= {result.last}, not n = {n}"
 
     return check

@@ -434,6 +434,12 @@ def test_verify_exit_codes(capsys):
         assert repr(suite) in err, suite
 
 
+def test_verify_max_n_default_is_the_registry_default():
+    # cli repeats the number, so that parsing a command line imports no verify.
+    defaults = {option[0]: option[2] for option in cli.COMMANDS["verify"][1]}
+    assert defaults["--max-n"] == verify.DEFAULT_MAX_N
+
+
 def test_verify_help_names_every_suite(capsys):
     # The help text is fixed so that building the parser does not import verify.
     with pytest.raises(SystemExit) as exc:

@@ -44,9 +44,10 @@ CASES = {
         "DyckPrefix(letters='UUD')",
     ),
     "CheckResult": (
-        lambda: CheckResult("perm", "cp-classes-partition", True, "ok"),
-        ("perm", "cp-classes-partition", True, "ok"),
-        "CheckResult(suite='perm', name='cp-classes-partition', ok=True, detail='ok')",
+        lambda: CheckResult("perm", "cp-classes-partition", True, "ok", 1, 8),
+        ("perm", "cp-classes-partition", True, "ok", 1, 8),
+        "CheckResult(suite='perm', name='cp-classes-partition', ok=True, detail='ok', "
+        "first=1, last=8)",
     ),
 }
 NAMES = sorted(CASES)
@@ -110,7 +111,9 @@ def test_field_differences_break_equality():
     assert PeakSet(5, (3,)) != PeakSet(6, (3,))
     assert PeakSet(5, (3,)) != PeakSet(5, (4,))
     assert DyckPrefix("UD") != DyckPrefix("UU")
-    assert CheckResult("a", "b", True, "d") != CheckResult("a", "b", False, "d")
+    assert CheckResult("a", "b", True, "d", 3, 8) != CheckResult("a", "b", False, "d", 3, 8)
+    assert CheckResult("a", "b", True, "d", 3, 8) != CheckResult("a", "b", True, "d", 3, 9)
+    assert CheckResult("a", "b", True, "d", 3, 8) != CheckResult("a", "b", True, "d", None, None)
 
 
 @pytest.mark.parametrize("name", NAMES)
