@@ -1,14 +1,21 @@
 #!/usr/bin/env python3
 """Print f-vector, h-vector, and Hilbert tables over a range of n.
 
+Every number is read off the integer core, circpeaks.tables, as the
+production subcommands read theirs, so the script loads no oracle module.
+
 Usage: python scripts/make_tables.py [--min-n 3] [--max-n 12] [--order 8]
 """
 
 import argparse
 
-from circpeaks.complex_poset import euler_characteristic, face_table
-from circpeaks.hilbert_algebras import hilbert_series_a, hilbert_series_b, numerator_a
-from circpeaks.hvector import h_table
+from circpeaks.tables import (
+    chain_counts,
+    euler_characteristic,
+    face_table,
+    h_table,
+    hilbert_a_integers,
+)
 
 
 def main() -> None:
@@ -29,14 +36,13 @@ def main() -> None:
     print()
     print(f"{'n':>3}  {'A dims (deg 0..order)':<40} numerator / (1-x)^e")
     for n in range(args.min_n, args.max_n + 1):
-        dims = hilbert_series_a(n, args.order)
-        numerator, exponent = numerator_a(n)
-        print(f"{n:>3}  {str(list(dims)):<40} {list(numerator.coeffs)} / (1-x)^{exponent}")
+        dims, numerator, exponent, _ = hilbert_a_integers(n, args.order)
+        print(f"{n:>3}  {str(list(dims)):<40} {list(numerator)} / (1-x)^{exponent}")
 
     print()
     print(f"{'n':>3}  B series coefficients")
     for n in range(args.min_n, args.max_n + 1):
-        print(f"{n:>3}  {list(hilbert_series_b(n).coeffs)}")
+        print(f"{n:>3}  {list(chain_counts(n))}")
 
 
 if __name__ == "__main__":

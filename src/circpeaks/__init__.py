@@ -30,15 +30,14 @@ _DEFINED_IN = {
         "count_valid", "from_dyck", "is_valid", "to_dyck", "witness",
     ),
     "complex_poset": (
-        "f_generating_series", "f_polynomial", "face_count",
-        "face_counts_by_recurrence", "faces", "moebius",
+        "f_polynomial", "face_count", "face_counts_by_recurrence", "faces",
+        "moebius",
     ),
     "chains_zeta": (
         "chain_count_formula", "zeta_polynomial",
     ),
     "hvector": (
-        "h_dyck_oracle", "h_entry", "h_generating_series", "h_polynomial",
-        "h_recurrence_table",
+        "h_dyck_oracle", "h_entry", "h_polynomial", "h_recurrence_table",
     ),
     "hilbert_algebras": (
         "dim_a", "dim_b", "hilbert_polynomial_a", "hilbert_series_b",

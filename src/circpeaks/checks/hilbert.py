@@ -58,10 +58,12 @@ def check_numerator_form(ns: range) -> tuple[bool, str]:
 
 def check_hilbert_initial(ns: range) -> tuple[bool, str]:
     # the coefficient of x^i in 1/(1-x)^2 (n = 3) and (1+x)/(1-x)^2 (n = 4) is (n-2)i + 1
-    for n, form in zip(ns, ("1/(1-x)^2", "(1+x)/(1-x)^2")):
+    forms = list(zip(ns, ("1/(1-x)^2", "(1+x)/(1-x)^2")))
+    for n, form in forms:
         if hilbert_algebras.hilbert_series_a(n, 12) != tuple((n - 2) * i + 1 for i in range(13)):
             return False, f"A-series at n={n} is not {form}"
-    return True, "initial A-series 1/(1-x)^2 (n=3) and (1+x)/(1-x)^2 (n=4) reproduced to order 12"
+    run = " and ".join(f"{form} (n={n})" for n, form in forms)
+    return True, f"initial A-series {run} reproduced to order 12"
 
 
 def check_series_recurrences(ns: range) -> tuple[bool, str]:

@@ -15,12 +15,13 @@ ExactPoly view.  The face enumeration face_tuples is defined in the
 integer-only circpeaks.poset_core and re-exported here; faces wraps the
 tuples in PeakSet.
 Also here: the builders written in a, with P at a = x+1 and H = P(x-1)
-at a = x, of the parity-recurrence polynomials and of the corrected
-generating series, with the one cross-multiplied check of the printed
-forms; the Moebius function, whose recursion oracle _moebius_from
-(complex/moebius-closed-form) is defined in poset_core; and the kernel of
-the registry check complex/product-structure, _product_structure, which
-no public function wraps.
+at a = x, of the parity-recurrence polynomials and of the one
+cross-multiplied check of the printed generating-function forms (the
+corrected forms are checked coefficient by coefficient, in the series
+suite of circpeaks.checks); the Moebius function, whose recursion oracle
+_moebius_from (complex/moebius-closed-form) is defined in poset_core;
+and the kernel of the registry check complex/product-structure,
+_product_structure, which no public function wraps.
 """
 
 from __future__ import annotations
@@ -125,25 +126,6 @@ def _polynomial_walk(a: ExactPoly) -> Iterator[ExactPoly]:
             p = (a * p - ExactPoly.constant(c)).exact_div(a_minus_one)
 
 
-def _corrected_series(a: ExactPoly, order_n: int) -> PolySeries:
-    """y^2 [a - C(y^2)] (1 + a y) / ((a-1) - a^2 y^2) - y^2 through y^order_n.
-
-    a = x+1 gives P(x,y); a = x gives H(x,y) = P(x-1,y).  Every y^n
-    coefficient must have x-degree at most floor((order_n-1)/2), the
-    largest D of the truncated range, or ValueError is raised.
-    """
-    if order_n < 3:
-        raise ValueError("order_n must be >= 3")
-    zero, one = ExactPoly(()), ExactPoly.constant(1)
-    cy2 = catalan_series(order_n).substitute_y_squared()
-    numer = (PolySeries([a], order_n) - cy2).shift_y(2) * PolySeries([one, a], order_n)
-    denom = PolySeries([a - one, zero, (a * a).scale(-1)], order_n)
-    series = numer.divide(denom) - PolySeries([zero, zero, one], order_n)
-    if any(c.degree > (order_n - 1) // 2 for c in series.coeffs):
-        raise ValueError("x-degree exceeds requested truncation order")
-    return series
-
-
 def _printed_series_discrepancy(a: ExactPoly, truth: Callable[[int], ExactPoly],
                                 formula: str, note: str) -> dict | None:
     """Cross-multiplied check of a printed closed form, as a function of a.
@@ -171,20 +153,6 @@ def _printed_series_discrepancy(a: ExactPoly, truth: Callable[[int], ExactPoly],
                 "note": note,
             }
     return None
-
-
-def f_generating_series(order_n: int) -> PolySeries:
-    """Truncated expansion of P(x,y) = sum_n P_n(x) y^n.
-
-    Uses the corrected closed form
-
-        P(x,y) = y^2 [(x+1) - C(y^2)] (1 + (1+x) y) / (x - (1+x)^2 y^2) - y^2,
-
-    the printed form being off by a factor in its odd-step derivation (see
-    printed_f_series_discrepancy, which documents the mismatch exactly).
-    coeffs[n] of the result is P_n(x).
-    """
-    return _corrected_series(ExactPoly((1, 1)), order_n)
 
 
 def printed_f_series_discrepancy() -> dict | None:

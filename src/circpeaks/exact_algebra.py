@@ -8,8 +8,8 @@ appears anywhere in the library.  Two value kinds live here:
 
   ExactPoly   -- dense univariate polynomial over Z, coeffs low-to-high
   PolySeries  -- truncated power series in y whose coefficients are
-                 ExactPoly values in x (the bivariate generating
-                 functions are expanded exactly as PolySeries)
+                 ExactPoly values in x (the printed bivariate generating
+                 functions are cross-multiplied as PolySeries)
 
 Combinatorial number helpers (binomial, Catalan, multinomial) are at the bottom.
 """
@@ -185,6 +185,11 @@ class PolySeries:
     explicit truncation order (coeffs has order+1 entries).  Division is
     the usual coefficient recursion and requires every per-step polynomial
     division to be exact, otherwise InexactDivisionError is raised.
+
+    The library divides no series: the corrected generating functions are
+    checked by their coefficient recurrence.  divide stays only because
+    the span tracer of the benchmark (perfbench/spans.py, POLY_METHODS)
+    patches every method it names, divide among them.
     """
 
     __slots__ = ("order", "coeffs")

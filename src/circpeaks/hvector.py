@@ -10,6 +10,9 @@ these integer entries, h_table(n), which is defined in circpeaks.tables,
 the integer core, and re-exported here; the per-entry closed form
 h_entry and the shift P_n(x-1) are its oracles.  Each recurrence is one
 walk that yields its value at every n from 3 up, as in complex_poset.
+The printed H(x,y) form is cross-multiplied here; the corrected one is
+checked against h_polynomial by its coefficient recurrence, in the
+series suite of circpeaks.checks.
 """
 
 from __future__ import annotations
@@ -17,10 +20,9 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import accumulate, count
 
-from .complex_poset import _corrected_series, _polynomial_walk, _printed_series_discrepancy, _walk_at
+from .complex_poset import _polynomial_walk, _printed_series_discrepancy, _walk_at
 from .exact_algebra import (
     ExactPoly,
-    PolySeries,
     binomial,
     catalan_number,
     epsilon_odd,
@@ -77,19 +79,6 @@ def _h_recurrence_walk() -> Iterator[tuple[int, ...]]:
         yield row
         eps, top = epsilon_odd(m), m // 2
         row = (*accumulate(row[:top], lambda prev, h: h + eps * prev), eps * catalan_number(top))
-
-
-def h_generating_series(order_n: int) -> PolySeries:
-    """Truncated expansion of H(x,y) = sum_n H_n(x) y^n.
-
-    Uses the corrected closed form (substituting x -> x-1 in the corrected
-    f-series form):
-
-        H(x,y) = y^2 [x - C(y^2)] (1 + x y) / ((x-1) - x^2 y^2) - y^2.
-
-    coeffs[n] of the result is H_n(x).
-    """
-    return _corrected_series(ExactPoly.x(), order_n)
 
 
 def printed_h_series_discrepancy() -> dict | None:

@@ -500,6 +500,21 @@ def test_production_commands_load_only_the_integer_core(argv):
     assert _loaded_after(argv, forbidden) == ["0"]
 
 
+def test_table_script_loads_only_the_integer_core():
+    # The script reads every number off circpeaks.tables, as the
+    # production commands do; its last line lists the modules it loaded.
+    script = ROOT / "scripts" / "make_tables.py"
+    probe = (f"import runpy, sys; sys.argv = [{str(script)!r}, '--max-n', '8']; "
+             "runpy.run_path(sys.argv[0], run_name='__main__'); "
+             "print(*sorted(m for m in sys.modules if m.startswith('circpeaks.')))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["circpeaks.tables"]
+
+
 @pytest.mark.parametrize("argv", ["verify --suite series --max-n 8", "series --which P --order 5"])
 def test_well_formed_oracle_commands_load_no_argparse(argv):
     assert _loaded_after(argv, ARGPARSE_MODULES) == ["0"]

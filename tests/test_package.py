@@ -36,14 +36,13 @@ EXPORTED = {
         "from_dyck", "is_valid", "max_peak_count", "to_dyck", "witness"),
     "complex_poset": (
         "POSET_CAP", "euler_characteristic", "euler_characteristic_closed_form",
-        "f_generating_series", "f_polynomial", "face_count", "face_counts_by_recurrence",
-        "face_table", "faces", "moebius"),
+        "f_polynomial", "face_count", "face_counts_by_recurrence", "face_table", "faces",
+        "moebius"),
     "chains_zeta": (
         "chain_count_formula", "chain_counts", "chain_oracle", "multichain_oracle",
         "zeta", "zeta_polynomial", "zeta_values"),
     "hvector": (
-        "h_dyck_oracle", "h_entry", "h_generating_series", "h_polynomial",
-        "h_recurrence_table", "h_table"),
+        "h_dyck_oracle", "h_entry", "h_polynomial", "h_recurrence_table", "h_table"),
     "hilbert_algebras": (
         "dim_a", "dim_b", "hilbert_polynomial_a", "hilbert_series_a", "hilbert_series_b",
         "numerator_a", "standard_monomial_oracle"),

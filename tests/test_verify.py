@@ -82,9 +82,9 @@ EXPECTED_ALL_8 = [
     ("hvector", "h-sum-identity",
      "H_n(1) = P_n(0) (top face count)", 3, 40),
     ("series", "f-series-coefficients",
-     "corrected P(x,y) matches f-polynomials", 3, 20),
+     "corrected P(x,y) matches f-polynomials", 3, 60),
     ("series", "h-series-coefficients",
-     "corrected H(x,y) matches h-polynomials", 3, 20),
+     "corrected H(x,y) matches h-polynomials", 3, 60),
     ("series", "printed-f-series-form",
      "printed P(x,y) form DISCREPANCY documented: first mismatch at y^4; "
      "printed denominator x-(x+1)y^2 should be x-(x+1)^2 y^2 and the numerator "
@@ -249,6 +249,27 @@ def test_a_tampered_pinned_report_fails_its_check(monkeypatch, which, name):
         f"series --which {which} prints a pinned printed {which}(x,y) form report "
         "that differs from the cross-multiplied one")
     assert cli.run(["verify", "--suite", "series"], io.StringIO()) == 2
+
+
+@pytest.mark.parametrize("module,truth,name,label", [
+    (complex_poset, "f_polynomial", "f-series-coefficients", "f"),
+    (hvector, "h_polynomial", "h-series-coefficients", "h"),
+])
+@pytest.mark.parametrize("bad", [3, 57])
+def test_a_wrong_polynomial_fails_its_series_check_at_its_n(monkeypatch, module, truth, name,
+                                                             label, bad):
+    real = getattr(module, truth)
+    monkeypatch.setattr(module, truth,
+                        lambda n: real(n) + ExactPoly.constant(1) if n == bad else real(n))
+    result = {r.name: r for r in verify.run_suite("series", 8)}[name]
+    assert (result.ok, result.detail) == (
+        False, f"series coefficient != {label}-polynomial at n={bad}")
+
+
+def test_initial_a_series_names_only_the_n_it_ran():
+    result = {r.name: r for r in verify.run_suite("hilbert", 3)}["initial-a-series"]
+    assert (result.ok, result.detail, result.first, result.last) == (
+        True, "initial A-series 1/(1-x)^2 (n=3) reproduced to order 12", 3, 3)
 
 
 def _count_poset_enumerations(monkeypatch):
