@@ -37,7 +37,7 @@ _DEFINED_IN = {
         "chain_count_formula", "zeta_polynomial",
     ),
     "hvector": (
-        "h_dyck_oracle", "h_entry", "h_polynomial", "h_recurrence_table",
+        "h_entry", "h_polynomial", "h_recurrence_table",
     ),
     "hilbert_algebras": (
         "dim_a", "dim_b", "hilbert_polynomial_a", "hilbert_series_b",

@@ -11,7 +11,7 @@ from ..exact_algebra import ExactPoly
 from ..peak_sets import PeakSet
 from ..poset_core import _mask, _moebius_from
 from ..tables import POSET_CAP
-from ..verify import _registry, _valid_subsets
+from ..verify import _left_factor_downs, _registry, _valid_subsets
 
 
 def check_downward_closure(ns: range) -> tuple[bool, str]:
@@ -72,7 +72,7 @@ def check_fpoly_recurrence(ns: range) -> tuple[bool, str]:
 
 def check_face_dyck_counts(ns: range) -> tuple[bool, str]:
     for n in ns:
-        by_dyck = Counter(w.count("D") for w in peak_sets.enumerate_left_factors(n - 1))
+        by_dyck = _left_factor_downs(n - 1)
         sizes = Counter(len(s) for s in _valid_subsets(n))
         for i in range(-1, peak_sets.max_peak_count(n)):
             if sizes[i + 1] != by_dyck[i + 1]:

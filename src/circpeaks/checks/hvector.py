@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from .. import complex_poset, exact_algebra, hvector, peak_sets
 from ..exact_algebra import ExactPoly
-from ..verify import _registry
+from ..verify import _left_factor_downs, _registry
 
 
 def check_h_consistency(ns: range) -> tuple[bool, str]:
@@ -32,9 +32,10 @@ def check_h_consistency(ns: range) -> tuple[bool, str]:
 
 
 def check_h_dyck(ns: range) -> tuple[bool, str]:
+    # n//2+i-1 letters with i D's end at height n//2-i-1, none if negative
     for n in ns:
         for i in range(0, peak_sets.max_peak_count(n) + 1):
-            if hvector.h_entry(n, i) != hvector.h_dyck_oracle(n, i):
+            if hvector.h_entry(n, i) != _left_factor_downs(n // 2 + i - 1)[i]:
                 return False, f"Dyck endpoint count mismatch at n={n}, i={i}"
     return True, "h entries = left-factor endpoint counts"
 

@@ -4,11 +4,12 @@ H_n(x) = P_n(x-1); the entries have the closed form
 
     h_{n,i} = (floor(n/2) - i)/(floor(n/2) + i) * C(floor(n/2) + i, floor(n/2))
 
-which also counts Dyck-path left factors ending at a shifted endpoint, and
-satisfy a parity recurrence with Catalan boundary terms.  H_n is read off
-these integer entries, h_table(n), which is defined in circpeaks.tables,
-the integer core, and re-exported here; the per-entry closed form
-h_entry and the shift P_n(x-1) are its oracles.  Each recurrence is one
+which also counts Dyck-path left factors ending at a shifted endpoint
+(hvector/h-dyck-endpoint-oracle), and satisfy a parity recurrence with
+Catalan boundary terms.  H_n is read off these integer entries,
+h_table(n), which is defined in circpeaks.tables, the integer core, and
+re-exported here; the per-entry closed form h_entry and the shift
+P_n(x-1) are its oracles.  Each recurrence is one
 walk that yields its value at every n from 3 up, as in complex_poset.
 The printed H(x,y) form is cross-multiplied here; the corrected one is
 checked against h_polynomial by its coefficient recurrence, in the
@@ -28,7 +29,6 @@ from .exact_algebra import (
     epsilon_odd,
     exact_quotient,
 )
-from .peak_sets import count_left_factors_to
 # Re-exported from the integer core, which defines them.
 from .tables import h_table, max_peak_count
 
@@ -95,14 +95,3 @@ def printed_h_series_discrepancy() -> dict | None:
         "series uses the corrected form (x-1) - x^2 y^2 denominator",
     )
 
-
-def h_dyck_oracle(n: int, i: int) -> int:
-    """Brute-force left-factor count for the endpoint of the h-entry law.
-
-    Counts left factors of length floor(n/2)+i-1 ending at height
-    floor(n/2)-i-1 (zero when the height is negative or of wrong parity).
-    """
-    if i < 0 or i > max_peak_count(n):
-        raise ValueError(f"i={i} outside [0, {max_peak_count(n)}]")
-    half = n // 2
-    return count_left_factors_to(half + i - 1, half - i - 1)

@@ -91,6 +91,8 @@ def is_valid(n: int, s: PeakSet | object) -> bool:
 
 
 def _require_valid(s: PeakSet) -> None:
+    if not isinstance(s, PeakSet):
+        raise TypeError(f"expected a PeakSet, got {type(s).__name__}")
     v = _first_violation_sorted(s.elements)
     if v is not None:
         raise InvalidPeakSetError(s.n, s.elements, *v)
@@ -147,13 +149,15 @@ def count_valid(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# brute-force left-factor helpers (test oracles)
+# brute-force left-factor enumeration (test oracle)
 
 LEFT_FACTOR_LENGTH_CAP = 20
 
 
 def enumerate_left_factors(length: int) -> list[str]:
     """All left factors of the given length, lexicographic (D < U)."""
+    if length < 0:
+        raise ValueError(f"length must be >= 0 (got {length})")
     if length > LEFT_FACTOR_LENGTH_CAP:
         raise ResourceLimitError(
             f"left-factor enumeration capped at length {LEFT_FACTOR_LENGTH_CAP}"
@@ -168,10 +172,3 @@ def enumerate_left_factors(length: int) -> list[str]:
         words = nxt
     return [w for w, _ in words]
 
-
-def count_left_factors_to(length: int, height: int) -> int:
-    """Brute-force count of left factors of a given length ending at height."""
-    if height < 0 or (length - height) % 2:
-        return 0
-    downs = (length - height) // 2  # the D's of a word ending at height
-    return sum(w.count("D") == downs for w in enumerate_left_factors(length))

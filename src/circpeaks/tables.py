@@ -93,10 +93,11 @@ def face_table(n: int) -> tuple[int, ...]:
 
 def euler_characteristic_closed_form(n: int) -> int:
     """0 for odd n and 2(-1)^(n/2)/n * C(n-2, (n-2)/2) for even n."""
+    if n < 3:
+        raise ValueError("n must be >= 3")
     if n % 2:
         return 0
-    central = comb(n - 2, (n - 2) // 2) if n >= 2 else 0
-    return exact_quotient(2 * (-1) ** (n // 2) * central, n,
+    return exact_quotient(2 * (-1) ** (n // 2) * comb(n - 2, (n - 2) // 2), n,
                           f"closed-form Euler characteristic of P_{n}")
 
 

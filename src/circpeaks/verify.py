@@ -20,6 +20,8 @@ and kept in a memo that the call discards when it ends:
   which the poset oracles walk the order (no order table is kept);
 - the Dyck word of each face (peak_sets.to_dyck), which the two Dyck
   checks share;
+- the D-count histogram of the left factors of each length, which both
+  Dyck-path laws (face-dyck-counts, h-dyck-endpoint-oracle) read;
 - the CP class table of each S_n sweep (perm_core.cp_class_table);
 - each composition sum chain_count_formula(n, i).
 A check called outside run_suite computes all of these afresh.  The
@@ -29,7 +31,7 @@ its module, so a suite that needs none of them loads none.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from importlib import import_module
 
 DEFAULT_MAX_N = 8
@@ -90,6 +92,14 @@ def _dyck_words(n: int) -> tuple:
 
     return _memoized(("dyck_words", n), lambda: tuple(
         peak_sets.to_dyck(peak_sets.PeakSet(n, s)) for s in _valid_subsets(n)))
+
+
+def _left_factor_downs(length: int) -> Counter:
+    """How many left factors of the given length have each number of D's."""
+    from . import peak_sets
+
+    return _memoized(("left_factor_downs", length), lambda: Counter(
+        w.count("D") for w in peak_sets.enumerate_left_factors(length)))
 
 
 def _cp_class_table(n: int) -> dict[tuple[int, ...], int]:

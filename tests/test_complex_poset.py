@@ -160,6 +160,12 @@ def test_euler_closed_form_values():
         [0, 1, 0, -2, 0, 5, 0, -14]
 
 
+@pytest.mark.parametrize("n", [-2, 0, 1, 2])
+def test_euler_closed_form_rejects_n_below_3(n):
+    with pytest.raises(ValueError, match="n must be >= 3"):
+        euler_characteristic_closed_form(n)
+
+
 def test_face_count_rejects_inexact_division(monkeypatch):
     # (7 - 2 - 2) * 1 / 2 is not an integer
     monkeypatch.setattr(complex_poset, "binomial", lambda n, k: 1)

@@ -42,7 +42,7 @@ EXPORTED = {
         "chain_count_formula", "chain_counts", "chain_oracle", "multichain_oracle",
         "zeta", "zeta_polynomial", "zeta_values"),
     "hvector": (
-        "h_dyck_oracle", "h_entry", "h_polynomial", "h_recurrence_table", "h_table"),
+        "h_entry", "h_polynomial", "h_recurrence_table", "h_table"),
     "hilbert_algebras": (
         "dim_a", "dim_b", "hilbert_polynomial_a", "hilbert_series_a", "hilbert_series_b",
         "numerator_a", "standard_monomial_oracle"),

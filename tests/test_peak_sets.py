@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,6 @@ from circpeaks.peak_sets import (
     DyckPrefix,
     InvalidPeakSetError,
     PeakSet,
-    count_left_factors_to,
     count_valid,
     enumerate_left_factors,
     from_dyck,
@@ -63,6 +64,15 @@ def test_witness_rebases_a_set_of_another_ambient_size():
     # (3, 9) is a face at n = 9, but 9 is not inside [7]
     with pytest.raises(ValueError, match=r"not inside \[7\]"):
         witness(7, PeakSet(9, (3, 9)))
+
+
+def test_witness_and_to_dyck_require_a_peak_set():
+    # is_valid accepts a bare tuple; the two builders name the type they need
+    assert is_valid(6, (3, 5))
+    with pytest.raises(TypeError, match="expected a PeakSet, got tuple"):
+        witness(6, (3, 5))
+    with pytest.raises(TypeError, match="expected a PeakSet, got tuple"):
+        to_dyck((3, 5))
 
 
 def test_dyck_examples():
@@ -124,12 +134,22 @@ def test_extension_law(n, covered_by):
     covered_by("peaksets", "extension-parity-law", n)
 
 
+def _downs(length):
+    return Counter(w.count("D") for w in enumerate_left_factors(length))
+
+
 def test_left_factor_counts():
-    assert count_left_factors_to(0, 0) == 1
-    assert count_left_factors_to(2, 0) == 1  # "UD"
-    assert count_left_factors_to(3, 1) == 2  # "UUD", "UDU"
-    assert count_left_factors_to(3, 0) == 0  # parity
-    assert count_left_factors_to(4, -2) == 0
+    # a left factor of length L with d D's ends at height L - 2d
+    assert _downs(0) == {0: 1}  # the empty word
+    assert _downs(2)[1] == 1  # "UD", at height 0
+    assert _downs(3)[1] == 2  # "UUD", "UDU", at height 1
+    assert {3 - 2 * d for d in _downs(3)} == {3, 1}  # parity: none at height 0
+    assert _downs(4)[3] == 0  # none at height -2
+
+
+def test_left_factor_enumeration_rejects_a_negative_length():
+    with pytest.raises(ValueError, match="length must be >= 0"):
+        enumerate_left_factors(-1)
 
 
 @given(st.integers(min_value=0, max_value=12))

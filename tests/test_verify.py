@@ -16,6 +16,7 @@ from circpeaks import (
 from circpeaks.checks import chains, perm
 from circpeaks.checks import complex as complex_checks
 from circpeaks.checks import hilbert as hilbert_checks
+from circpeaks.checks import hvector as hvector_checks
 from circpeaks.exact_algebra import ExactPoly
 from circpeaks.peak_sets import PeakSet, count_valid
 
@@ -130,6 +131,32 @@ def _count_cp_class_tables(monkeypatch):
     return calls
 
 
+def _count_left_factor_enumerations(monkeypatch):
+    lengths = []
+    real = peak_sets.enumerate_left_factors
+
+    def counted(length):
+        lengths.append(length)
+        return real(length)
+
+    monkeypatch.setattr(peak_sets, "enumerate_left_factors", counted)
+    return lengths
+
+
+@pytest.mark.parametrize("suite, count", [("hvector", 15), ("complex", 12),
+                                          ("peaksets", 12), ("all", 27)])
+def test_each_left_factor_length_is_enumerated_once_per_run(monkeypatch, suite, count):
+    # Both Dyck laws read one D-count histogram per length, 0 <= length <= 14
+    # for h-dyck-endpoint-oracle and 2 <= length <= 13 for face-dyck-counts;
+    # dyck-bijection-onto enumerates the words of 2 <= length <= 13 itself.
+    lengths = _count_left_factor_enumerations(monkeypatch)
+    results = verify.run_suite(suite, 8)
+    assert all(r.ok for r in results)
+    assert len(lengths) == count
+    if suite != "all":
+        assert len(set(lengths)) == count
+
+
 def test_perm_suite_sweeps_each_symmetric_group_once(monkeypatch):
     calls = _count_cp_class_tables(monkeypatch)
     results = verify.run_suite("perm", 8)
@@ -162,9 +189,26 @@ def test_a_check_that_raises_fails_and_the_run_goes_on(monkeypatch):
 
 def test_check_outside_run_suite_computes_afresh(monkeypatch):
     calls = _count_cp_class_tables(monkeypatch)
+    lengths = _count_left_factor_enumerations(monkeypatch)
     assert perm.check_partition(range(1, 9))[0]
     assert perm.check_partition(range(1, 9))[0]
     assert len(calls) == 16
+    # one histogram per (n, i) read, 70 of them over 3 <= n <= 16
+    assert hvector_checks.check_h_dyck(range(3, 17))[0]
+    assert hvector_checks.check_h_dyck(range(3, 17))[0]
+    assert len(lengths) == 2 * 70
+
+
+def test_h_dyck_check_catches_a_wrong_h_entry(monkeypatch):
+    # h_{16,7} is the Catalan number c_7, the left factors of length 14
+    # back at height 0: the last entry of the check's range.
+    real = hvector.h_entry
+    monkeypatch.setattr(hvector, "h_entry",
+                        lambda n, i: real(n, i) + ((n, i) == (16, 7)))
+    results = {r.name: r for r in verify.run_suite("hvector", 8)}
+    assert not results["h-dyck-endpoint-oracle"].ok
+    assert results["h-dyck-endpoint-oracle"].detail == \
+        "Dyck endpoint count mismatch at n=16, i=7"
 
 
 def test_downward_closure_catches_a_rejected_subface(monkeypatch):
