@@ -18,8 +18,7 @@ __version__ = "0.1.0"
 # Each public name, under the module that defines it.
 _DEFINED_IN = {
     "exact_algebra": (
-        "ExactPoly", "binomial", "catalan_number", "catalan_series",
-        "multinomial", "poly_shift",
+        "ExactPoly", "binomial", "catalan_number", "multinomial", "poly_shift",
     ),
     "perm_core": (
         "PERMUTATION_CAP", "Permutation", "circular_descent_set",

@@ -11,11 +11,13 @@ the command and the series suite read one copy and neither loads the
 other's modules.
 """
 
-# What series prints as its printed_form_discrepancy, for --which P and H:
-# complex_poset.printed_f_series_discrepancy() and
-# hvector.printed_h_series_discrepancy(), pinned because neither depends
-# on --order.  The checks series/printed-{f,h}-series-form of verify fail
-# if either computed report differs from its pinned copy.
+# What series prints as its printed_form_discrepancy, for --which P and H,
+# pinned because neither depends on --order: the first y-order at which
+# the cross-multiplied printed form fails, with both coefficients.  This
+# is the one copy of each formula and note.  The checks
+# series/printed-{f,h}-series-form of verify fail unless the coefficient
+# recurrence of checks/series.py first fails at that order with those
+# coefficients.
 PRINTED_FORM_REPORTS = {
     "P": {
         "formula": "P(x,y) printed form (cross-multiplied)",

@@ -1,7 +1,8 @@
-"""The series suite: the corrected generating functions P(x,y) and
-H(x,y), checked against the f- and h-polynomials by the three-term
-recurrence of their coefficients, and the printed forms against the
-pinned reports that the series command prints."""
+"""The series suite: the generating functions P(x,y) and H(x,y), checked
+against the f- and h-polynomials by the three-term recurrence of their
+coefficients.  One kernel walks it for the corrected forms, which must
+hold, and for the printed forms, whose first mismatch must be the one
+pinned in the reports that the series command prints."""
 
 from __future__ import annotations
 
@@ -12,67 +13,81 @@ from ..exact_algebra import ExactPoly, catalan_number
 from ..verify import _registry
 from . import PRINTED_FORM_REPORTS
 
+_ONE = ExactPoly.constant(1)
 
-def _first_failing_n(a: ExactPoly, truth: Callable[[int], ExactPoly], last: int) -> int | None:
-    """The first n <= last at which the corrected closed form fails, or None.
 
-    With S = sum_{n>=3} truth(n) y^n + y^2 and G = a - C(y^2), the closed
-    form S = y^2 G (1 + a y) / ((a-1) - a^2 y^2) holds through y^last
-    exactly when (a-1) S_n - a^2 S_{n-2} = G_{n-2} + a G_{n-3} for every
-    n <= last, as a-1 is no zero divisor in Z[x].  G_0 = a-1, G_2m = -c_m,
-    the odd G_k are 0 and every index below 0 reads 0, so no division is
-    done.  The first n that fails is the first whose truth(n) is not the
-    y^n coefficient of the closed form.
+def _first_mismatch(a: ExactPoly, lead: ExactPoly, k_scale: ExactPoly,
+                    truth: Callable[[int], ExactPoly],
+                    last: int) -> tuple[int, ExactPoly, ExactPoly] | None:
+    """The first y-order n <= last at which a closed form fails, with both
+    coefficients of its cross-multiplied identity, or None.
+
+    With S = sum_{n>=3} truth(n) y^n + y^2, both forms of P (a = x+1) and
+    of H (a = x) read S (lead - a^2 y^2) = K y^2 (1 + a y), with K_0 = lead,
+    K_2m = -k_scale c_m and every odd K_k 0:
+
+        corrected  lead = a-1       k_scale = 1
+        printed    lead = a(a-1)    k_scale = a-1
+
+    So the y^n coefficients lead S_n - a^2 S_{n-2} and K_{n-2} + a K_{n-3}
+    must agree for every n, where S_1 = 0 and S_2 = 1; below n = 3 they
+    agree whatever truth is.  No division is done.  As lead is no zero
+    divisor in Z[x], the first n that fails is the first whose truth(n) is
+    not the y^n coefficient of the form.
     """
-    zero, one = ExactPoly(()), ExactPoly.constant(1)
-    a_minus_one, a_squared = a - one, a * a
-    s = [zero, zero, one, *(truth(n) for n in range(3, last + 1))]
+    a_squared = a * a
+    s = [ExactPoly(()), ExactPoly(()), _ONE, *(truth(n) for n in range(3, last + 1))]
 
-    def g(k: int) -> ExactPoly:
-        if k < 0 or k % 2:
-            return zero
-        return a_minus_one if k == 0 else ExactPoly.constant(-catalan_number(k // 2))
+    def k(j: int) -> ExactPoly:
+        if j % 2:
+            return ExactPoly(())
+        return lead if j == 0 else k_scale.scale(-catalan_number(j // 2))
 
-    for n in range(last + 1):
-        lhs = a_minus_one * s[n] - (a_squared * s[n - 2] if n >= 2 else zero)
-        if lhs != g(n - 2) + a * g(n - 3):
-            return n
+    for n in range(3, last + 1):
+        lhs = lead * s[n] - a_squared * s[n - 2]
+        rhs = k(n - 2) + a * k(n - 3)
+        if lhs != rhs:
+            return n, lhs, rhs
     return None
 
 
 def check_f_series(ns: range) -> tuple[bool, str]:
-    n = _first_failing_n(ExactPoly((1, 1)), complex_poset.f_polynomial, ns[-1])
-    if n is not None:
-        return False, f"series coefficient != f-polynomial at n={n}"
+    a = ExactPoly((1, 1))
+    found = _first_mismatch(a, a - _ONE, _ONE, complex_poset.f_polynomial, ns[-1])
+    if found is not None:
+        return False, f"series coefficient != f-polynomial at n={found[0]}"
     return True, "corrected P(x,y) matches f-polynomials"
 
 
 def check_h_series(ns: range) -> tuple[bool, str]:
-    n = _first_failing_n(ExactPoly.x(), hvector.h_polynomial, ns[-1])
-    if n is not None:
-        return False, f"series coefficient != h-polynomial at n={n}"
+    a = ExactPoly.x()
+    found = _first_mismatch(a, a - _ONE, _ONE, hvector.h_polynomial, ns[-1])
+    if found is not None:
+        return False, f"series coefficient != h-polynomial at n={found[0]}"
     return True, "corrected H(x,y) matches h-polynomials"
 
 
-def _check_printed_form(which: str, report: dict | None) -> tuple[bool, str]:
-    """The cross-multiplied report of the printed form, against what series prints."""
+def _check_printed_form(which: str, a: ExactPoly,
+                        truth: Callable[[int], ExactPoly]) -> tuple[bool, str]:
+    """The printed form's first mismatch, walked to the pinned y-order,
+    against the report that series prints."""
+    report = PRINTED_FORM_REPORTS[which]
+    order = report["first_mismatch_y_order"]
+    found = _first_mismatch(a, a * (a - _ONE), a - _ONE, truth, order)
     form = f"printed {which}(x,y) form"
-    if report != PRINTED_FORM_REPORTS[which]:
+    if found is None or (found[0], str(found[1]), str(found[2])) != (
+            order, report["lhs_coefficient"], report["rhs_coefficient"]):
         return False, (f"series --which {which} prints a pinned {form} report "
                        "that differs from the cross-multiplied one")
-    # Both pinned reports are discrepancies, so a report that matches is one.
-    return True, (
-        f"{form} DISCREPANCY documented: first mismatch at "
-        f"y^{report['first_mismatch_y_order']}; {report['note']}"
-    )
+    return True, f"{form} DISCREPANCY documented: first mismatch at y^{order}; {report['note']}"
 
 
 def check_printed_f_form(_ns: None) -> tuple[bool, str]:
-    return _check_printed_form("P", complex_poset.printed_f_series_discrepancy())
+    return _check_printed_form("P", ExactPoly((1, 1)), complex_poset.f_polynomial)
 
 
 def check_printed_h_form(_ns: None) -> tuple[bool, str]:
-    return _check_printed_form("H", hvector.printed_h_series_discrepancy())
+    return _check_printed_form("H", ExactPoly.x(), hvector.h_polynomial)
 
 
 CHECKS, RANGES = _registry([

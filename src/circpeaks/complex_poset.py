@@ -14,11 +14,10 @@ defined in circpeaks.tables and re-exported here; f_polynomial is its
 ExactPoly view.  The face enumeration face_tuples is defined in the
 integer-only circpeaks.poset_core and re-exported here; faces wraps the
 tuples in PeakSet.
-Also here: the builders written in a, with P at a = x+1 and H = P(x-1)
-at a = x, of the parity-recurrence polynomials and of the one
-cross-multiplied check of the printed generating-function forms (the
-corrected forms are checked coefficient by coefficient, in the series
-suite of circpeaks.checks); the Moebius function, whose recursion oracle
+Also here: the parity-recurrence walk written in a, with P at a = x+1
+and H = P(x-1) at a = x (both generating-function forms are checked
+coefficient by coefficient, in the series suite of circpeaks.checks);
+the Moebius function, whose recursion oracle
 _moebius_from (complex/moebius-closed-form) is defined in poset_core;
 and the kernel of the registry check complex/product-structure,
 _product_structure, which no public function wraps.
@@ -26,10 +25,10 @@ _product_structure, which no public function wraps.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from itertools import count, islice
 
-from .exact_algebra import ExactPoly, PolySeries, binomial, catalan_series
+from .exact_algebra import ExactPoly, binomial
 from .peak_sets import PeakSet, is_valid
 # Re-exported from the integer-only face poset, which defines them.
 from .poset_core import _mask, face_tuples
@@ -42,11 +41,6 @@ from .tables import (
     face_table,
     max_peak_count,
 )
-
-
-# The y-order through which the printed P(x,y) and H(x,y) forms are
-# cross-multiplied against the f- and h-polynomials.
-PRINTED_FORM_ORDER = 12
 
 
 def faces(n: int, dim: int) -> list[PeakSet]:
@@ -124,54 +118,6 @@ def _polynomial_walk(a: ExactPoly) -> Iterator[ExactPoly]:
             c = exact_quotient(2 * binomial(m - 1, (m - 1) // 2), m + 1,
                                f"the Catalan term 2/(m+1) C(m-1,(m-1)/2) at m={m}")
             p = (a * p - ExactPoly.constant(c)).exact_div(a_minus_one)
-
-
-def _printed_series_discrepancy(a: ExactPoly, truth: Callable[[int], ExactPoly],
-                                formula: str, note: str) -> dict | None:
-    """Cross-multiplied check of a printed closed form, as a function of a.
-
-    Tests (S + y^2)(a(a-1) - a^2 y^2) = [(a^2-1) - (a-1) C(y^2)] y^2 (1 + a y)
-    through y^PRINTED_FORM_ORDER, with S = sum_{n>=3} truth(n) y^n.
-    Returns None if the identity holds, else a report naming the first
-    failing y-order with both coefficient polynomials.
-    """
-    order_n = PRINTED_FORM_ORDER
-    zero, one = ExactPoly(()), ExactPoly.constant(1)
-    s = PolySeries([truth(n) if n >= 3 else zero for n in range(order_n + 1)], order_n)
-    y2 = PolySeries([zero, zero, one], order_n)
-    lhs = (s + y2) * PolySeries([a * (a - one), zero, (a * a).scale(-1)], order_n)
-    cy2 = catalan_series(order_n).substitute_y_squared()
-    numer = PolySeries([a * a - one], order_n) - PolySeries([a - one], order_n) * cy2
-    rhs = numer.shift_y(2) * PolySeries([one, a], order_n)
-    for j, (left, right) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
-        if left != right:
-            return {
-                "formula": formula,
-                "first_mismatch_y_order": j,
-                "lhs_coefficient": str(left),
-                "rhs_coefficient": str(right),
-                "note": note,
-            }
-    return None
-
-
-def printed_f_series_discrepancy() -> dict | None:
-    """Check the commonly printed P(x,y) closed form by cross-multiplication.
-
-    Tests whether (S + y^2) * (x - (x+1)y^2)(x+1) equals
-    [x y^2 (x+2) - x y^2 C(y^2)] (1 + y + x y) with S the ground-truth
-    series of f-polynomials.  Returns None if the identity holds, else a
-    report naming the first failing y-order with both coefficient
-    polynomials.
-    """
-    return _printed_series_discrepancy(
-        ExactPoly((1, 1)), f_polynomial,
-        "P(x,y) printed form (cross-multiplied)",
-        "printed denominator x-(x+1)y^2 should be x-(x+1)^2 y^2 and the "
-        "numerator factor x(x+2)-xC(y^2) should be (x+1)((x+1)-C(y^2)); "
-        "the shipped series uses the corrected form, which matches the "
-        "recurrence-generated polynomials on the whole tested range",
-    )
 
 
 def moebius(n: int, s: PeakSet, t: PeakSet) -> int:

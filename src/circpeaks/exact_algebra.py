@@ -2,14 +2,13 @@
 
 Every coefficient is an int: ExactPoly is a polynomial in Z[x], and a
 division either is exact in Z[x] or raises InexactDivisionError.  These
-types serve the oracles, the printed-form checks and ExactPoly return
-values; production paths compute in integers and no floating point
-appears anywhere in the library.  Two value kinds live here:
+types serve the oracles, the generating-function checks and ExactPoly
+return values; production paths compute in integers and no floating
+point appears anywhere in the library.  Two value kinds live here:
 
   ExactPoly   -- dense univariate polynomial over Z, coeffs low-to-high
   PolySeries  -- truncated power series in y whose coefficients are
-                 ExactPoly values in x (the printed bivariate generating
-                 functions are cross-multiplied as PolySeries)
+                 ExactPoly values in x; no library module uses it
 
 Combinatorial number helpers (binomial, Catalan, multinomial) are at the bottom.
 """
@@ -186,10 +185,10 @@ class PolySeries:
     the usual coefficient recursion and requires every per-step polynomial
     division to be exact, otherwise InexactDivisionError is raised.
 
-    The library divides no series: the corrected generating functions are
-    checked by their coefficient recurrence.  divide stays only because
+    No library module uses it: both forms of each generating function are
+    checked by their coefficient recurrence.  The class stays only because
     the span tracer of the benchmark (perfbench/spans.py, POLY_METHODS)
-    patches every method it names, divide among them.
+    patches it and every method it names by name.
     """
 
     __slots__ = ("order", "coeffs")
@@ -201,10 +200,6 @@ class PolySeries:
         cs += [ExactPoly(())] * (order + 1 - len(cs))
         self.order = order
         self.coeffs = cs
-
-    @staticmethod
-    def from_ints(vals: Sequence[int], order: int) -> "PolySeries":
-        return PolySeries([ExactPoly.constant(v) for v in vals], order)
 
     def __add__(self, other: "PolySeries") -> "PolySeries":
         order = min(self.order, other.order)
@@ -274,17 +269,6 @@ def catalan_number(m: int) -> int:
     if m < 0:
         raise ValueError("m must be >= 0")
     return comb(2 * m, m) // (m + 1)
-
-
-def catalan_series(order: int) -> PolySeries:
-    """The series C(y) = sum_{m<=order} c_m y^m.
-
-    This identity is the library-wide definition of sqrt(1-4y):
-    sqrt(1-4y) = 1 - 2y*C(y); no radical is ever evaluated numerically.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    return PolySeries.from_ints([catalan_number(m) for m in range(order + 1)], order)
 
 
 def multinomial(parts: Sequence[int]) -> int:

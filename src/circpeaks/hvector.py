@@ -11,9 +11,9 @@ h_table(n), which is defined in circpeaks.tables, the integer core, and
 re-exported here; the per-entry closed form h_entry and the shift
 P_n(x-1) are its oracles.  Each recurrence is one
 walk that yields its value at every n from 3 up, as in complex_poset.
-The printed H(x,y) form is cross-multiplied here; the corrected one is
-checked against h_polynomial by its coefficient recurrence, in the
-series suite of circpeaks.checks.
+The corrected and the printed H(x,y) forms are checked against
+h_polynomial by their coefficient recurrence, in the series suite of
+circpeaks.checks.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import accumulate, count
 
-from .complex_poset import _polynomial_walk, _printed_series_discrepancy, _walk_at
+from .complex_poset import _polynomial_walk, _walk_at
 from .exact_algebra import (
     ExactPoly,
     binomial,
@@ -79,19 +79,3 @@ def _h_recurrence_walk() -> Iterator[tuple[int, ...]]:
         yield row
         eps, top = epsilon_odd(m), m // 2
         row = (*accumulate(row[:top], lambda prev, h: h + eps * prev), eps * catalan_number(top))
-
-
-def printed_h_series_discrepancy() -> dict | None:
-    """Cross-multiplied check of the commonly printed H(x,y) closed form.
-
-    Tests (S + y^2) * x (x - 1 - x y^2) against
-    [(x^2-1) y^2 - (x-1) y^2 C(y^2)] (1 + x y); returns None if it holds,
-    else a report with the first mismatching y-order.
-    """
-    return _printed_series_discrepancy(
-        ExactPoly.x(), h_polynomial,
-        "H(x,y) printed form (cross-multiplied)",
-        "inherits the f-series misprint under x -> x-1; the shipped "
-        "series uses the corrected form (x-1) - x^2 y^2 denominator",
-    )
-

@@ -14,7 +14,7 @@ import json
 import time
 
 from circpeaks.cli import run as cli_run
-from circpeaks.complex_poset import euler_characteristic, printed_f_series_discrepancy
+from circpeaks.complex_poset import euler_characteristic
 from circpeaks.hilbert_algebras import hilbert_series_a
 from circpeaks.peak_sets import count_valid
 
@@ -82,15 +82,18 @@ def test_criterion_08_h_vector(covered_by):
     covered_by("hvector", "h-dyck-endpoint-oracle", 16)
 
 
-def test_criterion_09_generating_functions(covered_by):
+def test_criterion_09_generating_functions(covered_by, registry):
     covered_by("series", "f-series-coefficients", 20)
     covered_by("series", "h-series-coefficients", 20)
     # the printed closed form does not match; the discrepancy must be
-    # reported in a documented, machine-readable way
-    report = printed_f_series_discrepancy()
-    assert report is not None
+    # reported in a documented, machine-readable way, and the registry
+    # check fails unless the coefficient recurrence finds that report
+    out = io.StringIO()
+    assert cli_run(["series", "--which", "P", "--order", "6"], out) == 0
+    report = json.loads(out.getvalue())["printed_form_discrepancy"]
     assert report["first_mismatch_y_order"] == 4
     assert "corrected" in report["note"]
+    assert registry[("series", "printed-f-series-form")].ok
 
 
 def test_criterion_10_hilbert(covered_by):

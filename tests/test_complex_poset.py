@@ -17,7 +17,6 @@ from circpeaks.complex_poset import (
     face_tuples,
     faces,
     moebius,
-    printed_f_series_discrepancy,
 )
 from circpeaks.exact_algebra import ClosedFormMismatchError, ExactPoly, NonIntegralError
 from circpeaks.peak_sets import PeakSet, is_valid, max_peak_count
@@ -69,11 +68,13 @@ def test_f_generating_series(covered_by):
     covered_by("series", "f-series-coefficients", 60)
 
 
-def test_printed_form_discrepancy_is_documented():
-    report = printed_f_series_discrepancy()
-    assert report is not None
-    assert report["first_mismatch_y_order"] == 4
-    assert "corrected" in report["note"]
+def test_printed_form_discrepancy_is_documented(registry):
+    # The check passes only if the coefficient recurrence of the printed
+    # P(x,y) first fails at the pinned y-order, with the pinned coefficients.
+    result = registry[("series", "printed-f-series-form")]
+    assert result.ok
+    assert "first mismatch at y^4" in result.detail
+    assert "corrected" in result.detail
 
 
 def test_moebius_examples():

@@ -13,7 +13,6 @@ from circpeaks.exact_algebra import (
     PolySeries,
     binomial,
     catalan_number,
-    catalan_series,
     multinomial,
     poly_shift,
 )
@@ -87,8 +86,7 @@ def test_divmod_by_x_minus_one_stays_in_integers():
 def test_non_integral_inputs_raise():
     half, p = Fraction(1, 2), ExactPoly((1, 1))
     for build in (lambda: ExactPoly((0.5,)), lambda: ExactPoly.constant(half),
-                  lambda: p.scale(half), lambda: p.compose_linear(1, half),
-                  lambda: PolySeries.from_ints([1, half], 3)):
+                  lambda: p.scale(half), lambda: p.compose_linear(1, half)):
         with pytest.raises(NonIntegralError, match="not an integer"):
             build()
     # An evaluation point is not a coefficient.
@@ -154,27 +152,14 @@ def test_exact_div_rejects_remainder():
         ExactPoly((1, 1)).exact_div(ExactPoly((0, 1)))
 
 
-def test_catalan_series_values():
-    assert [int(c.eval(0)) for c in catalan_series(4).coeffs] == [1, 1, 2, 5, 14]
-    assert catalan_number(3) == 5
+def test_catalan_number_values():
+    assert [catalan_number(m) for m in range(5)] == [1, 1, 2, 5, 14]
 
 
 def test_catalan_convolution():
     cs = [catalan_number(m) for m in range(22)]
     for m in range(21):
         assert cs[m + 1] == sum(cs[j] * cs[m - j] for j in range(m + 1))
-
-
-def test_sqrt_identity_via_catalan():
-    # (1 - 2y C(y))^2 = 1 - 4y exactly under truncation at order 20
-    order = 20
-    c = catalan_series(order)
-    one = PolySeries.from_ints([1], order)
-    two_y_c = c.shift_y(1) * PolySeries.from_ints([2], order)
-    root = one - two_y_c
-    square = root * root
-    expect = PolySeries.from_ints([1, -4], order)
-    assert all(square.coeffs[j] == expect.coeffs[j] for j in range(order + 1))
 
 
 def test_series_division_round_trip():

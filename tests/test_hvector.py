@@ -13,12 +13,7 @@ from circpeaks.exact_algebra import (
     poly_shift,
 )
 from circpeaks.complex_poset import f_polynomial
-from circpeaks.hvector import (
-    h_entry,
-    h_polynomial,
-    h_table,
-    printed_h_series_discrepancy,
-)
+from circpeaks.hvector import h_entry, h_polynomial, h_table
 from circpeaks.peak_sets import max_peak_count
 
 
@@ -86,11 +81,13 @@ def test_h_generating_series(covered_by):
     covered_by("series", "h-series-coefficients", 60)
 
 
-def test_printed_form_discrepancy_is_documented():
-    report = printed_h_series_discrepancy()
-    assert report is not None
-    assert report["first_mismatch_y_order"] == 4
-    assert "corrected" in report["note"]
+def test_printed_form_discrepancy_is_documented(registry):
+    # The check passes only if the coefficient recurrence of the printed
+    # H(x,y) first fails at the pinned y-order, with the pinned coefficients.
+    result = registry[("series", "printed-h-series-form")]
+    assert result.ok
+    assert "first mismatch at y^4" in result.detail
+    assert "corrected" in result.detail
 
 
 def test_hvector_serialization():

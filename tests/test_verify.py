@@ -17,6 +17,7 @@ from circpeaks.checks import chains, perm
 from circpeaks.checks import complex as complex_checks
 from circpeaks.checks import hilbert as hilbert_checks
 from circpeaks.checks import hvector as hvector_checks
+from circpeaks.checks import series as series_checks
 from circpeaks.exact_algebra import ExactPoly
 from circpeaks.peak_sets import PeakSet, count_valid
 
@@ -275,11 +276,38 @@ def test_face_count_checks_read_the_run_face_list(monkeypatch):
     assert calls == []
 
 
+def _printed_form_mismatch(a, truth, last=12):
+    """(order, lhs, rhs) of the first mismatch of a printed form through y^last."""
+    one = ExactPoly.constant(1)
+    order, lhs, rhs = series_checks._first_mismatch(a, a * (a - one), a - one, truth, last)
+    return order, str(lhs), str(rhs)
+
+
 def test_pinned_printed_form_reports_are_the_computed_ones():
-    assert cli_oracles.PRINTED_FORM_REPORTS == {
-        "P": complex_poset.printed_f_series_discrepancy(),
-        "H": hvector.printed_h_series_discrepancy(),
-    }
+    # Walked through y^12, past the pinned order, each printed form first
+    # fails where its pinned report says, with its coefficients.
+    computed = {"P": _printed_form_mismatch(ExactPoly((1, 1)), complex_poset.f_polynomial),
+                "H": _printed_form_mismatch(ExactPoly.x(), hvector.h_polynomial)}
+    assert computed == {
+        which: (report["first_mismatch_y_order"], report["lhs_coefficient"],
+                report["rhs_coefficient"])
+        for which, report in cli_oracles.PRINTED_FORM_REPORTS.items()}
+
+
+@pytest.mark.parametrize("k,delta", [(0, 1), (0, -1), (1, 1), (1, -1)])
+def test_a_wrong_f_polynomial_changes_the_printed_report(monkeypatch, k, delta):
+    # f_polynomial(4) = 2 + x; one coefficient off by one changes the
+    # y^4 coefficient of the printed P(x,y), so its check fails.
+    real = complex_poset.f_polynomial
+    bump = ExactPoly.constant(delta) * ExactPoly((0,) * k + (1,))
+    monkeypatch.setattr(complex_poset, "f_polynomial",
+                        lambda n: real(n) + bump if n == 4 else real(n))
+    pinned = cli_oracles.PRINTED_FORM_REPORTS["P"]
+    order, lhs, _ = _printed_form_mismatch(ExactPoly((1, 1)), complex_poset.f_polynomial)
+    assert order == 4 and lhs != pinned["lhs_coefficient"]
+    results = {r.name: r for r in verify.run_suite("series", 8)}
+    assert [name for name, r in results.items() if not r.ok] == [
+        "f-series-coefficients", "printed-f-series-form"]
 
 
 @pytest.mark.parametrize("which,name", [("P", "printed-f-series-form"),
