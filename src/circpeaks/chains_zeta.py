@@ -62,7 +62,7 @@ def _compositions(total: int, mins: list[int]) -> Iterator[tuple[int, ...]]:
         return
     for bars in combinations(range(spare + k - 1), k - 1):
         ends = (*bars, spare + k - 1)
-        yield tuple(e - s - 1 + m for s, e, m in zip((-1, *bars), ends, mins))
+        yield tuple([e - s - 1 + m for s, e, m in zip((-1, *bars), ends, mins)])
 
 
 def chain_count_formula(n: int, i: int) -> int:

@@ -56,7 +56,7 @@ def check_h_sum(ns: range) -> tuple[bool, str]:
 
 CHECKS, RANGES = _registry([
     ("h-closed-recurrence-shift", check_h_consistency, 3, 60),
-    ("h-dyck-endpoint-oracle", check_h_dyck, 3, 16),
+    ("h-dyck-endpoint-oracle", check_h_dyck, 3, 16, 20),
     ("h-even-parity-shift", check_h_parity_shift, 4, 20),
     ("h-sum-identity", check_h_sum, 3, 40),
 ])

@@ -3,6 +3,8 @@ parity law of extension, against the enumerated faces."""
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 from .. import peak_sets
 from ..tables import POSET_CAP
 from ..verify import _dyck_words, _registry, _valid_subsets
@@ -18,9 +20,10 @@ def check_dyck_roundtrip(ns: range) -> tuple[bool, str]:
 
 
 def check_dyck_bijection(ns: range) -> tuple[bool, str]:
+    # Both sides in sorted order, word by word: a duplicate image fails too.
     for n in ns:
-        words = {w.letters for w in _dyck_words(n)}
-        if words != set(peak_sets.enumerate_left_factors(n - 1)):
+        images = sorted(w.letters for w in _dyck_words(n))
+        if any(a != b for a, b in zip_longest(images, peak_sets.enumerate_left_factors(n - 1))):
             return False, f"images != left factors at n={n}"
     return True, "bijection onto left factors of length n-1"
 

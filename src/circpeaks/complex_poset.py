@@ -186,18 +186,29 @@ def _product_image(n: int, base_index: dict[int, int], masks) -> dict[int, int] 
     of the product is coded as the int 2j + a - 1.  None unless the map is
     a bijection onto the target: 2 x P_n, less the label-2 slice over the
     top-dimensional faces for odd n.
+
+    One bytearray over the codes of 2 x P_n marks each code taken: first
+    the codes outside the target, then each image.  An image on a marked
+    code is outside the target or repeated, and the map is onto the target
+    iff every code ends up marked.
     """
     top = 1 << (n + 1)
+    taken = bytearray(2 * len(base_index))
+    if n % 2:
+        d = max_peak_count(n)
+        for T, j in base_index.items():
+            if T.bit_count() == d:
+                taken[2 * j + 1] = 1
     image = {}
     for m in masks:
         j = base_index.get(m & ~top)
         if j is None:  # not a face of P_n, so outside the target
             return None
-        image[m] = 2 * j + bool(m & top)
-    target = set(range(2 * len(base_index)))
-    if n % 2:
-        d = max_peak_count(n)
-        target -= {2 * j + 1 for T, j in base_index.items() if T.bit_count() == d}
-    if set(image.values()) != target or len(image) != len(masks):
+        code = 2 * j + bool(m & top)
+        if taken[code]:
+            return None
+        taken[code] = 1
+        image[m] = code
+    if 0 in taken:
         return None
     return image

@@ -83,7 +83,7 @@ class ExactPoly(Record):
         return ExactPoly(out)
 
     def __neg__(self) -> "ExactPoly":
-        return ExactPoly(tuple(-c for c in self.coeffs))
+        return ExactPoly(-c for c in self.coeffs)
 
     def __sub__(self, other: "ExactPoly") -> "ExactPoly":
         return self + (-other)
@@ -100,7 +100,7 @@ class ExactPoly(Record):
         return ExactPoly(out)
 
     def scale(self, c: int) -> "ExactPoly":
-        return ExactPoly(tuple(c * a for a in self.coeffs))
+        return ExactPoly(c * a for a in self.coeffs)
 
     def eval(self, q: int) -> int:
         """Exact Horner evaluation; an int at an int point."""
@@ -110,12 +110,17 @@ class ExactPoly(Record):
         return acc
 
     def compose_linear(self, a: int, b: int) -> "ExactPoly":
-        """Return p(a*x + b), expanded exactly (Horner in the polynomial ring)."""
-        lin = ExactPoly((b, a))
-        acc = ExactPoly(())
+        """Return p(a*x + b), expanded exactly: Horner in Z[x] on one list
+        of int coefficients, low to high, updated in place."""
+        a, b = (as_integer(c, "an ExactPoly coefficient") for c in (a, b))
+        acc: list[int] = []
         for c in reversed(self.coeffs):
-            acc = acc * lin + ExactPoly.constant(c)
-        return acc
+            # acc <- acc * (a x + b) + c, from the top degree down
+            acc.append(0)
+            for k in range(len(acc) - 1, 0, -1):
+                acc[k] = a * acc[k - 1] + b * acc[k]
+            acc[0] = b * acc[0] + c
+        return ExactPoly(acc)
 
     def divmod(self, divisor: "ExactPoly") -> tuple["ExactPoly", "ExactPoly"]:
         """Division with remainder in Z[x]; returns (quotient, remainder).
@@ -153,7 +158,7 @@ class ExactPoly(Record):
         return q
 
     def derivative(self) -> "ExactPoly":
-        return ExactPoly(tuple((k + 1) * c for k, c in enumerate(self.coeffs[1:])))
+        return ExactPoly((k + 1) * c for k, c in enumerate(self.coeffs[1:]))
 
     def __str__(self) -> str:
         if self.is_zero():

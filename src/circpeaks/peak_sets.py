@@ -8,6 +8,7 @@ length n-1.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from math import comb
 from operator import index
 
@@ -154,21 +155,37 @@ def count_valid(n: int) -> int:
 LEFT_FACTOR_LENGTH_CAP = 20
 
 
-def enumerate_left_factors(length: int) -> list[str]:
-    """All left factors of the given length, lexicographic (D < U)."""
+def enumerate_left_factors(length: int) -> Iterator[str]:
+    """An iterator over all left factors of the given length, in
+    lexicographic order (D < U), which is the order of sorted().
+
+    A depth-first walk on an explicit stack: it holds one pending sibling
+    per level, so it needs O(length) words at a time, not a whole level of
+    the tree.  A bad length raises here, not at the first next().
+    """
     if length < 0:
         raise ValueError(f"length must be >= 0 (got {length})")
     if length > LEFT_FACTOR_LENGTH_CAP:
         raise ResourceLimitError(
             f"left-factor enumeration capped at length {LEFT_FACTOR_LENGTH_CAP}"
         )
-    words = [("", 0)]
-    for _ in range(length):
-        nxt = []
-        for w, h in words:
-            if h > 0:
-                nxt.append((w + "D", h - 1))
-            nxt.append((w + "U", h + 1))
-        words = nxt
-    return [w for w, _ in words]
+    return _left_factors(length)
 
+
+def _left_factors(length: int) -> Iterator[str]:
+    if length == 0:
+        yield ""
+        return
+    last = length - 1  # a word of this length yields its one or two children
+    stack = [("", 0)]  # (word, height); the top is the next word in order
+    pop, push = stack.pop, stack.append
+    while stack:
+        w, h = pop()
+        if len(w) == last:
+            if h:
+                yield w + "D"
+            yield w + "U"
+        else:
+            push((w + "U", h + 1))
+            if h:
+                push((w + "D", h - 1))

@@ -27,7 +27,10 @@ class Permutation(Record):
     values: tuple[int, ...]
 
     def __init__(self, values):
-        vals = tuple(map(index, values))
+        # From a list, so the tuple is allocated at its exact size: tuple()
+        # of a map, which has no length hint, resizes a 10-slot tuple, and
+        # each such tuple parks on the free list of its final size.
+        vals = tuple([*map(index, values)])
         n = len(vals)
         if sorted(vals) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of [{n}]: {vals}")
@@ -118,5 +121,5 @@ def cp_class_table(n: int) -> dict[tuple[int, ...], int]:
             if first >= f:
                 mask |= 1 << (first + 1)
             counts[mask] = counts.get(mask, 0) + size
-    return {tuple(v for v in range(3, n + 1) if mask >> v & 1): size
+    return {tuple([v for v in range(3, n + 1) if mask >> v & 1]): size
             for mask, size in counts.items()}

@@ -222,6 +222,27 @@ def test_product_structure_rejects_an_added_non_face(n):
     assert not _product_structure_all_pairs(n, *faces_of)
 
 
+@pytest.mark.parametrize("n", [3, 4, 7, 8])
+def test_product_structure_rejects_a_repeated_face(n):
+    faces_of = (face_tuples(n), face_tuples(n + 1) + face_tuples(n + 1)[-1:])
+    assert not complex_poset._product_structure(n, *faces_of)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_product_image_rejects_a_code_in_the_removed_slice(n):
+    # For odd n, a top face T of P_n with n+1 adjoined maps to (2, T),
+    # which the target lacks.  Added to the faces of P_{n+1}, it hits no
+    # code twice and leaves no code of the target unhit.
+    base, big = face_tuples(n), face_tuples(n + 1)
+    outside = base[-1] + (n + 1,)
+    assert len(base[-1]) == max_peak_count(n) and outside not in big
+    base_index = {_mask(T): j for j, T in enumerate(base)}
+    masks = [_mask(S) for S in big]
+    assert complex_poset._product_image(n, base_index, masks) is not None
+    assert complex_poset._product_image(n, base_index, masks + [_mask(outside)]) is None
+    assert not _product_structure_all_pairs(n, base, big + [outside])
+
+
 def test_product_structure_order_test_is_live(monkeypatch):
     # Swapping the images of the vertices (3,) and (4,) of P_5 keeps the map
     # a bijection onto 2 x P_4, so only the cover test can see that the

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circpeaks.chains_zeta import zeta_polynomial
@@ -125,6 +125,28 @@ def test_shift_round_trip(p, c):
     # A shift by a non-integral amount leaves Z[x].
     with pytest.raises(NonIntegralError):
         p.compose_linear(1, c)
+
+
+def _compose_linear_reference(p, a, b):
+    """p(a*x + b) by Horner on ExactPoly values: a product and a sum per
+    coefficient, the form compose_linear had before its int-list Horner."""
+    lin = ExactPoly((b, a))
+    acc = ExactPoly(())
+    for c in reversed(p.coeffs):
+        acc = acc * lin + ExactPoly.constant(c)
+    return acc
+
+
+@given(polys, integers, integers)
+@example(ExactPoly(()), 3, -2)
+@example(ExactPoly((1, -2, 3)), 0, 5)
+@example(ExactPoly((1, -2, 3)), 4, 0)
+@example(ExactPoly((1, -2, 3)), 0, 0)
+@settings(max_examples=100, deadline=None)
+def test_compose_linear_matches_polynomial_horner(p, a, b):
+    q = p.compose_linear(a, b)
+    assert q == _compose_linear_reference(p, a, b)
+    assert all(type(c) is int for c in q.coeffs)
 
 
 monic = st.lists(integers, max_size=6).map(lambda cs: ExactPoly(cs + [1]))

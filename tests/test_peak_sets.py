@@ -1,14 +1,18 @@
+import tracemalloc
 from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circpeaks.peak_sets import (
+    LEFT_FACTOR_LENGTH_CAP,
     DyckFormatError,
     DyckPrefix,
     InvalidPeakSetError,
     PeakSet,
+    ResourceLimitError,
     count_valid,
     enumerate_left_factors,
     from_dyck,
@@ -148,14 +152,40 @@ def test_left_factor_counts():
 
 
 def test_left_factor_enumeration_rejects_a_negative_length():
+    # The call draws no word: the iterator checks its length eagerly.
     with pytest.raises(ValueError, match="length must be >= 0"):
         enumerate_left_factors(-1)
+
+
+def test_left_factor_enumeration_rejects_a_length_past_its_cap():
+    with pytest.raises(ResourceLimitError, match="capped at length 20"):
+        enumerate_left_factors(LEFT_FACTOR_LENGTH_CAP + 1)
+
+
+@pytest.mark.parametrize("length", range(13))
+def test_left_factor_enumeration_is_in_sorted_order(length):
+    # lexicographic with D < U, which is also the order of str comparison
+    assert list(enumerate_left_factors(length)) == sorted(enumerate_left_factors(length))
+
+
+def test_left_factor_enumeration_holds_one_path_not_one_level():
+    # A breadth-first list of one level of (word, height) pairs and the
+    # next peaked at about 1.1 MB at length 15 (Python 3.11); the stack
+    # holds at most one pending word per level.
+    tracemalloc.start()
+    try:
+        downs = Counter(w.count("D") for w in enumerate_left_factors(15))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(downs.values()) == comb(15, 7)
+    assert peak < 16 * 1024
 
 
 @given(st.integers(min_value=0, max_value=12))
 @settings(max_examples=13, deadline=None)
 def test_left_factor_prefix_property(length):
-    words = enumerate_left_factors(length)
+    words = list(enumerate_left_factors(length))
     for w in words:
         height = 0
         for ch in w:

@@ -2,8 +2,10 @@
 that run_suite reads, and one test id per registry check, pinning its
 result line at --max-n 8."""
 
+import gc
 import io
 import random
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -17,6 +19,7 @@ from circpeaks.checks import chains, perm
 from circpeaks.checks import complex as complex_checks
 from circpeaks.checks import hilbert as hilbert_checks
 from circpeaks.checks import hvector as hvector_checks
+from circpeaks.checks import peaksets as peaksets_checks
 from circpeaks.checks import series as series_checks
 from circpeaks.exact_algebra import ExactPoly
 from circpeaks.peak_sets import PeakSet, count_valid
@@ -158,6 +161,26 @@ def test_each_left_factor_length_is_enumerated_once_per_run(monkeypatch, suite, 
         assert len(set(lengths)) == count
 
 
+def test_witness_check_leaves_no_tuples_in_free_lists(monkeypatch):
+    # Permutation once built its values by tuple(map(...)): a 10-slot
+    # tuple, resized, which when freed parked on the free list of its new
+    # size.  Over these faces that held about 500 KB (Python 3.11), memory
+    # that only gc.collect(), which clears the free lists, gave back.
+    monkeypatch.setattr(verify, "_memo", {})
+    ns = range(3, 15)
+    gc.collect()  # start from empty free lists
+    tracemalloc.start()
+    try:
+        for n in ns:
+            verify._valid_subsets(n)
+        faces = tracemalloc.get_traced_memory()[0]
+        assert perm.check_witness(ns)[0]
+        left = tracemalloc.get_traced_memory()[0] - faces
+    finally:
+        tracemalloc.stop()
+    assert left < 64 * 1024
+
+
 def test_perm_suite_sweeps_each_symmetric_group_once(monkeypatch):
     calls = _count_cp_class_tables(monkeypatch)
     results = verify.run_suite("perm", 8)
@@ -200,6 +223,14 @@ def test_check_outside_run_suite_computes_afresh(monkeypatch):
     assert len(lengths) == 2 * 70
 
 
+def test_h_dyck_check_at_its_cap_stays_within_the_left_factor_cap():
+    # At n = 20 the longest walk has n//2 + D - 1 = 18 letters.
+    first, top, cap = hvector_checks.RANGES["h-dyck-endpoint-oracle"]
+    assert (top, cap) == (16, 20)
+    assert cap // 2 + peak_sets.max_peak_count(cap) - 1 <= peak_sets.LEFT_FACTOR_LENGTH_CAP
+    assert hvector_checks.check_h_dyck(range(first, cap + 1))[0]
+
+
 def test_h_dyck_check_catches_a_wrong_h_entry(monkeypatch):
     # h_{16,7} is the Catalan number c_7, the left factors of length 14
     # back at height 0: the last entry of the check's range.
@@ -210,6 +241,19 @@ def test_h_dyck_check_catches_a_wrong_h_entry(monkeypatch):
     assert not results["h-dyck-endpoint-oracle"].ok
     assert results["h-dyck-endpoint-oracle"].detail == \
         "Dyck endpoint count mismatch at n=16, i=7"
+
+
+@pytest.mark.parametrize("change", [
+    lambda words: words + words[-1:],  # an extra copy, which set equality let pass
+    lambda words: words[1:],  # no image of the empty face, the word U^(n-1) that sorts last
+], ids=["repeated", "missing-last"])
+def test_dyck_bijection_check_catches_a_wrong_image_list(monkeypatch, change):
+    # The sorted images are compared word by word with the left factors.
+    real = peaksets_checks._dyck_words
+    monkeypatch.setattr(peaksets_checks, "_dyck_words",
+                        lambda n: change(real(n)) if n == 9 else real(n))
+    assert peaksets_checks.check_dyck_bijection(range(3, 15)) == \
+        (False, "images != left factors at n=9")
 
 
 def test_downward_closure_catches_a_rejected_subface(monkeypatch):
@@ -474,6 +518,7 @@ def test_each_check_runs_over_its_declared_range_moved_by_max_n(monkeypatch, max
         assert [reach[name] for name in ("cp-classes-partition", "validity-criterion-equivalence",
                                          "cp-value-window", "zeta-vs-multichain-oracle")] == \
             [perm_core.PERMUTATION_CAP] * 3 + [poset_core.POSET_CAP]
+        assert reach["h-dyck-endpoint-oracle"] == 20
 
 
 def test_covered_by_names_a_check_that_states_no_n_range(covered_by):
