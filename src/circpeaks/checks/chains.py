@@ -22,7 +22,7 @@ def check_zeta_recurrence(ns: range) -> tuple[bool, str]:
     for n in ns:
         for i in range(2, 7):
             correction = exact_algebra.exact_quotient(
-                exact_algebra.epsilon_odd(n) * 2 * (i - 1) ** ((n + 1) // 2)
+                (n % 2) * 2 * (i - 1) ** ((n + 1) // 2)
                 * exact_algebra.binomial(n - 1, (n - 1) // 2),
                 n + 1, f"zeta recurrence correction at n={n}, i={i}")
             if chains_zeta.zeta(n + 1, i) != i * chains_zeta.zeta(n, i) - correction:

@@ -20,7 +20,8 @@ coefficient by coefficient, in the series suite of circpeaks.checks);
 the Moebius function, whose recursion oracle
 _moebius_from (complex/moebius-closed-form) is defined in poset_core;
 and the kernel of the registry check complex/product-structure,
-_product_structure, which no public function wraps.
+_product_structure, one set identity on face tuples, which no public
+function wraps.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from itertools import count, islice
 from .exact_algebra import ExactPoly, binomial
 from .peak_sets import PeakSet, is_valid
 # Re-exported from the integer-only face poset, which defines them.
-from .poset_core import _mask, face_tuples
+from .poset_core import face_tuples
 # Re-exported from the integer core, which defines them.
 from .tables import (
     POSET_CAP,
@@ -138,77 +139,21 @@ def _product_structure(n: int, base, big) -> bool:
     """The product decomposition of P_{n+1} over P_n, on their face lists.
 
     base and big list the faces of P_n and P_{n+1} as ascending tuples.
-    The candidate map sends a face S of P_{n+1} to (2 if n+1 in S else 1,
-    S minus {n+1}).  For even n it must be an order isomorphism onto the
-    full product 2 x P_n; for odd n, onto the product minus the slice
-    (label 2) over the top-dimensional faces.  The registry check
+    The map phi sends a face S of P_{n+1} to (1 + [n+1 in S], S minus
+    {n+1}).  For even n it must be an order isomorphism onto the full
+    product 2 x P_n; for odd n, onto the product minus the slice (label 2)
+    over the top-dimensional faces.  The registry check
     complex/product-structure runs it for n <= 13.
 
-    Once the map is a bijection onto its target, it is an order
-    isomorphism iff it maps the lower covers of each face S onto the lower
-    covers of image(S) in the target.  In a finite poset x <= y iff a chain
-    of covers leads from x up to y, and a bijection that maps covers onto
-    covers, face by face, maps such chains both ways.  The lower covers of
-    S in P_{n+1} are the sets S minus {x}, x in S, as a downward closed
-    family holds every one-element removal of its faces; one that is not
-    listed fails the test.  In 2 x P_n the lower covers of (a, T) are
-    (a, T minus {x}), x in T, and (1, T) when a = 2.  The target is a
-    down-set of 2 x P_n, as the slice removed for odd n consists of maximal
-    elements (label 2 over a top-dimensional face), so its lower covers
-    are those of 2 x P_n.  The test makes O(m D) lookups, m = |P_{n+1}|,
-    D = floor((n-1)/2).
+    phi is an order embedding of all subsets of [n+1] into 2 x (subsets of
+    [n]): S is a subset of S' iff [n+1 in S] <= [n+1 in S'] and S minus
+    {n+1} is a subset of S' minus {n+1}, which is phi(S) <= phi(S')
+    componentwise.  So phi maps the listed faces isomorphically onto the
+    target iff they are, without repeats, the preimage of the target: each
+    T of P_n, and T with n+1 adjoined for each (2, T) in the target.
+    complex/downward-closure checks that the faces are closed under
+    one-element removal.
     """
-    top = 1 << (n + 1)  # the bit of the element n + 1
-    base_index = {_mask(T): j for j, T in enumerate(base)}
-    masks = [_mask(S) for S in big]
-    image = _product_image(n, base_index, masks)
-    if image is None:
-        return False
-    for S, m in zip(big, masks):
-        below = {image.get(m ^ 1 << x) for x in S}
-        if None in below:  # a one-element removal of S is not listed
-            return False
-        code = image[m]
-        a = code & 1  # the label minus 1
-        covers = {2 * base_index[(m & ~top) ^ 1 << x] + a for x in S if x != n + 1}
-        if a:
-            covers.add(code - 1)  # (1, T) below (2, T)
-        if below != covers:
-            return False
-    return True
-
-
-def _product_image(n: int, base_index: dict[int, int], masks) -> dict[int, int] | None:
-    """The code of the image of each face of P_{n+1}, keyed by its bitmask.
-
-    masks are the bitmasks of the faces of P_{n+1}; base_index maps the
-    bitmask of each face of P_n to its index j, and the pair (a, base[j])
-    of the product is coded as the int 2j + a - 1.  None unless the map is
-    a bijection onto the target: 2 x P_n, less the label-2 slice over the
-    top-dimensional faces for odd n.
-
-    One bytearray over the codes of 2 x P_n marks each code taken: first
-    the codes outside the target, then each image.  An image on a marked
-    code is outside the target or repeated, and the map is onto the target
-    iff every code ends up marked.
-    """
-    top = 1 << (n + 1)
-    taken = bytearray(2 * len(base_index))
-    if n % 2:
-        d = max_peak_count(n)
-        for T, j in base_index.items():
-            if T.bit_count() == d:
-                taken[2 * j + 1] = 1
-    image = {}
-    for m in masks:
-        j = base_index.get(m & ~top)
-        if j is None:  # not a face of P_n, so outside the target
-            return None
-        code = 2 * j + bool(m & top)
-        if taken[code]:
-            return None
-        taken[code] = 1
-        image[m] = code
-    if 0 in taken:
-        return None
-    return image
+    d = max_peak_count(n)
+    target = set(base) | {T + (n + 1,) for T in base if not (n % 2 and len(T) == d)}
+    return len(big) == len(target) and set(big) == target

@@ -285,7 +285,3 @@ def multinomial(parts: Sequence[int]) -> int:
         out //= factorial(p)
     return out
 
-
-def epsilon_odd(n: int) -> int:
-    """1 if n is odd, 0 if n is even (the parity switch in the recurrences)."""
-    return n % 2

@@ -26,7 +26,6 @@ from .exact_algebra import (
     ExactPoly,
     binomial,
     catalan_number,
-    epsilon_odd,
     exact_quotient,
 )
 # Re-exported from the integer core, which defines them.
@@ -77,5 +76,5 @@ def _h_recurrence_walk() -> Iterator[tuple[int, ...]]:
     row = (1, 0)
     for m in count(3):
         yield row
-        eps, top = epsilon_odd(m), m // 2
+        eps, top = m % 2, m // 2
         row = (*accumulate(row[:top], lambda prev, h: h + eps * prev), eps * catalan_number(top))

@@ -230,38 +230,34 @@ def test_product_structure_rejects_a_repeated_face(n):
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
 def test_product_image_rejects_a_code_in_the_removed_slice(n):
-    # For odd n, a top face T of P_n with n+1 adjoined maps to (2, T),
-    # which the target lacks.  Added to the faces of P_{n+1}, it hits no
-    # code twice and leaves no code of the target unhit.
+    # For odd n, a top face T of P_n with n+1 adjoined has the image
+    # (2, T) in the removed slice, which the target lacks.  Added to the
+    # faces of P_{n+1}, it repeats no face and leaves no element of the
+    # target without a preimage.
     base, big = face_tuples(n), face_tuples(n + 1)
     outside = base[-1] + (n + 1,)
     assert len(base[-1]) == max_peak_count(n) and outside not in big
-    base_index = {_mask(T): j for j, T in enumerate(base)}
-    masks = [_mask(S) for S in big]
-    assert complex_poset._product_image(n, base_index, masks) is not None
-    assert complex_poset._product_image(n, base_index, masks + [_mask(outside)]) is None
+    assert complex_poset._product_structure(n, base, big)
+    assert not complex_poset._product_structure(n, base, big + [outside])
     assert not _product_structure_all_pairs(n, base, big + [outside])
 
 
-def test_product_structure_order_test_is_live(monkeypatch):
-    # Swapping the images of the vertices (3,) and (4,) of P_5 keeps the map
-    # a bijection onto 2 x P_4, so only the cover test can see that the
-    # lower cover (3,) of (3, 5) now maps outside the lower covers of (2, {3}).
-    real = complex_poset._product_image
-    bijections = []
+@pytest.mark.parametrize("n", range(3, 8))
+def test_product_map_is_an_order_embedding_of_all_subsets(n):
+    # phi(S) = (1 + [n+1 in S], S minus {n+1}) on the subsets of [3, n+1],
+    # ordered componentwise: the lemma that lets _product_structure check a
+    # set identity in place of the order.
+    ground = range(3, n + 2)
+    subsets = [frozenset(c) for k in range(len(ground) + 1) for c in combinations(ground, k)]
 
-    def swapped(n, base_index, masks):
-        image = real(n, base_index, masks)
-        a, b = complex_poset._mask((3,)), complex_poset._mask((4,))
-        image[a], image[b] = image[b], image[a]
-        bijections.append(set(image.values()) == set(real(n, base_index, masks).values()))
-        return image
+    def phi(S):
+        return 1 + (n + 1 in S), S - {n + 1}
 
-    faces_of = (face_tuples(4), face_tuples(5))
-    assert complex_poset._product_structure(4, *faces_of)
-    monkeypatch.setattr(complex_poset, "_product_image", swapped)
-    assert not complex_poset._product_structure(4, *faces_of)
-    assert bijections == [True]
+    for A in subsets:
+        a, A0 = phi(A)
+        for B in subsets:
+            b, B0 = phi(B)
+            assert (A <= B) == (a <= b and A0 <= B0)
 
 
 def test_caps():
