@@ -28,6 +28,7 @@ from .exact_algebra import ExactPoly, multinomial
 from .poset_core import chain_oracle, multichain_oracle
 # Re-exported from the integer core, which defines them.
 from .tables import (
+    _shift_down,
     chain_counts,
     exact_quotient,
     face_table,
@@ -38,15 +39,9 @@ from .tables import (
 
 
 def zeta_polynomial(n: int) -> ExactPoly:
-    """Z(P_n, i) as a polynomial in i: the f-vector polynomial at i - 1.
-
-    Integer Taylor shift by repeated synthetic subtraction, O(D^2); the
-    oracle is poly_shift(ExactPoly(face_table(n)))."""
-    c = list(face_table(n))
-    for k in range(len(c) - 1):
-        for j in range(len(c) - 2, k - 1, -1):
-            c[j] -= c[j + 1]
-    return ExactPoly(c)
+    """Z(P_n, i) as a polynomial in i: the f-vector polynomial at i - 1;
+    the oracle is poly_shift(ExactPoly(face_table(n)))."""
+    return ExactPoly(_shift_down(face_table(n)))
 
 
 def _compositions(total: int, mins: list[int]) -> Iterator[tuple[int, ...]]:

@@ -44,14 +44,16 @@ def check_numerator_form(ns: range) -> tuple[bool, str]:
             return False, f"unexpected exponent at n={n}"
         if any(type(c) is not int for c in numerator.coeffs):
             return False, f"non-integer numerator at n={n}"
-        # re-expand numerator/(1-x)^e to order 12
+        # re-expand numerator/(1-x)^e through degree max(12, e), past the
+        # degree of N, so that the series pins every coefficient of N
+        order = max(12, e)
         expanded = [
             sum(numerator.coeff(j) *
                 exact_algebra.binomial(k - j + e - 1, e - 1)
                 for j in range(min(k, numerator.degree) + 1))
-            for k in range(13)
+            for k in range(order + 1)
         ]
-        if expanded != list(hilbert_algebras.hilbert_series_a(n, 12)):
+        if expanded != list(hilbert_algebras.hilbert_series_a(n, order)):
             return False, f"rational form does not reproduce the series at n={n}"
     return True, "numerator/(1-x)^floor((n+1)/2) reproduces the A-series"
 
@@ -120,7 +122,7 @@ CHECKS, RANGES = _registry([
     ("dim-a-monomial-oracle", check_dim_a_oracle, 3, 8),
     ("dim-b-monomial-oracle", check_dim_b_oracle, 3, 8),
     ("hilbert-polynomial-a", check_hilbert_polynomial, 3, 20),
-    ("numerator-rational-form", check_numerator_form, 3, 14),
+    ("numerator-rational-form", check_numerator_form, 3, 14, 200),
     ("initial-a-series", check_hilbert_initial, 3, 4),
     ("a-series-recurrences", check_series_recurrences, 3, 12),
     ("numerator-recurrences", check_numerator_recurrences, 3, 12),

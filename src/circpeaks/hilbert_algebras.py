@@ -12,8 +12,8 @@ core, and re-exported here (tables.hilbert_a_integers gives the
 dimensions, rational form and Hilbert polynomial of A as integer tuples
 from one build); the ExactPoly views and the oracles are defined here.
 numerator_a returns that rational form N(x) / (1-x)^e as the plain pair
-(N as an ExactPoly, e).  Spanned by the multichains of faces, A is the face
-ring of a cone over the barycentric subdivision of P_n, so e = D + 1.
+(N as an ExactPoly, e).  A is the face ring of the order complex of P_n,
+so e = D + 1 and Hilb_A(x) = Hilb_B(x/(1-x)).
 """
 
 from __future__ import annotations
@@ -67,9 +67,8 @@ def hilbert_polynomial_a(n: int) -> ExactPoly:
 def numerator_a(n: int) -> tuple[ExactPoly, int]:
     """(N, e) with Hilb_A(x) = N(x) / (1-x)^e, read off tables.hilbert_a_integers.
 
-    The denominator exponent e is floor((n+1)/2).  The numerator is
-    obtained by repeated differencing of the integer dimensions and
-    checked to terminate; InexactDivisionError is raised if it does not.
+    e = floor((n+1)/2) = D + 1, and N(x) = sum_t d_{n,t} x^t (1-x)^(e-t) has
+    integer coefficients by construction: Hilb_A(x) = Hilb_B(x/(1-x)).
     """
     _, numerator, exponent, _ = tables.hilbert_a_integers(n, 0)
     return ExactPoly(numerator), exponent

@@ -3,11 +3,12 @@
 face_table(n) is the f-vector of the circular-peak complex P_n.  The
 reduced Euler characteristic, the zeta values, the strict chain counts
 (the graded dimensions of algebra B) and the graded dimensions and
-rational form of the Hilbert series of algebra A are computed here from
-it; the h-vector h_table(n) comes from its own closed form, by the ratio
-recurrence of C(floor(n/2)+i, floor(n/2)).  All of it is integer
-arithmetic, with every division exact or an error.  Its values are ints and tuples of ints: the cli alone
-shapes them into JSON or CSV rows, and the ExactPoly views
+rational form of the Hilbert series of algebra A, Hilb_B(x/(1-x)), are
+computed here from it; the h-vector h_table(n) comes from its own closed
+form, by the ratio recurrence of C(floor(n/2)+i, floor(n/2)).  All of it
+is integer arithmetic, with every division exact or an error.  Its values
+are ints and tuples of ints: the cli alone shapes them into JSON or CSV
+rows, and the ExactPoly views
 (f_polynomial, h_polynomial, the Hilbert polynomial) live in the modules
 that re-export these names.  This module loads nothing of the package,
 no rational arithmetic and no oracle, so a command that prints only
@@ -23,9 +24,6 @@ from collections.abc import Iterable
 from math import comb, gcd
 
 POSET_CAP = 14
-# Coefficients past the numerator degree that the A-series' rational
-# form checks to be zero.
-_NUMERATOR_GUARD = 4
 
 
 class ResourceLimitError(RuntimeError):
@@ -166,6 +164,25 @@ def zeta(n: int, i: int) -> int:
     return zeta_values(n, (i,))[0]
 
 
+def _forward_differences(z: tuple[int, ...]) -> tuple[int, ...]:
+    """((Delta^0 z)_0, ..., (Delta^(len-1) z)_0), by repeated differencing of z."""
+    out = []
+    while z:
+        out.append(z[0])
+        z = [b - a for a, b in zip(z, z[1:])]
+    return tuple(out)
+
+
+def _shift_down(c: tuple[int, ...]) -> list[int]:
+    """The ascending coefficients of p(x-1), from those of p, by repeated
+    synthetic subtraction; exact_algebra.poly_shift is its oracle."""
+    c = list(c)
+    for k in range(len(c) - 1):
+        for j in range(len(c) - 2, k - 1, -1):
+            c[j] -= c[j + 1]
+    return c
+
+
 def chain_counts(n: int) -> tuple[int, ...]:
     """(d_{n,0}, ..., d_{n,D+1}): strict chains of i faces, in O(D^2) subtractions.
 
@@ -174,15 +191,9 @@ def chain_counts(n: int) -> tuple[int, ...]:
     distinct faces arises from C(k, t) of them, so Z_k = sum_t C(k, t)
     d_{n,t+1}, and binomial inversion gives
     d_{n,t+1} = sum_k (-1)^(t-k) C(t, k) Z_k = (Delta^t Z)_0, the t-th
-    forward difference at 0, taken here by repeated differencing of the
-    row Z_0..Z_D.  d_{n,i} = 0 for i > D+1.
+    forward difference at 0 of the row Z_0..Z_D.  d_{n,i} = 0 for i > D+1.
     """
-    z = list(zeta_values(n, range(2, max_peak_count(n) + 3)))  # Z_k = zeta(n, k + 2)
-    out = [1]
-    while z:
-        out.append(z[0])
-        z = [b - a for a, b in zip(z, z[1:])]
-    return tuple(out)
+    return (1,) + _forward_differences(zeta_values(n, range(2, max_peak_count(n) + 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -197,47 +208,24 @@ def hilbert_series_a(n: int, order: int) -> tuple[int, ...]:
     return (1,) + zeta_values(n, range(2, order + 2))
 
 
-def _numerator_order(n: int) -> int:
-    """The last degree of the A-series that rational_form_a reads."""
-    return (n + 1) // 2 + 1 + _NUMERATOR_GUARD
-
-
-def rational_form_a(n: int, series: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """(N, e) with sum_k series[k] x^k = N(x) / (1-x)^e and e = floor((n+1)/2).
-
-    A is the face ring of a cone over the barycentric subdivision of P_n,
-    so its Krull dimension, e, is D + 1.  N is the series differenced e
-    times, through degree _numerator_order(n), without its trailing zeros;
-    its coefficients past degree e+1 must vanish, or InexactDivisionError
-    is raised.
-    """
-    exponent = (n + 1) // 2
-    series = list(series)
-    for _ in range(exponent):
-        series = [series[0]] + [series[k] - series[k - 1]
-                                for k in range(1, len(series))]
-    head, tail = series[: exponent + 2], series[exponent + 2:]
-    if any(tail):
-        raise InexactDivisionError(
-            f"A-series of n={n} times (1-x)^{exponent} does not terminate: {series}"
-        )
-    while head and head[-1] == 0:
-        head.pop()
-    return tuple(head), exponent
-
-
 def hilbert_a_integers(n: int, order: int
                        ) -> tuple[tuple[int, ...], tuple[int, ...], int, tuple[int, ...]]:
     """Degrees 0..order of A, its rational form (N, e) and its Hilbert polynomial.
 
-    One f-vector serves all three: the dimensions of both the requested
-    degrees and the numerator's longer run are read off one Horner pass,
-    and the Hilbert polynomial's coefficients are the f-vector itself.
+    A is the face ring of the order complex of P_n, so Hilb_A(x) =
+    Hilb_B(x/(1-x)) = sum_t d_{n,t} x^t / (1-x)^t (Stanley, Combinatorics
+    and Commutative Algebra, ch. II), and N(x) = sum_t d_{n,t} x^t (1-x)^(e-t)
+    with e = D + 1: the chain counts read from the top, shifted to x - 1.
+    chains/zeta-from-chain-counts and hilbert/numerator-rational-form check
+    it.  One Horner pass gives the dimensions and the chain counts, and the
+    Hilbert polynomial's coefficients are the f-vector itself.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     f = face_table(n)
-    length = _numerator_order(n)
-    series = (1,) + _zeta_values_of(n, f, range(2, max(order, length) + 2))
-    numerator, exponent = rational_form_a(n, series[: length + 1])
-    return series[: order + 1], numerator, exponent, f
+    exponent = max_peak_count(n) + 1
+    z = _zeta_values_of(n, f, range(2, max(order, exponent) + 2))
+    numerator = _shift_down(((1,) + _forward_differences(z[:exponent]))[::-1])[::-1]
+    while numerator and numerator[-1] == 0:
+        numerator.pop()
+    return (1,) + z[:order], tuple(numerator), exponent, f

@@ -39,8 +39,9 @@ MIN_MAX_N = 3  # the complex starts at n = 3; below it some checks cover no n
 SUITE_NAMES = ("perm", "peaksets", "complex", "chains", "hvector", "series", "hilbert")
 
 
-# first and last: the ends of the range of n the check ran over, or None.
-CheckResult = namedtuple("CheckResult", "suite name ok detail first last")
+# first and last: the ends of the range of n the check ran over, or None;
+# cap: the cap that stopped last short of top + max_n - DEFAULT_MAX_N, or None.
+CheckResult = namedtuple("CheckResult", "suite name ok detail first last cap")
 
 
 def _registry(entries) -> tuple[list, dict]:
@@ -130,16 +131,18 @@ def run_suite(suite: str, max_n: int = DEFAULT_MAX_N) -> list[CheckResult]:
         for s in names:
             module = _suite(s)
             for name, fn in module.CHECKS:
-                first = last = ns = None
+                first = last = capped = ns = None
                 if name in module.RANGES:  # last moves with max_n, within [first, cap]
                     first, top, cap = module.RANGES[name]
-                    last = max(first, min(top + max_n - DEFAULT_MAX_N, cap))
+                    reach = top + max_n - DEFAULT_MAX_N
+                    last = max(first, min(reach, cap))
+                    capped = cap if reach > cap else None
                     ns = range(first, last + 1)
                 try:
                     ok, detail = fn(ns)
                 except Exception as exc:  # a crash is a failure, not an abort
                     ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-                results.append(CheckResult(s, name, ok, detail, first, last))
+                results.append(CheckResult(s, name, ok, detail, first, last, capped))
     finally:
         _memo = None
     return results
@@ -152,7 +155,8 @@ def report(suite: str, max_n: int, out) -> int:
     failed = 0
     for r in results:
         status = "PASS" if r.ok else "FAIL"
-        span = "" if r.first is None else f" [{r.first} <= n <= {r.last}]"
+        span = "" if r.first is None else f" [{r.first} <= n <= {r.last}" + \
+            ("]" if r.cap is None else ", capped]")
         out.write(f"{status}  {r.suite}/{r.name}: {r.detail}{span}\n")
         failed += not r.ok
     out.write(f"{len(results) - failed}/{len(results)} checks passed\n")

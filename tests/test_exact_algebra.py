@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from circpeaks import tables
 from circpeaks.chains_zeta import zeta_polynomial
 from circpeaks.complex_poset import f_polynomial, f_polynomial_by_recurrence
 from circpeaks.exact_algebra import (
@@ -147,6 +148,19 @@ def test_compose_linear_matches_polynomial_horner(p, a, b):
     q = p.compose_linear(a, b)
     assert q == _compose_linear_reference(p, a, b)
     assert all(type(c) is int for c in q.coeffs)
+
+
+@given(st.lists(integers, max_size=10))
+@example([])
+@example([0, 0])
+@example([3, -1, 2, 0, 0])
+@settings(max_examples=100, deadline=None)
+def test_shift_down_matches_compose_linear(c):
+    # tables._shift_down keeps the length of its input, trailing zeros too.
+    shifted = tables._shift_down(c)
+    assert len(shifted) == len(c)
+    expected = ExactPoly(c).compose_linear(1, -1).coeffs
+    assert shifted == list(expected) + [0] * (len(c) - len(expected))
 
 
 monic = st.lists(integers, max_size=6).map(lambda cs: ExactPoly(cs + [1]))

@@ -1,11 +1,12 @@
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 import pytest
 
 from circpeaks import hilbert_algebras, tables
 from circpeaks.complex_poset import face_tuples
-from circpeaks.exact_algebra import ExactPoly, InexactDivisionError, NonIntegralError
+from circpeaks.exact_algebra import ExactPoly, NonIntegralError
 from circpeaks.hilbert_algebras import (
     MONOMIAL_DEGREE_CAP,
     dim_a,
@@ -34,12 +35,6 @@ def test_dim_a_rejects_nonintegral_f_polynomial(monkeypatch):
     with pytest.raises(NonIntegralError, match="dim_a"):
         dim_a(5, 1)
     with pytest.raises(NonIntegralError):
-        numerator_a(5)
-
-
-def test_numerator_a_rejects_nonterminating_series(monkeypatch):
-    monkeypatch.setattr(tables, "face_table", lambda n: (1,) * 6)
-    with pytest.raises(InexactDivisionError, match="does not terminate"):
         numerator_a(5)
 
 
@@ -80,6 +75,17 @@ def test_numerator_a_examples():
 def test_numerator_a_reproduces_series(covered_by):
     # numerator / (1-x)^e expanded against the graded dimensions, n <= 14
     covered_by("hilbert", "numerator-rational-form", 14)
+
+
+@pytest.mark.parametrize("n", [200, 489])
+def test_numerator_a_reproduces_series_through_degree_e(n):
+    # Through degree e, past the degree of N, so the series pins every
+    # coefficient of N: at the registry check's cap, n = 200, and past it.
+    numerator, e = numerator_a(n)
+    assert e == (n + 1) // 2 and numerator.degree < e
+    expanded = [sum(numerator.coeff(j) * comb(k - j + e - 1, e - 1) for j in range(k + 1))
+                for k in range(e + 1)]
+    assert expanded == list(hilbert_series_a(n, e))
 
 
 def test_hilbert_series_b_examples():

@@ -44,10 +44,10 @@ CASES = {
         "DyckPrefix(letters='UUD')",
     ),
     "CheckResult": (
-        lambda: CheckResult("perm", "cp-classes-partition", True, "ok", 1, 8),
-        ("perm", "cp-classes-partition", True, "ok", 1, 8),
+        lambda: CheckResult("perm", "cp-classes-partition", True, "ok", 1, 10, 10),
+        ("perm", "cp-classes-partition", True, "ok", 1, 10, 10),
         "CheckResult(suite='perm', name='cp-classes-partition', ok=True, detail='ok', "
-        "first=1, last=8)",
+        "first=1, last=10, cap=10)",
     ),
 }
 NAMES = sorted(CASES)
@@ -111,9 +111,11 @@ def test_field_differences_break_equality():
     assert PeakSet(5, (3,)) != PeakSet(6, (3,))
     assert PeakSet(5, (3,)) != PeakSet(5, (4,))
     assert DyckPrefix("UD") != DyckPrefix("UU")
-    assert CheckResult("a", "b", True, "d", 3, 8) != CheckResult("a", "b", False, "d", 3, 8)
-    assert CheckResult("a", "b", True, "d", 3, 8) != CheckResult("a", "b", True, "d", 3, 9)
-    assert CheckResult("a", "b", True, "d", 3, 8) != CheckResult("a", "b", True, "d", None, None)
+    result = CheckResult("a", "b", True, "d", 3, 8, None)
+    assert result != CheckResult("a", "b", False, "d", 3, 8, None)
+    assert result != CheckResult("a", "b", True, "d", 3, 9, None)
+    assert result != CheckResult("a", "b", True, "d", None, None, None)
+    assert result != CheckResult("a", "b", True, "d", 3, 8, 8)
 
 
 @pytest.mark.parametrize("name", NAMES)

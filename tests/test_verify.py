@@ -211,6 +211,22 @@ def test_a_check_that_raises_fails_and_the_run_goes_on(monkeypatch):
                               "1/2 checks passed\n")
 
 
+def test_report_marks_a_range_stopped_at_its_cap(monkeypatch):
+    # At --max-n 200 a range reaches top + 192: past the cap 200 of the
+    # first check, short of the cap 300 of the second.
+    checks, ranges = verify._registry([
+        ("capped", lambda ns: (True, "ok"), 3, 14, 200),
+        ("uncapped", lambda ns: (True, "ok"), 3, 8, 300)])
+    monkeypatch.setattr(verify, "_suite",
+                        lambda suite: SimpleNamespace(CHECKS=checks, RANGES=ranges))
+    assert [r.cap for r in verify.run_suite("perm", 200)] == [200, None]
+    out = io.StringIO()
+    assert verify.report("perm", 200, out) == 0
+    assert out.getvalue() == ("PASS  perm/capped: ok [3 <= n <= 200, capped]\n"
+                              "PASS  perm/uncapped: ok [3 <= n <= 200]\n"
+                              "2/2 checks passed\n")
+
+
 def test_check_outside_run_suite_computes_afresh(monkeypatch):
     calls = _count_cp_class_tables(monkeypatch)
     lengths = _count_left_factor_enumerations(monkeypatch)
@@ -507,11 +523,12 @@ def test_each_check_runs_over_its_declared_range_moved_by_max_n(monkeypatch, max
     results = verify.run_suite("all", max_n)
     for r in results:
         if r.name not in suites[r.suite].RANGES:
-            assert (r.first, r.last, handed[(r.suite, r.name)]) == (None, None, None)
+            assert (r.first, r.last, r.cap, handed[(r.suite, r.name)]) == (None,) * 4
             continue
         first, top, cap = suites[r.suite].RANGES[r.name]
         last = min(max(top + max_n - verify.DEFAULT_MAX_N, first), cap)
-        assert (r.first, r.last) == (first, last), f"{r.suite}/{r.name}"
+        stopped = cap if top + max_n - verify.DEFAULT_MAX_N > cap else None
+        assert (r.first, r.last, r.cap) == (first, last, stopped), f"{r.suite}/{r.name}"
         assert handed[(r.suite, r.name)] == range(first, last + 1)
     if max_n == 100:
         reach = {r.name: r.last for r in results}
