@@ -29,14 +29,13 @@ _DEFINED_IN = {
         "count_valid", "from_dyck", "is_valid", "to_dyck", "witness",
     ),
     "complex_poset": (
-        "f_polynomial", "face_count", "face_counts_by_recurrence", "faces",
-        "moebius",
+        "f_polynomial", "face_count", "faces", "moebius",
     ),
     "chains_zeta": (
         "chain_count_formula", "zeta_polynomial",
     ),
     "hvector": (
-        "h_entry", "h_polynomial", "h_recurrence_table",
+        "h_entry", "h_polynomial",
     ),
     "hilbert_algebras": (
         "dim_a", "dim_b", "hilbert_polynomial_a", "hilbert_series_b",

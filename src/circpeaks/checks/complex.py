@@ -56,8 +56,6 @@ def check_fvector_recurrence(ns: range) -> tuple[bool, str]:
     for n, row in zip(ns, complex_poset._face_count_walk()):
         if row != complex_poset.face_table(n):
             return False, f"recurrence row != closed form at n={n}"
-    if complex_poset.face_counts_by_recurrence(n) != row:
-        return False, f"face_counts_by_recurrence({n}) != the walk's row"
     return True, "f-vector recurrence = closed form"
 
 
@@ -65,8 +63,6 @@ def check_fpoly_recurrence(ns: range) -> tuple[bool, str]:
     for n, p in zip(ns, complex_poset._polynomial_walk(ExactPoly((1, 1)))):
         if p != complex_poset.f_polynomial(n):
             return False, f"f-polynomial recurrence mismatch at n={n}"
-    if complex_poset.f_polynomial_by_recurrence(n) != p:
-        return False, f"f_polynomial_by_recurrence({n}) != the walk's polynomial"
     return True, "f-polynomial recurrence = closed form"
 
 

@@ -1,11 +1,14 @@
 """The hilbert suite: the Hilbert data of A and B against the monomial
-oracles and the series recurrences, and the nonvanishing criterion."""
+oracles, A's rational form, the derivative recurrences of the A-series
+and of its numerator, which are stated here and nowhere in the library,
+and the nonvanishing criterion."""
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
 
-from .. import exact_algebra, hilbert_algebras, peak_sets
+from .. import hilbert_algebras, peak_sets
+from ..exact_algebra import ExactPoly
 from ..poset_core import _mask
 from ..verify import _registry, _valid_subsets
 
@@ -45,14 +48,14 @@ def check_numerator_form(ns: range) -> tuple[bool, str]:
         if any(type(c) is not int for c in numerator.coeffs):
             return False, f"non-integer numerator at n={n}"
         # re-expand numerator/(1-x)^e through degree max(12, e), past the
-        # degree of N, so that the series pins every coefficient of N
+        # degree of N, so that the series pins every coefficient of N: each
+        # division by 1-x is a running prefix sum of N padded to the order
         order = max(12, e)
-        expanded = [
-            sum(numerator.coeff(j) *
-                exact_algebra.binomial(k - j + e - 1, e - 1)
-                for j in range(min(k, numerator.degree) + 1))
-            for k in range(order + 1)
-        ]
+        if numerator.degree > order:
+            return False, f"numerator degree {numerator.degree} past order {order} at n={n}"
+        expanded = [*numerator.coeffs, *[0] * (order + 1 - len(numerator.coeffs))]
+        for _ in range(e):
+            expanded = list(accumulate(expanded))
         if expanded != list(hilbert_algebras.hilbert_series_a(n, order)):
             return False, f"rational form does not reproduce the series at n={n}"
     return True, "numerator/(1-x)^floor((n+1)/2) reproduces the A-series"
@@ -68,17 +71,55 @@ def check_hilbert_initial(ns: range) -> tuple[bool, str]:
     return True, f"initial A-series {run} reproduced to order 12"
 
 
+# The derivative relations of the A-series and of its numerator, checked
+# as exact truncated-series and polynomial identities; production paths
+# never use them.
+
+
 def check_series_recurrences(ns: range) -> tuple[bool, str]:
+    # Through order 12, where x d/dx multiplies the coefficient of x^k by k.
+    # Even n: Hilb_{n+1} = x Hilb'_n + Hilb_n.
+    # Odd n:  Hilb_{n+3} = x Hilb'_{n+2} + Hilb_{n+2} + (4n/(n+3)) x Hilb'_{n+1}
+    #         - (8n/(n+3)) x Hilb'_n - (4n/(n+3)) x^2 Hilb''_n,
+    # compared in integers after multiplying both sides by n+3.
     for n in ns:
-        if not hilbert_algebras.verify_series_recurrence_a(n):
+        s0, s1 = (hilbert_algebras.hilbert_series_a(m, 12) for m in (n, n + 1))
+        if n % 2 == 0:
+            holds = s1 == tuple(k * c + c for k, c in enumerate(s0))
+        else:
+            s2, s3 = (hilbert_algebras.hilbert_series_a(m, 12) for m in (n + 2, n + 3))
+            holds = all(
+                (n + 3) * s3[k] == (n + 3) * (k * s2[k] + s2[k])
+                + 4 * n * (k * s1[k] - 2 * k * s0[k] - k * (k - 1) * s0[k])
+                for k in range(13))
+        if not holds:
             relation = "odd-n derivative relation" if n % 2 else "even-n series recurrence"
             return False, f"{relation} failed at n={n}"
     return True, "A-series derivative recurrences hold as truncated identities"
 
 
 def check_numerator_recurrences(ns: range) -> tuple[bool, str]:
+    # Even n: A_{n+1} = x(1-x) A'_n + [((n/2)-1) x + 1] A_n.
+    # Odd n:  the printed four-term relation with first and second
+    # derivatives, multiplied through by (1-x) on the left and by n+3, so
+    # that its coefficients 4n/(n+3), 2n(n+1)/(n+3) and n(n+1)/(n+3) are
+    # compared in integers.
+    x, one_minus_x = ExactPoly.x(), ExactPoly((1, -1))
     for n in ns:
-        if not hilbert_algebras.verify_numerator_recurrence_a(n):
+        if n % 2 == 0:
+            a, lhs = (hilbert_algebras.numerator_a(m)[0] for m in (n, n + 1))
+            holds = lhs == x * one_minus_x * a.derivative() + ExactPoly((1, n // 2 - 1)) * a
+        else:
+            a0, a1, a2, a3 = (hilbert_algebras.numerator_a(m)[0] for m in range(n, n + 4))
+            holds = (one_minus_x * a3).scale(n + 3) == (
+                (x * one_minus_x * a2.derivative() + ExactPoly((1, (n + 1) // 2)) * a2).scale(n + 3)
+                + (x * one_minus_x * one_minus_x * a1.derivative()).scale(4 * n)
+                + (x * one_minus_x * a1).scale(2 * n * (n + 1))
+                - (x * one_minus_x * ExactPoly((2, n - 1)) * a0.derivative()).scale(4 * n)
+                - (x * ExactPoly((4, n - 1)) * a0).scale(n * (n + 1))
+                - (x * x * one_minus_x * one_minus_x * a0.derivative().derivative()).scale(4 * n)
+            )
+        if not holds:
             relation = "odd-n numerator relation" if n % 2 else "even-n numerator recurrence"
             return False, f"{relation} failed at n={n}"
     return True, "numerator recurrences hold exactly"

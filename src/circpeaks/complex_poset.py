@@ -7,8 +7,8 @@ Faces of dimension i are the realizable sets of size i+1; the closed form
 is the production path, evaluated by exact integer division in
 circpeaks.tables, with the per-entry closed form face_count, the
 enumeration and the parity recurrence kept here as independent oracles.
-Each recurrence is one walk that yields every n from 3 up; its per-n
-oracle returns the walk's last value, and a check reads one walk once.
+Each recurrence is one walk that yields every n from 3 up, and a registry
+check reads one walk once, comparing each value with the closed form.
 face_table(n), the integer f-vector, and the Euler characteristic are
 defined in circpeaks.tables and re-exported here; f_polynomial is its
 ExactPoly view.  The face enumeration face_tuples is defined in the
@@ -27,7 +27,8 @@ function wraps.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import count, islice
+from itertools import count
+from operator import index
 
 from .exact_algebra import ExactPoly, binomial
 from .peak_sets import PeakSet, is_valid
@@ -51,6 +52,7 @@ def faces(n: int, dim: int) -> list[PeakSet]:
 
 def face_count(n: int, dim: int) -> int:
     """Closed-form p_{n,dim}; zero outside the dimension range."""
+    dim = index(dim)
     if n < 3:
         raise ValueError("n must be >= 3")
     if dim == -1:
@@ -61,26 +63,14 @@ def face_count(n: int, dim: int) -> int:
                           f"face_count({n}, {dim})")
 
 
-def face_counts_by_recurrence(n: int) -> tuple[int, ...]:
-    """f-vector built purely from the parity recurrence (test oracle).
+def _face_count_walk() -> Iterator[tuple[int, ...]]:
+    """The f-vector by the parity recurrence, yielding its row at every n from 3 up.
 
     Even m:  p_{m+1,i} = p_{m,i-1} + p_{m,i} for interior i, with the
     boundary rows p_{m+1,-1} = p_{m,-1} and p_{m+1,m/2-1} = p_{m,m/2-2};
     odd m:   p_{m+1,i} = p_{m,i-1} + p_{m,i} throughout.
-    Initial row (p_{3,-1}, p_{3,0}) = (1, 1).  The last row of one walk,
-    _face_count_walk, which yields every n from 3 up and is read once per check.
+    Initial row (p_{3,-1}, p_{3,0}) = (1, 1).
     """
-    return _walk_at(_face_count_walk(), n)
-
-
-def _walk_at(walk: Iterator, n: int):
-    """The value at n of a walk that yields its value at every n from 3 up."""
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    return next(islice(walk, n - 3, None))
-
-
-def _face_count_walk() -> Iterator[tuple[int, ...]]:
     row = (1, 1)
     for m in count(3):
         yield row
@@ -93,22 +83,15 @@ def f_polynomial(n: int) -> ExactPoly:
     return ExactPoly(reversed(face_table(n)))
 
 
-def f_polynomial_by_recurrence(n: int) -> ExactPoly:
-    """P_n(x) from the parity recurrence (test oracle).
-
-    Even m: P_{m+1} = (1+x)P_m; odd m: x P_{m+1} = (1+x)P_m - 2/(m+1) C(m-1,(m-1)/2),
-    the latter solved by exact division by x.  This is the last value of
-    _polynomial_walk at a = 1+x; complex/fpolynomial-recurrence reads it once.
-    """
-    return _walk_at(_polynomial_walk(ExactPoly((1, 1))), n)
-
-
 def _polynomial_walk(a: ExactPoly) -> Iterator[ExactPoly]:
     """The parity recurrence in a, yielding p at every n from p = a at n = 3.
 
     Even m: p <- a p; odd m: p <- (a p - c_m) / (a - 1), divided exactly,
-    with c_m = 2/(m+1) C(m-1,(m-1)/2).  a = 1+x gives P_n; a = x gives
-    H_n = P_n(x-1).
+    with c_m = 2/(m+1) C(m-1,(m-1)/2).  a = 1+x gives P_n: even m,
+    P_{m+1} = (1+x)P_m; odd m, x P_{m+1} = (1+x)P_m - c_m, solved by exact
+    division by x (complex/fpolynomial-recurrence).  a = x gives
+    H_n = P_n(x-1): even m, H_{m+1} = x H_m; odd m,
+    (x-1) H_{m+1} = x H_m - c_m (hvector/h-closed-recurrence-shift).
     """
     p, a_minus_one = a, a - ExactPoly.constant(1)
     for m in count(3):

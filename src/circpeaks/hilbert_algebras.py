@@ -13,12 +13,16 @@ dimensions, rational form and Hilbert polynomial of A as integer tuples
 from one build); the ExactPoly views and the oracles are defined here.
 numerator_a returns that rational form N(x) / (1-x)^e as the plain pair
 (N as an ExactPoly, e).  A is the face ring of the order complex of P_n,
-so e = D + 1 and Hilb_A(x) = Hilb_B(x/(1-x)).
+so e = D + 1 and Hilb_A(x) = Hilb_B(x/(1-x)).  The derivative
+recurrences of the A-series and of its numerator are stated and checked
+in the hilbert suite of circpeaks.checks, which reads hilbert_series_a
+and numerator_a through this module.
 """
 
 from __future__ import annotations
 
 from math import comb
+from operator import index
 
 from . import tables
 from .exact_algebra import ExactPoly
@@ -35,13 +39,12 @@ from .tables import (
 )
 
 MONOMIAL_DEGREE_CAP = 6
-# The order through which verify_series_recurrence_a compares the A-series.
-SERIES_RECURRENCE_ORDER = 12
 _MONOMIAL_WORK_CAP = 2_000_000
 
 
 def dim_a(n: int, i: int) -> int:
     """dim of the degree-i piece of algebra A: multichains of i faces, zeta(n, i+1)."""
+    i = index(i)
     if n < 3:
         raise ValueError("n must be >= 3")
     if i < 0:
@@ -141,68 +144,3 @@ def standard_monomial_oracle(n: int, algebra: str, degree: int) -> int:
         return total
 
     return extend((1 << m) - 1, degree)
-
-
-# ---------------------------------------------------------------------------
-# recurrence verification (the derivative relations are checked as exact
-# truncated-series identities; production paths never use them)
-
-
-def _series(n: int) -> list[int]:
-    return list(hilbert_series_a(n, SERIES_RECURRENCE_ORDER))
-
-
-def _xd(s: list) -> list:
-    """x * d/dx acting on a coefficient list: multiplies coeff k by k."""
-    return [k * c for k, c in enumerate(s)]
-
-
-def verify_series_recurrence_a(n: int) -> bool:
-    """Check the A-series derivative recurrence starting at parity of n.
-
-    Even n: Hilb_{n+1} = x Hilb'_n + Hilb_n.
-    Odd n:  Hilb_{n+3} = x Hilb'_{n+2} + Hilb_{n+2} + (4n/(n+3)) x Hilb'_{n+1}
-            - (8n/(n+3)) x Hilb'_n - (4n/(n+3)) x^2 Hilb''_n,
-    compared in integers after multiplying both sides by n+3.
-    """
-    if n % 2 == 0:
-        lhs = _series(n + 1)
-        rhs = [a + b for a, b in zip(_xd(_series(n)), _series(n))]
-        return lhs == rhs
-    c = 4 * n
-    s0, s1, s2 = _series(n), _series(n + 1), _series(n + 2)
-    d0, d1, d2 = _xd(s0), _xd(s1), _xd(s2)
-    rhs = [(n + 3) * (d2[k] + s2[k]) + c * (d1[k] - 2 * d0[k] - k * (k - 1) * s0[k])
-           for k in range(SERIES_RECURRENCE_ORDER + 1)]
-    return [(n + 3) * v for v in _series(n + 3)] == rhs
-
-
-def verify_numerator_recurrence_a(n: int) -> bool:
-    """Check the numerator-polynomial recurrence at parity of n.
-
-    Even n: A_{n+1} = x(1-x) A'_n + [((n/2)-1) x + 1] A_n.
-    Odd n:  the printed four-term relation with first and second
-    derivatives, multiplied through by (1-x) on the left and by n+3, so
-    that its coefficients 4n/(n+3), 2n(n+1)/(n+3) and n(n+1)/(n+3) are
-    compared in integers.
-    """
-    x = ExactPoly.x()
-    one = ExactPoly.constant(1)
-    one_minus_x = ExactPoly((1, -1))
-    if n % 2 == 0:
-        a, _ = numerator_a(n)
-        lhs, _ = numerator_a(n + 1)
-        rhs = x * one_minus_x * a.derivative() + \
-            ExactPoly((1, n // 2 - 1)) * a
-        return lhs == rhs
-    a0, a1, a2, a3 = (numerator_a(m)[0] for m in range(n, n + 4))
-    lhs = (one_minus_x * a3).scale(n + 3)
-    rhs = (
-        (x * one_minus_x * a2.derivative() + ExactPoly((1, (n + 1) // 2)) * a2).scale(n + 3)
-        + (x * one_minus_x * one_minus_x * a1.derivative()).scale(4 * n)
-        + (x * one_minus_x * a1).scale(2 * n * (n + 1))
-        - (x * one_minus_x * ExactPoly((2, n - 1)) * a0.derivative()).scale(4 * n)
-        - (x * ExactPoly((4, n - 1)) * a0).scale(n * (n + 1))
-        - (x * x * one_minus_x * one_minus_x * a0.derivative().derivative()).scale(4 * n)
-    )
-    return lhs == rhs

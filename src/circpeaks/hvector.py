@@ -8,9 +8,11 @@ which also counts Dyck-path left factors ending at a shifted endpoint
 (hvector/h-dyck-endpoint-oracle), and satisfy a parity recurrence with
 Catalan boundary terms.  H_n is read off these integer entries,
 h_table(n), which is defined in circpeaks.tables, the integer core, and
-re-exported here; the per-entry closed form h_entry and the shift
-P_n(x-1) are its oracles.  Each recurrence is one
-walk that yields its value at every n from 3 up, as in complex_poset.
+re-exported here; the per-entry closed form h_entry, the shift
+P_n(x-1) and the parity recurrence are its oracles.  Each recurrence is
+one walk that yields its value at every n from 3 up, as in
+complex_poset: the h-vector walk here, and the H_n walk, which is
+complex_poset._polynomial_walk at a = x.
 The corrected and the printed H(x,y) forms are checked against
 h_polynomial by their coefficient recurrence, in the series suite of
 circpeaks.checks.
@@ -21,7 +23,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import accumulate, count
 
-from .complex_poset import _polynomial_walk, _walk_at
 from .exact_algebra import (
     ExactPoly,
     binomial,
@@ -40,16 +41,6 @@ def h_polynomial(n: int) -> ExactPoly:
     return ExactPoly(reversed(h_table(n)))
 
 
-def h_polynomial_by_recurrence(n: int) -> ExactPoly:
-    """H_n(x) from the parity recurrence (test oracle).
-
-    Even m: H_{m+1} = x H_m; odd m: (x-1) H_{m+1} = x H_m - 2/(m+1) C(m-1,(m-1)/2),
-    the latter solved by exact division by (x-1).  This is the last value
-    of _polynomial_walk at a = x; hvector/h-closed-recurrence-shift reads it once.
-    """
-    return _walk_at(_polynomial_walk(ExactPoly.x()), n)
-
-
 def h_entry(n: int, i: int) -> int:
     """Closed-form h_{n,i}."""
     if i < 0 or i > max_peak_count(n):
@@ -61,18 +52,13 @@ def h_entry(n: int, i: int) -> int:
                           f"h_entry({n}, {i})")
 
 
-def h_recurrence_table(n: int) -> tuple[int, ...]:
-    """h-vector built purely from the recurrence (test oracle).
+def _h_recurrence_walk() -> Iterator[tuple[int, ...]]:
+    """The h-vector by the parity recurrence, yielding its row at every n from 3 up.
 
     h_{m+1,0} = h_{m,0}; h_{m+1,i} = h_{m,i} + eps(m) h_{m+1,i-1} for
     1 <= i <= floor(m/2) - 1; h_{m+1,floor(m/2)} = eps(m) c_{floor(m/2)};
-    initial row (h_{3,0}, h_{3,1}) = (1, 0).  The last row of one walk,
-    _h_recurrence_walk, which yields every n from 3 up and is read once per check.
+    initial row (h_{3,0}, h_{3,1}) = (1, 0).
     """
-    return _walk_at(_h_recurrence_walk(), n)
-
-
-def _h_recurrence_walk() -> Iterator[tuple[int, ...]]:
     row = (1, 0)
     for m in count(3):
         yield row

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from math import comb, gcd
+from operator import index
 
 POSET_CAP = 14
 
@@ -149,7 +150,7 @@ def _zeta_values_of(n: int, f: tuple[int, ...], i_values: Iterable[int]) -> tupl
     come through here.
     """
     out = []
-    for i in i_values:
+    for i in map(index, i_values):
         if i < 2:
             raise ValueError("zeta is defined for i >= 2")
         acc = 0

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from circpeaks import tables
 from circpeaks.chains_zeta import zeta_polynomial
-from circpeaks.complex_poset import f_polynomial, f_polynomial_by_recurrence
+from circpeaks.complex_poset import _polynomial_walk, f_polynomial
 from circpeaks.exact_algebra import (
     ExactPoly,
     InexactDivisionError,
@@ -18,7 +18,7 @@ from circpeaks.exact_algebra import (
     poly_shift,
 )
 from circpeaks.hilbert_algebras import hilbert_polynomial_a, hilbert_series_b, numerator_a
-from circpeaks.hvector import h_polynomial, h_polynomial_by_recurrence
+from circpeaks.hvector import h_polynomial
 
 integers = st.integers(min_value=-10, max_value=10)
 polys = st.lists(integers, min_size=0, max_size=31).map(ExactPoly)
@@ -79,8 +79,8 @@ def test_divmod_by_x_minus_one_stays_in_integers():
     # 2x - 2 does not divide the leading x^4.
     with pytest.raises(InexactDivisionError):
         p.divmod(d.scale(2))
-    for n in (3, 4, 9, 20):
-        h = h_polynomial_by_recurrence(n)  # exact_div by x - 1 at every odd step
+    # H_n by the parity recurrence: exact_div by x - 1 at every odd step
+    for n, h in zip(range(3, 21), _polynomial_walk(ExactPoly.x())):
         assert all(type(c) is int for c in h.coeffs)
 
 
@@ -96,8 +96,7 @@ def test_non_integral_inputs_raise():
 
 @pytest.mark.parametrize("n", range(3, 61))
 def test_library_polynomials_have_int_coefficients(n):
-    for p in (f_polynomial(n), f_polynomial_by_recurrence(n), h_polynomial(n),
-              h_polynomial_by_recurrence(n), zeta_polynomial(n), hilbert_polynomial_a(n),
+    for p in (f_polynomial(n), h_polynomial(n), zeta_polynomial(n), hilbert_polynomial_a(n),
               numerator_a(n)[0], hilbert_series_b(n)):
         assert all(type(c) is int for c in p.coeffs), p
 

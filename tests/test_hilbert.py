@@ -5,6 +5,11 @@ from math import comb
 import pytest
 
 from circpeaks import hilbert_algebras, tables
+from circpeaks.checks.hilbert import (
+    check_numerator_form,
+    check_numerator_recurrences,
+    check_series_recurrences,
+)
 from circpeaks.complex_poset import face_tuples
 from circpeaks.exact_algebra import ExactPoly, NonIntegralError
 from circpeaks.hilbert_algebras import (
@@ -15,8 +20,6 @@ from circpeaks.hilbert_algebras import (
     hilbert_series_b,
     numerator_a,
     standard_monomial_oracle,
-    verify_numerator_recurrence_a,
-    verify_series_recurrence_a,
 )
 from circpeaks.peak_sets import count_valid
 from circpeaks.perm_core import ResourceLimitError
@@ -118,7 +121,8 @@ def test_series_recurrence_check_is_live(monkeypatch):
         return tuple(dims)
 
     monkeypatch.setattr(hilbert_algebras, "hilbert_series_a", bumped)
-    assert [verify_series_recurrence_a(n) for n in range(3, 7)] == [False, True, False, False]
+    verdicts = [check_series_recurrences(range(n, n + 1))[0] for n in range(3, 7)]
+    assert verdicts == [False, True, False, False]
 
 
 def test_numerator_recurrence_check_is_live(monkeypatch):
@@ -130,7 +134,22 @@ def test_numerator_recurrence_check_is_live(monkeypatch):
         return (a + ExactPoly((0, 0, 1)) if n == 6 else a), e
 
     monkeypatch.setattr(hilbert_algebras, "numerator_a", bumped)
-    assert [verify_numerator_recurrence_a(n) for n in range(3, 7)] == [False, True, False, False]
+    verdicts = [check_numerator_recurrences(range(n, n + 1))[0] for n in range(3, 7)]
+    assert verdicts == [False, True, False, False]
+
+
+def test_numerator_form_check_reads_every_coefficient(monkeypatch):
+    # N/(1-x)^2 at n = 3 is compared through order 12: a term x^12 shows in
+    # the series, and a term x^13 past the order fails without being read.
+    true_numerator = hilbert_algebras.numerator_a
+    for power, detail in ((12, "rational form does not reproduce the series at n=3"),
+                          (13, "numerator degree 13 past order 12 at n=3")):
+        def bumped(n, power=power):
+            a, e = true_numerator(n)
+            return a + ExactPoly((0,) * power + (1,)), e
+
+        monkeypatch.setattr(hilbert_algebras, "numerator_a", bumped)
+        assert check_numerator_form(range(3, 4)) == (False, detail)
 
 
 def test_monomial_oracle_caps():

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circpeaks.complex_poset import face_count
+from circpeaks.hilbert_algebras import dim_a
 from circpeaks.perm_core import (
     Permutation,
     ResourceLimitError,
@@ -17,6 +19,7 @@ from circpeaks.perm_core import (
     enumerate_cp_class,
 )
 from circpeaks.peak_sets import PeakSet
+from circpeaks.tables import zeta, zeta_values
 
 
 def test_example_48362517():
@@ -29,7 +32,13 @@ def test_example_48362517():
     lambda: Permutation((1.5, 2)),
     lambda: PeakSet(10, (3.9, Fraction(11, 2))),
     lambda: enumerate_cp_class(4, [3.5]),
-], ids=["Permutation", "PeakSet", "enumerate_cp_class"])
+    lambda: face_count(6, 1.5),
+    lambda: dim_a(3, 2.0),
+    lambda: dim_a(3, 0.0),
+    lambda: zeta_values(5, [2.0]),
+    lambda: zeta(3, 2.5),
+], ids=["Permutation", "PeakSet", "enumerate_cp_class", "face_count", "dim_a", "dim_a-degree-0",
+        "zeta_values", "zeta"])
 def test_non_integral_entries_are_rejected_not_truncated(build):
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         build()
